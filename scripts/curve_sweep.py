@@ -20,7 +20,8 @@ import numpy as np
 
 from tradeoff.ensembles import BUILTIN_NAMES, builtin_ensemble, load_ensemble
 from tradeoff.export import write_curve_csv
-from tradeoff.optimizer import compute_curves
+from tradeoff.optimizer import (DEFAULT_MULTISTARTS, DEFAULT_RESOLUTION,
+                                compute_curves)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -28,8 +29,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--ensemble", default="zero-plus",
                         help=f"builtin name ({', '.join(BUILTIN_NAMES)}) "
                              "or a JSON ensemble file")
-    parser.add_argument("--resolution", type=int, default=40)
-    parser.add_argument("--multistarts", type=int, default=32)
+    parser.add_argument("--resolution", type=int,
+                        default=DEFAULT_RESOLUTION)
+    parser.add_argument("--multistarts", type=int,
+                        default=DEFAULT_MULTISTARTS)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--points", type=int, default=11,
@@ -41,12 +44,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.ensemble in BUILTIN_NAMES:
-        ensemble = builtin_ensemble(args.ensemble)
-        stem = args.ensemble
-    else:
+    if Path(args.ensemble).is_file():
         ensemble = load_ensemble(args.ensemble)
         stem = Path(args.ensemble).stem
+    else:
+        ensemble = builtin_ensemble(args.ensemble)
+        stem = args.ensemble
 
     curves = compute_curves(ensemble, args.resolution,
                             multistarts=args.multistarts, seed=args.seed,

@@ -25,6 +25,7 @@ import numpy as np
 from tradeoff.ensembles import BUILTIN_NAMES, builtin_ensemble, load_ensemble
 from tradeoff.export import gnuplot_surface_script, read_surface_csv, \
     write_surface_csv
+from tradeoff.optimizer import DEFAULT_MULTISTARTS, DEFAULT_RESOLUTION
 from tradeoff.surface import RegionLabel, surface_grid
 
 
@@ -44,10 +45,11 @@ def build_parser() -> argparse.ArgumentParser:
                              "or a JSON ensemble file")
     parser.add_argument("--grid", type=parse_grid, default=(33, 33),
                         help="surface grid as NRxNQ (default 33x33)")
-    parser.add_argument("--resolution", type=int, default=40,
-                        help="points per curve sweep (default 40)")
-    parser.add_argument("--multistarts", type=int, default=32,
-                        help="solver restarts per sweep point (default 32)")
+    parser.add_argument("--resolution", type=int, default=DEFAULT_RESOLUTION,
+                        help="points per curve sweep (default %(default)s)")
+    parser.add_argument("--multistarts", type=int, default=DEFAULT_MULTISTARTS,
+                        help="solver restarts per sweep point "
+                             "(default %(default)s)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--out-dir", type=Path, default=Path("figures"))
@@ -73,12 +75,12 @@ def chord_deviation(rows: list, R: float) -> float:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.ensemble in BUILTIN_NAMES:
-        ensemble = builtin_ensemble(args.ensemble)
-        stem = args.ensemble
-    else:
+    if Path(args.ensemble).is_file():
         ensemble = load_ensemble(args.ensemble)
         stem = Path(args.ensemble).stem
+    else:
+        ensemble = builtin_ensemble(args.ensemble)
+        stem = args.ensemble
     args.out_dir.mkdir(parents=True, exist_ok=True)
 
     nR, nQ = args.grid

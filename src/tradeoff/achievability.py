@@ -3,10 +3,11 @@
 The surface formula is cross-checked against a point cloud of rate triples
 (R cbits, Q qubits, E ebits) that are achievable by construction: points on
 the two optimized curves, their coherent (superdense-coded) versions, and
-everything reachable from those by standard resource conversions plus
-pairwise time-sharing.  If the formula is right, the cheapest cloud point
-dominating a grid cell must match it to within discretization error, and no
-cloud point may beat it.
+everything reachable from those by short chains of standard resource
+conversions.  Time-sharing closes the cloud under convex combinations.  If
+the formula is right, the cheapest point of that convex closure dominating a
+grid cell must match it to within discretization error, and nothing in the
+closure may beat it.
 
 Conversions implemented (consuming the left triple, producing the right):
 
@@ -15,11 +16,10 @@ Conversions implemented (consuming the left triple, producing the right):
     QubitsToEbits:   (R, Q, E) -> (R, Q + E, 0)
     TimeShare:       lam * t1 + (1 - lam) * t2
 
-Time-share mixes are evaluated lazily at query time: for every point pair
-the feasible mixing weights form an interval cut out by the two linear
-cover constraints, and the ebit rate is linear in the weight, so the best
-weight is an interval endpoint and is found exactly.  The stored cloud
-stays small while the queried set is the full pairwise convex closure.
+Time-sharing is not materialized.  Each query solves the linear program
+over mixing weights of the whole cloud exactly: two cover constraints plus
+the unit-weight constraint make a three-row program, which a small revised
+simplex answers.  Its optimal mix uses at most three cloud points.
 """
 
 import enum
@@ -33,11 +33,9 @@ COVER_TOL = 1e-9
 NEGATIVE_CLAMP = 1e-12
 DEFAULT_DEPTH = 2
 DEFAULT_SAMPLES = 128
-CLOUD_CAP = 10 ** 6
-# Pairwise mixes are evaluated per query in fixed-size chunks; the pair count
-# cap bounds total query time, the chunk size bounds transient memory.
-MAX_PAIRS = 4 * 10 ** 6
-PAIR_CHUNK = 1 << 20
+# Reduced costs, pivot entries and step lengths below this count as zero in
+# the simplex; a phase-one residual above it means nothing covers the cell.
+SIMPLEX_EPS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -183,38 +181,50 @@ def _pareto_prune(points) -> list:
     return [p for p, k in zip(points, keep) if k]
 
 
-def _farthest_point_thin(points, target: int) -> list:
-    """Deterministic farthest-point subsample in (R, Q, E) space."""
-    arr = np.array([(p.R, p.Q, p.E) for p in points])
-    start = int(np.lexsort((arr[:, 2], arr[:, 1], arr[:, 0]))[0])
-    chosen = [start]
-    dist = np.linalg.norm(arr - arr[start], axis=1)
-    while len(chosen) < target:
-        nxt = int(dist.argmax())
-        if dist[nxt] <= 0.0:
-            break  # every remaining point duplicates a chosen one
-        chosen.append(nxt)
-        dist = np.minimum(dist, np.linalg.norm(arr - arr[nxt], axis=1))
-    return [points[i] for i in sorted(chosen)]
+def _simplex(A: np.ndarray, b: np.ndarray, c: np.ndarray,
+             basis: np.ndarray) -> np.ndarray:
+    """Revised simplex for min c @ x subject to A @ x = b, x >= 0.
+
+    Starts from the feasible `basis` (three column indices, updated in
+    place) and returns the basic values at the optimum.  The entering column
+    has the most negative reduced cost, or the lowest index (Bland's rule)
+    right after a degenerate pivot, so the loop cannot cycle.  The feasible
+    set here is bounded, so some basic value always limits the step.
+    """
+    bland = False
+    while True:
+        B_inv = np.linalg.inv(A[:, basis])
+        x_B = np.maximum(B_inv @ b, 0.0)
+        reduced = c - (c[basis] @ B_inv) @ A
+        entering = np.flatnonzero(reduced < -SIMPLEX_EPS)
+        if entering.size == 0:
+            return x_B
+        j = entering[0] if bland else entering[reduced[entering].argmin()]
+        u = B_inv @ A[:, j]
+        rows = np.flatnonzero(u > SIMPLEX_EPS)
+        ratios = x_B[rows] / u[rows]
+        step = ratios.min()
+        ties = rows[ratios <= step + SIMPLEX_EPS]
+        basis[ties[basis[ties].argmin()]] = j
+        bland = step <= SIMPLEX_EPS
 
 
 @dataclass(frozen=True, eq=False)
 class AchievableHull:
-    """Closed achievable cloud with lazy exact pairwise time-share queries."""
+    """Achievable cloud whose convex closure is queried exactly per cell."""
 
     points: tuple
     chi: float
 
     def __post_init__(self):
         arr = np.array([(p.R, p.Q, p.E) for p in self.points])
-        arr.flags.writeable = False
-        object.__setattr__(self, "_arr", arr)
-        n = len(self.points)
-        if n * (n - 1) // 2 <= MAX_PAIRS:
-            ia, ib = np.triu_indices(n, k=1)
-        else:  # unreachable at default sampling; guards pathological inputs
-            ia = ib = np.array([], dtype=int)
-        object.__setattr__(self, "_pairs", (ia, ib))
+        # Constraint columns: one per cloud point (R_i, Q_i, 1), then the R
+        # and Q cover slacks, then the phase-one artificial for sum(lam) = 1.
+        A = np.hstack([np.vstack([arr[:, 0], arr[:, 1], np.ones(len(arr))]),
+                       np.eye(3)])
+        cost = np.concatenate([arr[:, 2], np.zeros(2)])
+        A.flags.writeable = cost.flags.writeable = False
+        object.__setattr__(self, "_lp", (A, cost))
 
     @property
     def size(self) -> int:
@@ -222,45 +232,38 @@ class AchievableHull:
 
     @property
     def mix_count(self) -> int:
-        return int(self._pairs[0].size)
+        """Time-share mixes stored or enumerated: always 0.
+
+        Mixes are not enumerated; each query solves for its optimal mix.
+        """
+        return 0
 
     def min_e(self, R: float, Q: float, *, tol: float = COVER_TOL) -> float | None:
-        """Cheapest ebit rate over cloud points and pairwise mixes dominating (R, Q).
+        """Cheapest ebit rate over the convex closure of the cloud covering (R, Q).
 
-        A point (R', Q', E') covers (R, Q) when R' <= R and Q' <= Q up to tol.
-        For each pair the cover constraints restrict the mixing weight to an
-        interval; the mixed ebit rate is linear in the weight, so its minimum
-        sits at an interval endpoint and is computed exactly.  Returns None
-        when nothing in the closure covers the cell.
+        A mix with weights lam covers (R, Q) when sum(lam_i R_i) <= R and
+        sum(lam_i Q_i) <= Q up to tol.  Phase one starts from the two cover
+        slacks and an artificial weight column and drives the artificial out;
+        if it cannot, nothing covers the cell and None is returned.  Phase
+        two minimizes sum(lam_i E_i) from there.
         """
-        arr = self._arr
-        best = np.inf
-        mask = (arr[:, 0] <= R + tol) & (arr[:, 1] <= Q + tol)
-        if mask.any():
-            best = float(arr[mask, 2].min())
-        ia, ib = self._pairs
-        for s in range(0, ia.size, PAIR_CHUNK):
-            a, b = ia[s:s + PAIR_CHUNK], ib[s:s + PAIR_CHUNK]
-            t_lo = np.zeros(a.size)
-            t_hi = np.ones(a.size)
-            feasible = np.ones(a.size, dtype=bool)
-            for col, bound in ((0, R + tol), (1, Q + tol)):
-                coeff = arr[a, col] - arr[b, col]
-                resid = bound - arr[b, col]
-                pos = coeff > 1e-15
-                neg = coeff < -1e-15
-                safe = np.where(pos | neg, coeff, 1.0)
-                t_hi = np.where(pos, np.minimum(t_hi, resid / safe), t_hi)
-                t_lo = np.where(neg, np.maximum(t_lo, resid / safe), t_lo)
-                feasible &= pos | neg | (resid >= 0.0)
-            feasible &= t_lo <= t_hi + 1e-15
-            if not feasible.any():
-                continue
-            delta = arr[a, 2] - arr[b, 2]
-            t_best = np.clip(np.where(delta >= 0.0, t_lo, t_hi), 0.0, 1.0)
-            e_mix = arr[b, 2] + t_best * delta
-            best = min(best, float(e_mix[feasible].min()))
-        return None if np.isinf(best) else best
+        A, cost = self._lp
+        n = len(self.points)
+        b = np.array([R + tol, Q + tol, 1.0])
+        basis = np.array([n, n + 1, n + 2])
+        phase_one = np.zeros(n + 3)
+        phase_one[-1] = 1.0
+        x_B = _simplex(A, b, phase_one, basis)
+        if phase_one[basis] @ x_B > SIMPLEX_EPS:
+            return None
+        artificial = np.flatnonzero(basis == n + 2)
+        if artificial.size:
+            # Basic at level zero: pivot it out on the largest entry of its
+            # row, which is nonzero because the other columns have rank 3.
+            row = np.linalg.inv(A[:, basis])[artificial[0]] @ A[:, :n + 2]
+            basis[artificial[0]] = np.abs(row).argmax()
+        x_B = _simplex(A[:, :n + 2], b, cost, basis)
+        return float(cost[basis] @ x_B)
 
     def provenance_samples(self, count: int = 8) -> tuple:
         step = max(len(self.points) // max(count, 1), 1)
@@ -268,14 +271,11 @@ class AchievableHull:
 
 
 def achievable_hull(curves: CurveSet, depth: int = DEFAULT_DEPTH, *,
-                    n_samples: int = DEFAULT_SAMPLES,
-                    cap: int = CLOUD_CAP) -> AchievableHull:
+                    n_samples: int = DEFAULT_SAMPLES) -> AchievableHull:
     """Close the primitive points under conversion chains and time-sharing.
 
     Conversion chains of length up to `depth` are materialized, deduplicated
-    and Pareto-pruned; pairwise time-shares are part of the queryable closure
-    but evaluated lazily (and exactly) per query.  The stored cloud is
-    thinned (farthest-point) if it ever exceeds `cap`.
+    and Pareto-pruned; time-sharing over the result is solved per query.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
@@ -286,11 +286,6 @@ def achievable_hull(curves: CurveSet, depth: int = DEFAULT_DEPTH, *,
                     for p in frontier for rule in _CHAIN_RULES]
         base.extend(frontier)
     base = _pareto_prune(_dedupe(base))
-    if len(base) > cap:
-        base = _farthest_point_thin(base, cap)
-    max_points = int(np.sqrt(2.0 * MAX_PAIRS)) + 1
-    if len(base) > max_points:
-        base = _farthest_point_thin(base, max_points)
     return AchievableHull(points=tuple(base), chi=curves.stats.chi)
 
 
@@ -345,7 +340,6 @@ def verify_surface(grid, hull: AchievableHull, *,
     return {
         "tolerance": tolerance,
         "cloud_points": hull.size,
-        "pairwise_mixes": hull.mix_count,
         "mixing": "exact",
         "regions": per_region,
         "max_abs_gap": worst,

@@ -16,13 +16,15 @@ Exit codes: 0 success; 1 bad input; 2 optimizer diagnostics raised;
 import argparse
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import export
-from .achievability import achievable_hull, verify_surface
+from .achievability import (DEFAULT_DEPTH, DEFAULT_SAMPLES, achievable_hull,
+                            verify_surface)
 from .ensembles import BUILTIN_NAMES, builtin_ensemble, load_ensemble
-from .optimizer import qct_curve, rsp_curve
+from .optimizer import (DEFAULT_MULTISTARTS, DEFAULT_RESOLUTION, qct_curve,
+                        rsp_curve)
 from .states import ensemble_stats
 from .surface import surface_grid
 
@@ -39,13 +41,13 @@ class RunConfig:
     builtin: str | None = None
     out: str | None = None
     grid: tuple[int, int] = DEFAULT_GRID
-    resolution: int = 40
+    resolution: int = DEFAULT_RESOLUTION
     seed: int = 0
-    multistarts: int = 32
+    multistarts: int = DEFAULT_MULTISTARTS
     tolerance: float = DEFAULT_TOLERANCE
     workers: int | None = None
-    depth: int = 2
-    samples: int = 128
+    depth: int = DEFAULT_DEPTH
+    samples: int = DEFAULT_SAMPLES
     surface_path: str | None = None
 
 
@@ -167,12 +169,14 @@ def _add_ensemble_args(parser) -> None:
 
 
 def _add_solver_args(parser) -> None:
-    parser.add_argument("--resolution", type=int, default=40, metavar="N",
-                        help="size of the multiplier ladder (default 40)")
+    parser.add_argument("--resolution", type=int, default=DEFAULT_RESOLUTION,
+                        metavar="N", help="size of the multiplier ladder "
+                        "(default %(default)s)")
     parser.add_argument("--seed", type=int, default=0, metavar="N",
                         help="base seed for multistart draws (default 0)")
-    parser.add_argument("--multistarts", type=int, default=32, metavar="N",
-                        help="random restarts per multiplier (default 32)")
+    parser.add_argument("--multistarts", type=int, default=DEFAULT_MULTISTARTS,
+                        metavar="N", help="random restarts per multiplier "
+                        "(default %(default)s)")
     parser.add_argument("--workers", type=int, default=None, metavar="N",
                         help="worker pool size (default: all cores; the "
                              "TRADEOFF_THREADS env var overrides)")
@@ -213,10 +217,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE,
                           metavar="X", help="max allowed |minE - E*| "
                           f"(default {DEFAULT_TOLERANCE:g})")
-    p_verify.add_argument("--depth", type=int, default=2, metavar="N",
-                          help="conversion chain depth (default 2)")
-    p_verify.add_argument("--samples", type=int, default=128, metavar="N",
-                          help="rate samples per primitive family (default 128)")
+    p_verify.add_argument("--depth", type=int, default=DEFAULT_DEPTH, metavar="N",
+                          help="conversion chain depth (default %(default)s)")
+    p_verify.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
+                          metavar="N", help="rate samples per primitive "
+                          "family (default %(default)s)")
     p_verify.add_argument("--out", required=True, metavar="PATH",
                           help="output report JSON path")
 
@@ -230,21 +235,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        ensemble_path=getattr(args, "ensemble", None),
-        builtin=getattr(args, "builtin", None),
-        out=getattr(args, "out", None),
-        grid=getattr(args, "grid", DEFAULT_GRID),
-        resolution=getattr(args, "resolution", 40),
-        seed=getattr(args, "seed", 0),
-        multistarts=getattr(args, "multistarts", 32),
-        tolerance=getattr(args, "tolerance", DEFAULT_TOLERANCE),
-        workers=getattr(args, "workers", None),
-        depth=getattr(args, "depth", 2),
-        samples=getattr(args, "samples", 128),
-        surface_path=getattr(args, "surface", None),
-    )
+    """Options a subcommand does not take keep their RunConfig defaults."""
+    renamed = {"ensemble": "ensemble_path", "surface": "surface_path"}
+    values = {renamed.get(k, k): v for k, v in vars(args).items()}
+    return RunConfig(**{f.name: values[f.name] for f in fields(RunConfig)
+                        if f.name in values})
 
 
 def main(argv=None) -> int:

@@ -92,7 +92,10 @@ def parse_ensemble(payload: dict) -> Ensemble:
     missing = {"dimA", "dimB", "probs", "states"} - payload.keys()
     if missing:
         raise ValueError(f"ensemble file is missing keys: {sorted(missing)}")
-    dimA, dimB = int(payload["dimA"]), int(payload["dimB"])
+    dimA, dimB = payload["dimA"], payload["dimB"]
+    if not all(type(d) is int for d in (dimA, dimB)):
+        raise ValueError(f"dimA and dimB must be integers, got {dimA!r} "
+                         f"and {dimB!r}")
     probs = payload["probs"]
     raw_states = payload["states"]
     if len(probs) != len(raw_states):

@@ -85,6 +85,8 @@ class BipartitePureState:
         if self.dimA < 1 or self.dimB < 1:
             raise ValueError("subsystem dimensions must be positive")
         v = np.array(self.amplitudes, dtype=complex).ravel()
+        if not np.all(np.isfinite(v)):
+            raise ValueError("amplitudes must be finite")
         if v.size != self.dimA * self.dimB:
             raise ValueError(
                 f"expected {self.dimA * self.dimB} amplitudes, got {v.size}")
@@ -151,6 +153,8 @@ class Ensemble:
         p = np.array(self.probs, dtype=float).ravel()
         if p.size != len(states):
             raise ValueError("need exactly one probability per state")
+        if not np.all(np.isfinite(p)):
+            raise ValueError("probabilities must be finite")
         if p.min() < 0.0:
             raise ValueError("probabilities must be nonnegative")
         if abs(p.sum() - 1.0) > PROB_TOL:

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .optimizer import CurveSet, compute_curves
+from .optimizer import (DEFAULT_MULTISTARTS, DEFAULT_RESOLUTION, CurveSet,
+                        compute_curves)
 from .states import Ensemble
 
 # Classification cushion: for R below the critical rate the low-entanglement
@@ -90,8 +91,9 @@ class SurfaceGrid:
 
 
 def surface_grid(ensemble: Ensemble, nR: int, nQ: int, *,
-                 curves: CurveSet | None = None, resolution: int = 40,
-                 multistarts: int = 32, seed: int = 0,
+                 curves: CurveSet | None = None,
+                 resolution: int = DEFAULT_RESOLUTION,
+                 multistarts: int = DEFAULT_MULTISTARTS, seed: int = 0,
                  workers: int = 1) -> SurfaceGrid:
     """Evaluate the trade-off surface on an nR x nQ grid.
 

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import conditional_mutual_information_xa_b, random_density
 from tradeoff.achievability import (
+    COVER_TOL,
     AchievableHull,
     ConversionKind,
     ConversionRule,
@@ -164,6 +167,48 @@ def test_strictly_forbidden_cells_uncovered(zp_hull):
     chi = zp_hull.chi
     assert zp_hull.min_e(0.0, 0.1 * chi) is None
     assert zp_hull.min_e(0.2 * chi, 0.0) is None
+
+
+def _min_e_over_small_mixes(arr, R, Q, tol=COVER_TOL):
+    """Cheapest covering mix by enumerating every basis of the three-row LP.
+
+    Each basis pairs one to three cloud points with enough of the two cover
+    slacks to make three columns, so this visits every vertex of the
+    program, i.e. every mix of at most three points.
+    """
+    cols = [np.array([r, q, 1.0]) for r, q, _ in arr]
+    cols += [np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])]
+    cost = list(arr[:, 2]) + [0.0, 0.0]
+    rhs = np.array([R + tol, Q + tol, 1.0])
+    best = None
+    for basis in itertools.combinations(range(len(cols)), 3):
+        B = np.column_stack([cols[k] for k in basis])
+        if abs(np.linalg.det(B)) < 1e-12:
+            continue
+        x = np.linalg.solve(B, rhs)
+        if x.min() < -1e-12:
+            continue
+        value = sum(cost[k] * xk for k, xk in zip(basis, x))
+        best = value if best is None else min(best, value)
+    return best
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_min_e_is_exact_convex_closure(seed):
+    rng = np.random.default_rng(seed)
+    for n in (1, 2, 3, 5, 7):
+        arr = rng.uniform(0.0, 2.0, size=(n, 3))
+        hull = AchievableHull(points=tuple(RateTriple(*p) for p in arr),
+                              chi=0.0)
+        lowest = arr[:, :2].min(axis=0)
+        queries = list(rng.uniform(0.0, 2.2, size=(25, 2)))
+        queries.append(0.5 * lowest)  # below every point: uncovered
+        for R, Q in queries:
+            expected = _min_e_over_small_mixes(arr, R, Q)
+            got = hull.min_e(float(R), float(Q))
+            assert (got is None) == (expected is None), (arr, R, Q)
+            if got is not None:
+                assert got == pytest.approx(expected, abs=1e-9), (arr, R, Q)
 
 
 def test_hull_depth_validation(zp_curves):

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -40,6 +42,15 @@ def test_invalid_json_exits_1(tmp_path, capsys):
     path.write_text("{oops")
     assert main(["stats", "--ensemble", str(path)]) == 1
     assert "not valid JSON" in capsys.readouterr().err
+
+
+def test_nan_probabilities_exit_1(tmp_path, capsys):
+    payload = ensemble_to_dict(builtin_ensemble("zero-plus"))
+    payload["probs"][0] = float("nan")  # json writes the NaN literal
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(payload))
+    assert main(["stats", "--ensemble", str(path)]) == 1
+    assert "finite" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_1():
@@ -158,3 +169,12 @@ def test_surface_bytes_independent_of_workers(tmp_path, monkeypatch):
     b = tmp_path / "b.csv"
     assert main(base + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_cli_import_loads_no_scipy():
+    # Import time and peak memory of every CLI run include what this pulls in.
+    code = ("import sys, tradeoff, tradeoff.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    result = subprocess.run([sys.executable, "-c", code],
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"

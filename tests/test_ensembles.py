@@ -109,6 +109,24 @@ def test_bad_payloads_rejected():
                         "states": [[["a", "b"], [0.0, 0.0]]]})
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("patch, match", [
+    ({"probs": [NAN, 0.5]}, "finite"),
+    ({"probs": [float("inf"), 0.5]}, "finite"),
+    ({"states": [[[NAN, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]},
+     "finite"),
+    ({"dimA": 1.7}, "integers"),
+    ({"dimB": "2"}, "integers"),
+])
+def test_non_finite_and_non_integer_input_rejected(patch, match):
+    payload = {"dimA": 1, "dimB": 2, "probs": [0.5, 0.5],
+               "states": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}
+    with pytest.raises(ValueError, match=match):
+        parse_ensemble({**payload, **patch})
+
+
 def test_invalid_json_file(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")
