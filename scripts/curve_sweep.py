@@ -14,10 +14,12 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import sys
 from pathlib import Path
 
 import numpy as np
 
+from tradeoff.cli import _Parser
 from tradeoff.ensembles import BUILTIN_NAMES, builtin_ensemble, load_ensemble
 from tradeoff.export import write_curve_csv
 from tradeoff.optimizer import (DEFAULT_MULTISTARTS, DEFAULT_RESOLUTION,
@@ -25,7 +27,7 @@ from tradeoff.optimizer import (DEFAULT_MULTISTARTS, DEFAULT_RESOLUTION,
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser = _Parser(description=__doc__.splitlines()[0])
     parser.add_argument("--ensemble", default="zero-plus",
                         help=f"builtin name ({', '.join(BUILTIN_NAMES)}) "
                              "or a JSON ensemble file")
@@ -34,7 +36,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--multistarts", type=int,
                         default=DEFAULT_MULTISTARTS)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--points", type=int, default=11,
                         help="rows in the printed table (default 11)")
     parser.add_argument("--out-dir", type=Path, default=None,
@@ -42,8 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+def run(args: argparse.Namespace) -> int:
     if Path(args.ensemble).is_file():
         ensemble = load_ensemble(args.ensemble)
         stem = Path(args.ensemble).stem
@@ -52,8 +52,7 @@ def main(argv: list[str] | None = None) -> int:
         stem = args.ensemble
 
     curves = compute_curves(ensemble, args.resolution,
-                            multistarts=args.multistarts, seed=args.seed,
-                            workers=args.workers)
+                            multistarts=args.multistarts, seed=args.seed)
     stats = curves.stats
     print(f"ensemble {stem}: m = {ensemble.m}")
     print(f"  S = {stats.S:.6f}   Sbar = {stats.Sbar:.6f}   "
@@ -79,6 +78,15 @@ def main(argv: list[str] | None = None) -> int:
             write_curve_csv(curve, path)
             print(f"wrote {path}")
     return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
+    try:
+        return run(args)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from tradeoff.cli import _grid_type, _Parser
 from tradeoff.ensembles import BUILTIN_NAMES, builtin_ensemble, load_ensemble
 from tradeoff.export import gnuplot_surface_script, read_surface_csv, \
     write_surface_csv
@@ -29,21 +30,12 @@ from tradeoff.optimizer import DEFAULT_MULTISTARTS, DEFAULT_RESOLUTION
 from tradeoff.surface import RegionLabel, surface_grid
 
 
-def parse_grid(text: str) -> tuple[int, int]:
-    try:
-        nr, nq = text.lower().split("x")
-        return int(nr), int(nq)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected NRxNQ, got {text!r}") \
-            from exc
-
-
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser = _Parser(description=__doc__.splitlines()[0])
     parser.add_argument("--ensemble", default="uniform-qubit-24",
                         help=f"builtin name ({', '.join(BUILTIN_NAMES)}) "
                              "or a JSON ensemble file")
-    parser.add_argument("--grid", type=parse_grid, default=(33, 33),
+    parser.add_argument("--grid", type=_grid_type, default=(33, 33),
                         help="surface grid as NRxNQ (default 33x33)")
     parser.add_argument("--resolution", type=int, default=DEFAULT_RESOLUTION,
                         help="points per curve sweep (default %(default)s)")
@@ -51,7 +43,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="solver restarts per sweep point "
                              "(default %(default)s)")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--out-dir", type=Path, default=Path("figures"))
     parser.add_argument("--render", action="store_true",
                         help="run gnuplot on the emitted script if available")
@@ -73,8 +64,7 @@ def chord_deviation(rows: list, R: float) -> float:
     return worst
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+def run(args: argparse.Namespace) -> int:
     if Path(args.ensemble).is_file():
         ensemble = load_ensemble(args.ensemble)
         stem = Path(args.ensemble).stem
@@ -85,8 +75,7 @@ def main(argv: list[str] | None = None) -> int:
 
     nR, nQ = args.grid
     grid = surface_grid(ensemble, nR, nQ, resolution=args.resolution,
-                        multistarts=args.multistarts, seed=args.seed,
-                        workers=args.workers)
+                        multistarts=args.multistarts, seed=args.seed)
     stats = grid.curves.stats
     csv_path = args.out_dir / f"{stem}_surface.csv"
     write_surface_csv(grid, ensemble, csv_path)
@@ -131,6 +120,15 @@ def main(argv: list[str] | None = None) -> int:
                            text=True, check=True)
             print(f"render      : {png}")
     return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
+    try:
+        return run(args)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -14,7 +14,6 @@ Exit codes: 0 success; 1 bad input; 2 optimizer diagnostics raised;
 """
 
 import argparse
-import os
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -45,25 +44,9 @@ class RunConfig:
     seed: int = 0
     multistarts: int = DEFAULT_MULTISTARTS
     tolerance: float = DEFAULT_TOLERANCE
-    workers: int | None = None
     depth: int = DEFAULT_DEPTH
     samples: int = DEFAULT_SAMPLES
     surface_path: str | None = None
-
-
-def resolve_workers(requested: int | None = None) -> int:
-    """Pool size: TRADEOFF_THREADS beats the flag, which beats cpu count."""
-    env = os.environ.get("TRADEOFF_THREADS")
-    if env is not None:
-        try:
-            requested = int(env)
-        except ValueError as exc:
-            raise ValueError(f"TRADEOFF_THREADS={env!r} is not an integer") from exc
-    if requested is None:
-        return os.cpu_count() or 1
-    if requested < 1:
-        raise ValueError("worker count must be >= 1")
-    return requested
 
 
 def _load_ensemble(config: RunConfig):
@@ -92,12 +75,10 @@ def _dispatch(config: RunConfig) -> int:
             print(f"{name} = {value:.12g}")
         return 0
 
-    workers = resolve_workers(config.workers)
     if config.command in ("qct", "rsp"):
         solver = qct_curve if config.command == "qct" else rsp_curve
         curve = solver(ensemble, config.resolution,
-                       multistarts=config.multistarts, seed=config.seed,
-                       workers=workers)
+                       multistarts=config.multistarts, seed=config.seed)
         export.write_curve_csv(curve, config.out)
         print(f"wrote {config.out} ({len(curve.samples)} support points, "
               f"domain [{curve.domain[0]:.6g}, {curve.domain[1]:.6g}])")
@@ -107,8 +88,7 @@ def _dispatch(config: RunConfig) -> int:
 
     nR, nQ = config.grid
     grid = surface_grid(ensemble, nR, nQ, resolution=config.resolution,
-                        multistarts=config.multistarts, seed=config.seed,
-                        workers=workers)
+                        multistarts=config.multistarts, seed=config.seed)
     for note in grid.diagnostics:
         print(f"diagnostic: {note}", file=sys.stderr)
 
@@ -178,8 +158,7 @@ def _add_solver_args(parser) -> None:
                         metavar="N", help="random restarts per multiplier "
                         "(default %(default)s)")
     parser.add_argument("--workers", type=int, default=None, metavar="N",
-                        help="worker pool size (default: all cores; the "
-                             "TRADEOFF_THREADS env var overrides)")
+                        help="accepted for old scripts; has no effect")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -34,11 +34,14 @@ over row-stochastic channels gives the self-consistent update
 
 where rho_j is the posterior mixture at output j.  Each update solves one
 block of an exact alternating minimization, so the objective is
-non-increasing; many seeded random starts guard against local minima.
+non-increasing; many seeded random starts guard against local minima.  The
+starts at one weight are iterated together as one array, and each is frozen
+once it converges.
 """
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+# Never used here; kept only for bench/workloads.py count_pools to patch.
+from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,64 +70,77 @@ _CURVE_KIND_TO_CONSTRAINT = {"QCT": "XC", "RSP": "XBC"}
 
 
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
+    z = logits - logits.max(axis=-1, keepdims=True)
     p = np.exp2(z)
-    p /= p.sum(axis=1, keepdims=True)
+    p /= p.sum(axis=-1, keepdims=True)
     return p
 
 
 def _fixed_point(reduced_b: np.ndarray, probs: np.ndarray, ratio: float,
-                 channel0: np.ndarray, max_iter: int) -> tuple[np.ndarray, bool]:
-    """Run the multiplicative fixed-point update from one starting channel.
+                 channels: np.ndarray, max_iter: int
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Run the multiplicative fixed-point update from a stack of channels.
 
-    ratio is alpha/beta, the weight of the entropy distortion relative to the
-    classical mutual information.  Returns the final channel matrix and
-    whether the iteration converged before the cap.
+    channels has shape (starts, m, k).  ratio is alpha/beta, the weight of
+    the entropy distortion relative to the classical mutual information.
+    Every start takes the same update as if run alone; a start leaves the
+    active set at its first step whose sup-norm change is below
+    CONVERGENCE_TOL.  Returns the final channels and a per-start flag saying
+    whether the start converged before the cap.
     """
-    channel = channel0
+    result = channels.copy()
+    converged = np.zeros(len(channels), dtype=bool)
+    active = np.arange(len(channels))
+    channel = channels
+    identity = np.eye(reduced_b.shape[-1])
     for _ in range(max_iter):
+        if active.size == 0:
+            break
         joint = probs[:, None] * channel
-        q = joint.sum(axis=0)
+        q = joint.sum(axis=1)
         live = q > ZERO_MASS
-        mixtures = np.einsum("ij,iab->jab", joint[:, live], reduced_b)
-        mixtures /= q[live, None, None]
+        mixtures = np.einsum("sij,iab->sjab", joint, reduced_b)
+        # Dead outputs get a harmless mixture; their scores are -inf anyway.
+        mixtures[live] /= q[live, None, None]
+        mixtures[~live] = identity
         lam, vec = np.linalg.eigh(mixtures)
         log_lam = np.log2(np.clip(lam, 1e-300, None))
         # log2(rho_j) reassembled in the eigenbasis, then d(i,j) = -Tr[rho_i log2 rho_j]
-        log_mix = np.einsum("jak,jk,jbk->jab", vec, log_lam, vec.conj())
-        distortion = -np.einsum("iab,jba->ij", reduced_b, log_mix).real
-        scores = np.full_like(channel, -np.inf)
-        scores[:, live] = np.log2(q[live])[None, :] - ratio * distortion
-        updated = _softmax_rows(scores)
-        if np.abs(updated - channel).max() < CONVERGENCE_TOL:
-            return updated, True
-        channel = updated
-    return channel, False
+        log_mix = np.einsum("sjak,sjk,sjbk->sjab", vec, log_lam, vec.conj())
+        distortion = -np.einsum("iab,sjba->sij", reduced_b, log_mix).real
+        log_q = np.log2(q, out=np.full_like(q, -np.inf), where=live)
+        updated = _softmax_rows(log_q[:, None, :] - ratio * distortion)
+        done = np.abs(updated - channel).max(axis=(1, 2)) < CONVERGENCE_TOL
+        result[active] = updated
+        converged[active[done]] = True
+        active, channel = active[~done], updated[~done]
+    return result, converged
 
 
 def _start_points(m: int, k: int, count: int, seed_key) -> np.ndarray:
     rng = np.random.default_rng(np.random.SeedSequence(seed_key))
-    return _softmax_rows(rng.normal(0.0, 2.0, size=(count, m, k))
-                         .reshape(count * m, k)).reshape(count, m, k)
+    return _softmax_rows(rng.normal(0.0, 2.0, size=(count, m, k)))
 
 
-def _sweep_one_mu(args):
-    """Optimize all starts at one mu; used as a process-pool task."""
-    (ensemble, kind, mu, mu_index, multistarts, seed, max_iter) = args
-    stats = ensemble_stats(ensemble)
+def _sweep_one_mu(ensemble: Ensemble, stats: EnsembleStats, kind: str,
+                  mu: float, mu_index: int, multistarts: int, seed: int,
+                  max_iter: int) -> list:
+    """Optimize all starts at one mu in one lockstep solve.
+
+    Returns one (constraint, S(B|C), channel matrix, converged) per start.
+    """
     alpha = 1.0 if kind == "XC" else 1.0 + mu
-    ratio = alpha / mu
     m, k = ensemble.m, ensemble.m + 1
     starts = _start_points(m, k, multistarts,
                            [seed, _KIND_TO_CODE[kind], mu_index])
+    channels, converged = _fixed_point(ensemble.reduced_b, ensemble.probs,
+                                       alpha / mu, starts, max_iter)
     outcomes = []
-    for channel0 in starts:
-        channel, converged = _fixed_point(ensemble.reduced_b, ensemble.probs,
-                                          ratio, channel0, max_iter)
+    for channel, ok in zip(channels, converged.tolist()):
         profile = entropic_profile(ensemble, ClassicalChannel(channel), stats)
         constraint = profile.SXC if kind == "XC" else profile.SXBC
-        outcomes.append((constraint, profile.SBgC, channel, converged))
-    return mu_index, outcomes
+        outcomes.append((constraint, profile.SBgC, channel, ok))
+    return outcomes
 
 
 def minimize_profile(ensemble: Ensemble, mu: float, kind: str = "XC", *,
@@ -148,8 +164,8 @@ def minimize_profile(ensemble: Ensemble, mu: float, kind: str = "XC", *,
     if mu == 0.0:
         channel = ClassicalChannel.identity(ensemble.m)
         return channel, entropic_profile(ensemble, channel, stats)
-    _, outcomes = _sweep_one_mu(
-        (ensemble, kind, float(mu), 0, multistarts, seed, max_iter))
+    outcomes = _sweep_one_mu(ensemble, stats, kind, float(mu), 0,
+                             multistarts, seed, max_iter)
     best = min(outcomes, key=lambda item: item[1] + mu * item[0])
     channel = ClassicalChannel(best[2])
     return channel, entropic_profile(ensemble, channel, stats)
@@ -282,8 +298,7 @@ class CurveSet:
 
 
 def _curve(ensemble: Ensemble, curve_kind: str, resolution: int,
-           multistarts: int, seed: int, workers: int,
-           max_iter: int) -> TradeoffCurve:
+           multistarts: int, seed: int, max_iter: int) -> TradeoffCurve:
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
     if multistarts < 1:
@@ -292,25 +307,17 @@ def _curve(ensemble: Ensemble, curve_kind: str, resolution: int,
     stats = ensemble_stats(ensemble)
     lo = 0.0 if curve_kind == "QCT" else stats.chi
 
-    def run_tasks(tasks):
-        if workers > 1 and len(tasks) > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_sweep_one_mu, tasks))
-        else:
-            results = [_sweep_one_mu(task) for task in tasks]
-        results.sort(key=lambda item: item[0])
-        return results
-
     points = []
     total = nonconverged = 0
 
-    def collect(results, mus_by_index):
+    def collect(mus, first_index):
         # All outcomes are achievable points, but only the per-mu winner of
         # the scalarized objective sits on a certified slope -mu lower-bound
         # line; local optima get no line (mu tag None).
         nonlocal total, nonconverged
-        for index, outcomes in results:
-            mu = mus_by_index[index]
+        for index, mu in enumerate(mus, first_index):
+            outcomes = _sweep_one_mu(ensemble, stats, constraint_kind, mu,
+                                     index, multistarts, seed, max_iter)
             best = min(value + mu * constraint
                        for constraint, value, _, _ in outcomes)
             for constraint, value, channel, converged in outcomes:
@@ -332,13 +339,11 @@ def _curve(ensemble: Ensemble, curve_kind: str, resolution: int,
                    1.0 if curve_kind == "QCT" else None))
     points.append((stats.H, stats.Sbar, identity.matrix, 0.0))
 
-    mus = np.geomspace(MU_MIN, MU_MAX, int(resolution))
-    ladder = {i: float(mu) for i, mu in enumerate(mus)}
-    collect(run_tasks([(ensemble, constraint_kind, mu, i, multistarts, seed,
-                        max_iter) for i, mu in ladder.items()]), ladder)
+    mus = np.geomspace(MU_MIN, MU_MAX, int(resolution)).tolist()
+    collect(mus, 0)
 
     hull = _lower_envelope(points)
-    used = {round(math.log(mu), 6) for mu in mus.tolist()}
+    used = {round(math.log(mu), 6) for mu in mus}
     budget = int(resolution)
     next_index = len(mus)
     for _ in range(REFINE_PASSES):
@@ -359,10 +364,8 @@ def _curve(ensemble: Ensemble, curve_kind: str, resolution: int,
         if not requests:
             break
         budget -= len(requests)
-        batch = {next_index + i: mu for i, mu in enumerate(requests)}
+        collect(requests, next_index)
         next_index += len(requests)
-        collect(run_tasks([(ensemble, constraint_kind, mu, i, multistarts,
-                            seed, max_iter) for i, mu in batch.items()]), batch)
         hull = _lower_envelope(points)
 
     diagnostics = []
@@ -382,16 +385,16 @@ def _curve(ensemble: Ensemble, curve_kind: str, resolution: int,
 
 def qct_curve(ensemble: Ensemble, resolution: int = DEFAULT_RESOLUTION, *,
               multistarts: int = DEFAULT_MULTISTARTS, seed: int = 0,
-              workers: int = 1, max_iter: int = DEFAULT_MAX_ITER) -> TradeoffCurve:
+              max_iter: int = DEFAULT_MAX_ITER) -> TradeoffCurve:
     """Optimal qubit rate versus classical rate, Q*(R), for R in [0, H]."""
-    return _curve(ensemble, "QCT", resolution, multistarts, seed, workers, max_iter)
+    return _curve(ensemble, "QCT", resolution, multistarts, seed, max_iter)
 
 
 def rsp_curve(ensemble: Ensemble, resolution: int = DEFAULT_RESOLUTION, *,
               multistarts: int = DEFAULT_MULTISTARTS, seed: int = 0,
-              workers: int = 1, max_iter: int = DEFAULT_MAX_ITER) -> TradeoffCurve:
+              max_iter: int = DEFAULT_MAX_ITER) -> TradeoffCurve:
     """Optimal ebit rate versus classical rate, E*(R), for R in [chi, H]."""
-    return _curve(ensemble, "RSP", resolution, multistarts, seed, workers, max_iter)
+    return _curve(ensemble, "RSP", resolution, multistarts, seed, max_iter)
 
 
 def critical_rate(curve: TradeoffCurve, S: float, *,
@@ -428,11 +431,14 @@ def critical_rate(curve: TradeoffCurve, S: float, *,
 def compute_curves(ensemble: Ensemble, resolution: int = DEFAULT_RESOLUTION, *,
                    multistarts: int = DEFAULT_MULTISTARTS, seed: int = 0,
                    workers: int = 1, max_iter: int = DEFAULT_MAX_ITER) -> CurveSet:
-    """Both curves, the critical rate and the entropic summary of an ensemble."""
+    """Both curves, the critical rate and the entropic summary of an ensemble.
+
+    workers is accepted for old callers and has no effect.
+    """
     stats = ensemble_stats(ensemble)
     qct = qct_curve(ensemble, resolution, multistarts=multistarts, seed=seed,
-                    workers=workers, max_iter=max_iter)
+                    max_iter=max_iter)
     rsp = rsp_curve(ensemble, resolution, multistarts=multistarts, seed=seed,
-                    workers=workers, max_iter=max_iter)
+                    max_iter=max_iter)
     return CurveSet(stats=stats, qct=qct, rsp=rsp,
                     critical=critical_rate(qct, stats.S))

@@ -93,8 +93,8 @@ class SurfaceGrid:
 def surface_grid(ensemble: Ensemble, nR: int, nQ: int, *,
                  curves: CurveSet | None = None,
                  resolution: int = DEFAULT_RESOLUTION,
-                 multistarts: int = DEFAULT_MULTISTARTS, seed: int = 0,
-                 workers: int = 1) -> SurfaceGrid:
+                 multistarts: int = DEFAULT_MULTISTARTS,
+                 seed: int = 0) -> SurfaceGrid:
     """Evaluate the trade-off surface on an nR x nQ grid.
 
     Curves are computed once (or reused if passed in); grid cells are then
@@ -104,7 +104,7 @@ def surface_grid(ensemble: Ensemble, nR: int, nQ: int, *,
         raise ValueError("grid needs at least 2 points per axis")
     if curves is None:
         curves = compute_curves(ensemble, resolution, multistarts=multistarts,
-                                seed=seed, workers=workers)
+                                seed=seed)
     stats = curves.stats
     Rs = np.linspace(0.0, stats.H, nR)
     Qs = np.linspace(0.0, stats.S, nQ)

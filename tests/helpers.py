@@ -116,3 +116,32 @@ def brute_force_two_state(ensemble: Ensemble, step: float = 0.02,
     sxc = np.concatenate(sxc_parts)
     sbgc = np.concatenate(sbgc_parts)
     return ChannelGridOracle(SXC=sxc, SBgC=sbgc, SXBC=sxc + sbgc - sbar)
+
+
+def fixed_point_one_start(reduced_b: np.ndarray, probs: np.ndarray,
+                          ratio: float, channel: np.ndarray,
+                          max_iter: int) -> tuple[np.ndarray, bool]:
+    """The fixed-point update run from one start in a plain loop.
+
+    Reference for the lockstep solver: dead outputs (q <= 1e-14) are left out
+    of the eigendecomposition and scored -inf; the start stops at its first
+    step whose sup-norm change is below 1e-10.
+    """
+    for _ in range(max_iter):
+        joint = probs[:, None] * channel
+        q = joint.sum(axis=0)
+        live = q > 1e-14
+        mixtures = np.einsum("ij,iab->jab", joint[:, live], reduced_b)
+        mixtures /= q[live, None, None]
+        lam, vec = np.linalg.eigh(mixtures)
+        log_lam = np.log2(np.clip(lam, 1e-300, None))
+        log_mix = np.einsum("jak,jk,jbk->jab", vec, log_lam, vec.conj())
+        distortion = -np.einsum("iab,jba->ij", reduced_b, log_mix).real
+        scores = np.full_like(channel, -np.inf)
+        scores[:, live] = np.log2(q[live])[None, :] - ratio * distortion
+        updated = np.exp2(scores - scores.max(axis=1, keepdims=True))
+        updated /= updated.sum(axis=1, keepdims=True)
+        if np.abs(updated - channel).max() < 1e-10:
+            return updated, True
+        channel = updated
+    return channel, False

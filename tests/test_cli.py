@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from tradeoff.cli import _grid_type, build_parser, main, resolve_workers
+from tradeoff.cli import _grid_type, build_parser, main
 from tradeoff.ensembles import builtin_ensemble, ensemble_to_dict
 from tradeoff.optimizer import TradeoffCurve
 from tradeoff.profiles import ClassicalChannel
@@ -128,21 +128,6 @@ def test_solver_diagnostics_exit_2(tmp_path, capsys, monkeypatch):
     assert out.exists()  # artifacts are still written alongside the warning
 
 
-def test_resolve_workers_precedence(monkeypatch):
-    monkeypatch.delenv("TRADEOFF_THREADS", raising=False)
-    assert resolve_workers(5) == 5
-    assert resolve_workers(None) >= 1
-    monkeypatch.setenv("TRADEOFF_THREADS", "3")
-    assert resolve_workers(5) == 3
-    assert resolve_workers(None) == 3
-    monkeypatch.setenv("TRADEOFF_THREADS", "zero")
-    with pytest.raises(ValueError):
-        resolve_workers(None)
-    monkeypatch.delenv("TRADEOFF_THREADS")
-    with pytest.raises(ValueError):
-        resolve_workers(0)
-
-
 def test_grid_type():
     assert _grid_type("16x16") == (16, 16)
     assert _grid_type("8X4") == (8, 4)
@@ -159,15 +144,14 @@ def test_parser_defaults():
     assert args.workers is None
 
 
-def test_surface_bytes_independent_of_workers(tmp_path, monkeypatch):
+def test_surface_bytes_independent_of_workers(tmp_path):
+    # --workers is still accepted and has no effect on the artifacts.
     base = ["surface", "--builtin", "zero-plus", "--grid", "5x5",
             "--resolution", "8", "--multistarts", "4"]
-    monkeypatch.setenv("TRADEOFF_THREADS", "1")
     a = tmp_path / "a.csv"
-    assert main(base + ["--out", str(a)]) == 0
-    monkeypatch.setenv("TRADEOFF_THREADS", "2")
+    assert main(base + ["--workers", "1", "--out", str(a)]) == 0
     b = tmp_path / "b.csv"
-    assert main(base + ["--out", str(b)]) == 0
+    assert main(base + ["--workers", "2", "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
 
 

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
 
+from helpers import fixed_point_one_start
+from tradeoff.ensembles import builtin_ensemble
 from tradeoff.optimizer import (
     TradeoffCurve,
+    _fixed_point,
+    _start_points,
     compute_curves,
     critical_rate,
     minimize_profile,
@@ -172,12 +176,34 @@ def test_iteration_cap_reported(zero_plus):
     assert "iteration cap" in curve.diagnostics[0]
 
 
-def test_seed_and_worker_determinism(zero_plus):
+def test_seed_determinism(zero_plus):
     a = compute_curves(zero_plus, resolution=8, multistarts=4, seed=3)
     b = compute_curves(zero_plus, resolution=8, multistarts=4, seed=3)
-    c = compute_curves(zero_plus, resolution=8, multistarts=4, seed=3,
-                       workers=2)
-    assert a.qct.samples == b.qct.samples == c.qct.samples
-    assert a.rsp.samples == b.rsp.samples == c.rsp.samples
+    assert a.qct.samples == b.qct.samples
+    assert a.rsp.samples == b.rsp.samples
     other = compute_curves(zero_plus, resolution=8, multistarts=4, seed=4)
     assert a.qct.samples != other.qct.samples
+
+
+@pytest.mark.parametrize("name, ratio", [("zero-plus", 1.0 / 0.62),
+                                         ("uniform-qubit-5", 4.0)],
+                         ids=["zero-plus-critical", "uniform-qubit-5"])
+def test_fixed_point_rows_independent(name, ratio):
+    # The lockstep solve must give each start exactly what a solve of that
+    # start alone gives, and what the plain per-start loop gives, whether it
+    # converges early, never, or starts from the constant channel whose
+    # unused outputs are dead from the first step.
+    ensemble = builtin_ensemble(name)
+    b, p = ensemble.reduced_b, ensemble.probs
+    starts = _start_points(ensemble.m, ensemble.m + 1, 6, [0, 0, 0])
+    starts[2] = ClassicalChannel.constant(ensemble.m).matrix
+    for max_iter in (0, 1, 10, 60):
+        channels, converged = _fixed_point(b, p, ratio, starts, max_iter)
+        for start, channel, flag in zip(starts, channels, converged):
+            alone, alone_flag = _fixed_point(b, p, ratio, start[None], max_iter)
+            loop, loop_flag = fixed_point_one_start(b, p, ratio, start, max_iter)
+            assert np.array_equal(channel, alone[0])
+            assert np.array_equal(channel, loop)
+            assert flag == alone_flag[0] == loop_flag
+        if max_iter == 10:  # some starts converged and some hit the cap
+            assert 0 < converged.sum() < len(starts)
