@@ -6,7 +6,6 @@ shared entanglement.
 from .achievability import (
     AchievableHull,
     ConversionKind,
-    ConversionRule,
     RateTriple,
     achievable_hull,
     apply_conversion,
@@ -59,7 +58,6 @@ __all__ = [
     "BUILTIN_NAMES",
     "ClassicalChannel",
     "ConversionKind",
-    "ConversionRule",
     "CriticalRate",
     "CurveSet",
     "DensityOperator",

@@ -14,12 +14,12 @@ Conversions implemented (consuming the left triple, producing the right):
     Teleport:        (R, Q, E) -> (R + 2Q, 0, E + Q)
     SuperdenseCbits: (R, Q, E) -> (0, Q + R/2, E + R/2)
     QubitsToEbits:   (R, Q, E) -> (R, Q + E, 0)
-    TimeShare:       lam * t1 + (1 - lam) * t2
 
-Time-sharing is not materialized.  Each query solves the linear program
-over mixing weights of the whole cloud exactly: two cover constraints plus
-the unit-weight constraint make a three-row program, which a small revised
-simplex answers.  Its optimal mix uses at most three cloud points.
+Time-sharing, lam * t1 + (1 - lam) * t2, is never materialized.  Each query
+solves the linear program over mixing weights of the whole cloud exactly:
+two cover constraints plus the unit-weight constraint make a three-row
+program, which a small revised simplex answers.  Its optimal mix uses at
+most three cloud points.
 """
 
 import enum
@@ -61,50 +61,22 @@ class ConversionKind(enum.Enum):
     TELEPORT = "Teleport"
     SUPERDENSE_CBITS = "SuperdenseCbits"
     QUBITS_TO_EBITS = "QubitsToEbits"
-    TIME_SHARE = "TimeShare"
 
 
-@dataclass(frozen=True)
-class ConversionRule:
-    """A conversion kind, with the mixing weight for TimeShare."""
-
-    kind: ConversionKind
-    lam: float | None = None
-
-    def __post_init__(self):
-        if self.kind is ConversionKind.TIME_SHARE:
-            if self.lam is None or not (0.0 <= self.lam <= 1.0):
-                raise ValueError("TimeShare needs a weight lam in [0, 1]")
-        elif self.lam is not None:
-            raise ValueError(f"{self.kind.value} takes no weight")
+def apply_conversion(triple: RateTriple, kind: ConversionKind) -> RateTriple:
+    """Apply one resource conversion to an achievable triple."""
+    R, Q, E = triple.R, triple.Q, triple.E
+    if kind is ConversionKind.TELEPORT:
+        rates = (R + 2.0 * Q, 0.0, E + Q)
+    elif kind is ConversionKind.SUPERDENSE_CBITS:
+        rates = (0.0, Q + 0.5 * R, E + 0.5 * R)
+    else:
+        rates = (R, Q + E, 0.0)
+    return RateTriple(*rates, f"{kind.value}({triple.provenance})")
 
 
-def apply_conversion(triple: RateTriple, rule: ConversionRule,
-                     other: RateTriple | None = None) -> RateTriple:
-    """Apply one resource conversion; `other` is required only for TimeShare."""
-    if (other is not None) != (rule.kind is ConversionKind.TIME_SHARE):
-        raise ValueError("a second triple is required exactly for TimeShare")
-    if rule.kind is ConversionKind.TELEPORT:
-        return RateTriple(triple.R + 2.0 * triple.Q, 0.0, triple.E + triple.Q,
-                          f"Teleport({triple.provenance})")
-    if rule.kind is ConversionKind.SUPERDENSE_CBITS:
-        return RateTriple(0.0, triple.Q + 0.5 * triple.R,
-                          triple.E + 0.5 * triple.R,
-                          f"SuperdenseCbits({triple.provenance})")
-    if rule.kind is ConversionKind.QUBITS_TO_EBITS:
-        return RateTriple(triple.R, triple.Q + triple.E, 0.0,
-                          f"QubitsToEbits({triple.provenance})")
-    lam = rule.lam
-    return RateTriple(lam * triple.R + (1.0 - lam) * other.R,
-                      lam * triple.Q + (1.0 - lam) * other.Q,
-                      lam * triple.E + (1.0 - lam) * other.E,
-                      f"TimeShare({lam:g}; {triple.provenance}; "
-                      f"{other.provenance})")
-
-
-_CHAIN_RULES = (ConversionRule(ConversionKind.TELEPORT),
-                ConversionRule(ConversionKind.SUPERDENSE_CBITS),
-                ConversionRule(ConversionKind.QUBITS_TO_EBITS))
+_CHAIN_RULES = (ConversionKind.TELEPORT, ConversionKind.SUPERDENSE_CBITS,
+                ConversionKind.QUBITS_TO_EBITS)
 
 
 def _curve_samples(curve, n: int) -> np.ndarray:
@@ -282,8 +254,8 @@ def achievable_hull(curves: CurveSet, depth: int = DEFAULT_DEPTH, *,
     base = list(primitive_points(curves, n_samples=n_samples))
     frontier = list(base)
     for _ in range(depth):
-        frontier = [apply_conversion(p, rule)
-                    for p in frontier for rule in _CHAIN_RULES]
+        frontier = [apply_conversion(p, kind)
+                    for p in frontier for kind in _CHAIN_RULES]
         base.extend(frontier)
     base = _pareto_prune(_dedupe(base))
     return AchievableHull(points=tuple(base), chi=curves.stats.chi)
@@ -296,9 +268,14 @@ def verify_surface(grid, hull: AchievableHull, *,
     For each finite cell the gap min_e - E is recorded; |gap| <= tolerance is
     required in both directions (the cloud must achieve the formula and must
     not beat it).  Forbidden cells must stay uncovered except exactly on the
-    causality boundary.  Violations are reported, not raised.
+    causality boundary.  Violations are reported, not raised; a tolerance
+    that is negative or not finite is.
     """
     from .surface import RegionLabel  # local import to avoid a cycle
+
+    if not (np.isfinite(tolerance) and tolerance >= 0.0):
+        raise ValueError(f"tolerance must be finite and nonnegative, "
+                         f"got {tolerance}")
 
     per_region = {label.value: {"cells": 0, "max_gap": None, "min_gap": None,
                                 "max_abs_gap": None}

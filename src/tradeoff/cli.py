@@ -15,7 +15,6 @@ Exit codes: 0 success; 1 bad input; 2 optimizer diagnostics raised;
 
 import argparse
 import sys
-from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import export
@@ -31,42 +30,17 @@ DEFAULT_GRID = (16, 16)
 DEFAULT_TOLERANCE = 2e-2
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one invocation needs; identical configs give identical files."""
-
-    command: str
-    ensemble_path: str | None = None
-    builtin: str | None = None
-    out: str | None = None
-    grid: tuple[int, int] = DEFAULT_GRID
-    resolution: int = DEFAULT_RESOLUTION
-    seed: int = 0
-    multistarts: int = DEFAULT_MULTISTARTS
-    tolerance: float = DEFAULT_TOLERANCE
-    depth: int = DEFAULT_DEPTH
-    samples: int = DEFAULT_SAMPLES
-    surface_path: str | None = None
-
-
-def _load_ensemble(config: RunConfig):
-    if config.ensemble_path is not None:
-        return load_ensemble(config.ensemble_path)
-    if config.builtin is not None:
-        return builtin_ensemble(config.builtin)
-    raise ValueError("an ensemble is required (--ensemble PATH or --builtin NAME)")
-
-
-def _dispatch(config: RunConfig) -> int:
-    if config.command == "plot":
-        rows = export.read_surface_csv(config.surface_path)
+def _dispatch(args: argparse.Namespace) -> int:
+    if args.command == "plot":
+        rows = export.read_surface_csv(args.surface)
         script = export.gnuplot_surface_script(rows)
-        Path(config.out).write_text(script, encoding="utf-8")
-        print(f"wrote {config.out}")
+        Path(args.out).write_text(script, encoding="utf-8")
+        print(f"wrote {args.out}")
         return 0
 
-    ensemble = _load_ensemble(config)
-    if config.command == "stats":
+    ensemble = (load_ensemble(args.ensemble) if args.ensemble is not None
+                else builtin_ensemble(args.builtin))
+    if args.command == "stats":
         stats = ensemble_stats(ensemble)
         print(f"states = {ensemble.m}  dimA = {ensemble.dimA}  "
               f"dimB = {ensemble.dimB}")
@@ -75,34 +49,34 @@ def _dispatch(config: RunConfig) -> int:
             print(f"{name} = {value:.12g}")
         return 0
 
-    if config.command in ("qct", "rsp"):
-        solver = qct_curve if config.command == "qct" else rsp_curve
-        curve = solver(ensemble, config.resolution,
-                       multistarts=config.multistarts, seed=config.seed)
-        export.write_curve_csv(curve, config.out)
-        print(f"wrote {config.out} ({len(curve.samples)} support points, "
+    if args.command in ("qct", "rsp"):
+        solver = qct_curve if args.command == "qct" else rsp_curve
+        curve = solver(ensemble, args.resolution,
+                       multistarts=args.multistarts, seed=args.seed)
+        export.write_curve_csv(curve, args.out)
+        print(f"wrote {args.out} ({len(curve.samples)} support points, "
               f"domain [{curve.domain[0]:.6g}, {curve.domain[1]:.6g}])")
         for note in curve.diagnostics:
             print(f"diagnostic: {note}", file=sys.stderr)
         return 2 if curve.diagnostics else 0
 
-    nR, nQ = config.grid
-    grid = surface_grid(ensemble, nR, nQ, resolution=config.resolution,
-                        multistarts=config.multistarts, seed=config.seed)
+    nR, nQ = args.grid
+    grid = surface_grid(ensemble, nR, nQ, resolution=args.resolution,
+                        multistarts=args.multistarts, seed=args.seed)
     for note in grid.diagnostics:
         print(f"diagnostic: {note}", file=sys.stderr)
 
-    if config.command == "surface":
-        export.write_surface_csv(grid, ensemble, config.out)
-        print(f"wrote {config.out} ({nR}x{nQ} cells)")
+    if args.command == "surface":
+        export.write_surface_csv(grid, ensemble, args.out)
+        print(f"wrote {args.out} ({nR}x{nQ} cells)")
         return 2 if grid.diagnostics else 0
 
-    hull = achievable_hull(grid.curves, depth=config.depth,
-                           n_samples=config.samples)
-    report = verify_surface(grid, hull, tolerance=config.tolerance)
-    export.write_verification_report(report, config.out)
-    print(f"wrote {config.out}: max |gap| = {report['max_abs_gap']:.3e} over "
-          f"{hull.size} points, tolerance {config.tolerance:g}")
+    hull = achievable_hull(grid.curves, depth=args.depth,
+                           n_samples=args.samples)
+    report = verify_surface(grid, hull, tolerance=args.tolerance)
+    export.write_verification_report(report, args.out)
+    print(f"wrote {args.out}: max |gap| = {report['max_abs_gap']:.3e} over "
+          f"{hull.size} points, tolerance {args.tolerance:g}")
     for violation in report["violations"]:
         print(f"violation: {violation}", file=sys.stderr)
     if grid.diagnostics:
@@ -110,9 +84,9 @@ def _dispatch(config: RunConfig) -> int:
     return 3 if report["violations"] else 0
 
 
-def run(config: RunConfig) -> int:
+def run(args: argparse.Namespace) -> int:
     try:
-        return _dispatch(config)
+        return _dispatch(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -213,18 +187,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    """Options a subcommand does not take keep their RunConfig defaults."""
-    renamed = {"ensemble": "ensemble_path", "surface": "surface_path"}
-    values = {renamed.get(k, k): v for k, v in vars(args).items()}
-    return RunConfig(**{f.name: values[f.name] for f in fields(RunConfig)
-                        if f.name in values})
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return run(config_from_args(args))
+    return run(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -98,10 +98,14 @@ def parse_ensemble(payload: dict) -> Ensemble:
                          f"and {dimB!r}")
     probs = payload["probs"]
     raw_states = payload["states"]
+    if not (isinstance(probs, list) and isinstance(raw_states, list)):
+        raise ValueError("probs and states must be lists")
     if len(probs) != len(raw_states):
         raise ValueError("probs and states must have equal length")
     states = []
     for idx, entries in enumerate(raw_states):
+        if not isinstance(entries, list):
+            raise ValueError(f"state {idx} must be a list of [re, im] pairs")
         if len(entries) != dimA * dimB:
             raise ValueError(f"state {idx} needs {dimA * dimB} amplitudes, "
                              f"got {len(entries)}")

@@ -10,7 +10,6 @@ from tradeoff.achievability import (
     COVER_TOL,
     AchievableHull,
     ConversionKind,
-    ConversionRule,
     RateTriple,
     achievable_hull,
     apply_conversion,
@@ -29,41 +28,18 @@ def test_rate_triple_validation():
     assert clamped.R == 0.0
 
 
-def test_conversion_rule_validation():
-    with pytest.raises(ValueError):
-        ConversionRule(ConversionKind.TIME_SHARE)
-    with pytest.raises(ValueError):
-        ConversionRule(ConversionKind.TIME_SHARE, lam=1.5)
-    with pytest.raises(ValueError):
-        ConversionRule(ConversionKind.TELEPORT, lam=0.5)
-    assert ConversionRule(ConversionKind.TIME_SHARE, lam=0.25).lam == 0.25
-
-
 def test_conversion_examples():
     s = 0.75
     tele = apply_conversion(RateTriple(0.0, s, 0.0, "x"),
-                            ConversionRule(ConversionKind.TELEPORT))
+                            ConversionKind.TELEPORT)
     assert (tele.R, tele.Q, tele.E) == (2 * s, 0.0, s)
     dense = apply_conversion(RateTriple(1.0, 0.0, 0.0, "x"),
-                             ConversionRule(ConversionKind.SUPERDENSE_CBITS))
+                             ConversionKind.SUPERDENSE_CBITS)
     assert (dense.R, dense.Q, dense.E) == (0.0, 0.5, 0.5)
     q2e = apply_conversion(RateTriple(0.3, 0.4, 0.2, "x"),
-                           ConversionRule(ConversionKind.QUBITS_TO_EBITS))
+                           ConversionKind.QUBITS_TO_EBITS)
     assert (q2e.R, q2e.E) == (0.3, 0.0)
     assert q2e.Q == pytest.approx(0.6)
-    mix = apply_conversion(RateTriple(1.0, 0.0, 0.0, "a"),
-                           ConversionRule(ConversionKind.TIME_SHARE, lam=0.5),
-                           RateTriple(0.0, 1.0, 0.5, "b"))
-    assert (mix.R, mix.Q, mix.E) == (0.5, 0.5, 0.25)
-    assert mix.provenance == "TimeShare(0.5; a; b)"
-
-
-def test_second_triple_only_for_time_share():
-    t = RateTriple(1.0, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        apply_conversion(t, ConversionRule(ConversionKind.TELEPORT), t)
-    with pytest.raises(ValueError):
-        apply_conversion(t, ConversionRule(ConversionKind.TIME_SHARE, lam=0.5))
 
 
 @settings(max_examples=200)
@@ -74,19 +50,17 @@ def test_conversion_chains_are_exact(r, q, e, chain):
     for tag in chain:
         before = t
         if tag == "T":
-            t = apply_conversion(t, ConversionRule(ConversionKind.TELEPORT))
+            t = apply_conversion(t, ConversionKind.TELEPORT)
             assert abs(t.R - (before.R + 2 * before.Q)) <= 1e-12
             assert t.Q == 0.0
             assert abs(t.E - (before.E + before.Q)) <= 1e-12
         elif tag == "S":
-            t = apply_conversion(
-                t, ConversionRule(ConversionKind.SUPERDENSE_CBITS))
+            t = apply_conversion(t, ConversionKind.SUPERDENSE_CBITS)
             assert t.R == 0.0
             assert abs(t.Q - (before.Q + 0.5 * before.R)) <= 1e-12
             assert abs(t.E - (before.E + 0.5 * before.R)) <= 1e-12
         else:
-            t = apply_conversion(
-                t, ConversionRule(ConversionKind.QUBITS_TO_EBITS))
+            t = apply_conversion(t, ConversionKind.QUBITS_TO_EBITS)
             assert abs(t.Q - (before.Q + before.E)) <= 1e-12
             assert t.E == 0.0
         assert before.provenance in t.provenance

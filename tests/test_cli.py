@@ -1,6 +1,8 @@
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +12,7 @@ from tradeoff.optimizer import TradeoffCurve
 from tradeoff.profiles import ClassicalChannel
 
 FAST = ["--resolution", "10", "--multistarts", "4", "--workers", "1"]
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_stats_builtin(capsys):
@@ -51,6 +54,21 @@ def test_nan_probabilities_exit_1(tmp_path, capsys):
     path.write_text(json.dumps(payload))
     assert main(["stats", "--ensemble", str(path)]) == 1
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fields", [
+    {"probs": 5},
+    {"probs": None},
+    {"states": 5},
+    {"probs": [1.0], "states": [5]},
+])
+def test_wrong_json_types_exit_1(fields, tmp_path, capsys):
+    payload = ensemble_to_dict(builtin_ensemble("zero-plus"))
+    payload.update(fields)
+    path = tmp_path / "types.json"
+    path.write_text(json.dumps(payload))
+    assert main(["stats", "--ensemble", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_usage_errors_exit_1():
@@ -114,6 +132,17 @@ def test_verify_gaps_exit_3(tmp_path, capsys):
     assert "violation:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tolerance", ["nan", "-1"])
+def test_verify_rejects_bad_tolerance(tolerance, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    code = main(["verify", "--builtin", "orthonormal-pair", "--grid", "3x3",
+                 "--samples", "8", "--tolerance", tolerance,
+                 "--out", str(out)] + FAST)
+    assert code == 1
+    assert "tolerance must be finite and nonnegative" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_solver_diagnostics_exit_2(tmp_path, capsys, monkeypatch):
     fake = TradeoffCurve(kind="QCT", samples=((0.0, 1.0), (1.0, 0.0)),
                          domain=(0.0, 1.0), floor=0.0,
@@ -142,6 +171,16 @@ def test_parser_defaults():
     assert args.grid == (16, 16)
     assert args.resolution == 40
     assert args.workers is None
+
+
+def test_readme_commands_parse():
+    # Parses each example command; runs none of them.
+    commands = [shlex.split(line) for line in
+                README.read_text(encoding="utf-8").splitlines()
+                if line.startswith("tradeoff ")]
+    assert len(commands) == 6
+    for argv in commands:
+        build_parser().parse_args(argv[1:])
 
 
 def test_surface_bytes_independent_of_workers(tmp_path):
