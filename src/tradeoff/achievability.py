@@ -242,6 +242,16 @@ class AchievableHull:
         return tuple(p.provenance for p in self.points[::step][:count])
 
 
+def check_options(*, depth: int = DEFAULT_DEPTH,
+                  tolerance: float = 0.0) -> None:
+    """Reject a conversion depth or a verify tolerance the oracle cannot use."""
+    if depth < 1:
+        raise ValueError("depth must be at least 1")
+    if not (np.isfinite(tolerance) and tolerance >= 0.0):
+        raise ValueError(f"tolerance must be finite and nonnegative, "
+                         f"got {tolerance}")
+
+
 def achievable_hull(curves: CurveSet, depth: int = DEFAULT_DEPTH, *,
                     n_samples: int = DEFAULT_SAMPLES) -> AchievableHull:
     """Close the primitive points under conversion chains and time-sharing.
@@ -249,8 +259,7 @@ def achievable_hull(curves: CurveSet, depth: int = DEFAULT_DEPTH, *,
     Conversion chains of length up to `depth` are materialized, deduplicated
     and Pareto-pruned; time-sharing over the result is solved per query.
     """
-    if depth < 1:
-        raise ValueError("depth must be at least 1")
+    check_options(depth=depth)
     base = list(primitive_points(curves, n_samples=n_samples))
     frontier = list(base)
     for _ in range(depth):
@@ -273,9 +282,7 @@ def verify_surface(grid, hull: AchievableHull, *,
     """
     from .surface import RegionLabel  # local import to avoid a cycle
 
-    if not (np.isfinite(tolerance) and tolerance >= 0.0):
-        raise ValueError(f"tolerance must be finite and nonnegative, "
-                         f"got {tolerance}")
+    check_options(tolerance=tolerance)
 
     per_region = {label.value: {"cells": 0, "max_gap": None, "min_gap": None,
                                 "max_abs_gap": None}

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import export
 from .achievability import (DEFAULT_DEPTH, DEFAULT_SAMPLES, achievable_hull,
-                            verify_surface)
+                            check_options, verify_surface)
 from .ensembles import BUILTIN_NAMES, builtin_ensemble, load_ensemble
 from .optimizer import (DEFAULT_MULTISTARTS, DEFAULT_RESOLUTION, qct_curve,
                         rsp_curve)
@@ -37,6 +37,9 @@ def _dispatch(args: argparse.Namespace) -> int:
         Path(args.out).write_text(script, encoding="utf-8")
         print(f"wrote {args.out}")
         return 0
+    if args.command == "verify":
+        # Bad oracle options fail here, not after the curves are solved.
+        check_options(depth=args.depth, tolerance=args.tolerance)
 
     ensemble = (load_ensemble(args.ensemble) if args.ensemble is not None
                 else builtin_ensemble(args.builtin))

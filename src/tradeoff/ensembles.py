@@ -16,6 +16,7 @@ are kept bit-exact so that save/load round trips preserve the ensemble hash.
 import hashlib
 import json
 import math
+import numbers
 import re
 
 import numpy as np
@@ -85,6 +86,17 @@ BUILTIN_NAMES = ("orthonormal-pair", "bb84", "zero-plus", "single-entangled",
                  "uniform-qubit-N")
 
 
+def _is_number(value) -> bool:
+    # JSON true/false decode to bool, which Python counts as an integer.
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _amplitude(re_, im_) -> complex:
+    if not (_is_number(re_) and _is_number(im_)):
+        raise TypeError("amplitude parts must be numbers")
+    return complex(re_, im_)
+
+
 def parse_ensemble(payload: dict) -> Ensemble:
     """Build an Ensemble from a decoded JSON object, validating the schema."""
     if not isinstance(payload, dict):
@@ -102,6 +114,8 @@ def parse_ensemble(payload: dict) -> Ensemble:
         raise ValueError("probs and states must be lists")
     if len(probs) != len(raw_states):
         raise ValueError("probs and states must have equal length")
+    if not all(_is_number(p) for p in probs):
+        raise ValueError(f"probs must be numbers, got {probs!r}")
     states = []
     for idx, entries in enumerate(raw_states):
         if not isinstance(entries, list):
@@ -110,7 +124,7 @@ def parse_ensemble(payload: dict) -> Ensemble:
             raise ValueError(f"state {idx} needs {dimA * dimB} amplitudes, "
                              f"got {len(entries)}")
         try:
-            amp = np.array([complex(re_, im_) for re_, im_ in entries])
+            amp = np.array([_amplitude(*pair) for pair in entries])
         except (TypeError, ValueError) as exc:
             raise ValueError(f"state {idx} amplitudes must be [re, im] "
                              f"pairs") from exc

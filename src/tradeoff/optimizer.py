@@ -37,6 +37,17 @@ block of an exact alternating minimization, so the objective is
 non-increasing; many seeded random starts guard against local minima.  The
 starts at one weight are iterated together as one array, and each is frozen
 once it converges.
+
+For a qubit B register the distortion has a closed form.  With Bloch
+vectors rho = (I + r.sigma)/2, the posterior vector r_j = sum_i p_i p(j|i)
+r_i / q_j of length n, f+- = log2((1 +- n)/2), alpha_j = (f+ + f-)/2 and
+gamma_j = (f+ - f-)/(2n),
+
+    d(i, j) = -(alpha_j + gamma_j * r_i . r_j),
+
+which costs two small matrix products per iteration.  Any other dimB takes
+the dense path: the posterior mixtures are eigendecomposed and log2 rho_j is
+reassembled in their eigenbasis.
 """
 
 import math
@@ -76,6 +87,50 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
     return p
 
 
+def _dense_distortion(reduced_b: np.ndarray):
+    """d(i, j) = -Tr[rho_i log2 rho_j] through a batched eigendecomposition."""
+    identity = np.eye(reduced_b.shape[-1])
+
+    def distortion(joint, q, live):
+        mixtures = np.einsum("sij,iab->sjab", joint, reduced_b)
+        # Dead outputs get a harmless mixture; their scores are -inf anyway.
+        mixtures[live] /= q[live, None, None]
+        mixtures[~live] = identity
+        lam, vec = np.linalg.eigh(mixtures)
+        log_lam = np.log2(np.clip(lam, 1e-300, None))
+        # log2(rho_j) reassembled in the eigenbasis, then the trace with rho_i
+        log_mix = np.einsum("sjak,sjk,sjbk->sjab", vec, log_lam, vec.conj())
+        return -np.einsum("iab,sjba->sij", reduced_b, log_mix).real
+
+    return distortion
+
+
+def _qubit_distortion(reduced_b: np.ndarray):
+    """d(i, j) = -Tr[rho_i log2 rho_j] for qubits, in Bloch-vector form.
+
+    log2 rho_j = alpha_j I + gamma_j r_j.sigma, and Tr rho_i = 1,
+    Tr[rho_i sigma] = r_i give the closed form in the module docstring.
+    """
+    bloch = np.stack([2.0 * reduced_b[:, 0, 1].real,
+                      -2.0 * reduced_b[:, 0, 1].imag,
+                      (reduced_b[:, 0, 0] - reduced_b[:, 1, 1]).real], axis=-1)
+
+    def distortion(joint, q, live):
+        # Posterior Bloch vectors; dead outputs keep r_j = 0 and score -inf.
+        post = np.divide(joint.transpose(0, 2, 1) @ bloch, q[..., None],
+                         out=np.zeros(q.shape + (3,)), where=live[..., None])
+        n = np.linalg.norm(post, axis=-1)
+        f_plus = np.log2(np.maximum((1.0 + n) / 2.0, 1e-300))
+        f_minus = np.log2(np.maximum((1.0 - n) / 2.0, 1e-300))
+        gamma = np.divide(f_plus - f_minus, 2.0 * n,
+                          out=np.zeros_like(n), where=n > 0)
+        alpha = (f_plus + f_minus) / 2.0
+        return -(alpha[:, None, :]
+                 + gamma[:, None, :] * (bloch @ post.transpose(0, 2, 1)))
+
+    return distortion
+
+
 def _fixed_point(reduced_b: np.ndarray, probs: np.ndarray, ratio: float,
                  channels: np.ndarray, max_iter: int
                  ) -> tuple[np.ndarray, np.ndarray]:
@@ -88,28 +143,21 @@ def _fixed_point(reduced_b: np.ndarray, probs: np.ndarray, ratio: float,
     CONVERGENCE_TOL.  Returns the final channels and a per-start flag saying
     whether the start converged before the cap.
     """
+    distortion = (_qubit_distortion if reduced_b.shape[-1] == 2
+                  else _dense_distortion)(reduced_b)
     result = channels.copy()
     converged = np.zeros(len(channels), dtype=bool)
     active = np.arange(len(channels))
     channel = channels
-    identity = np.eye(reduced_b.shape[-1])
     for _ in range(max_iter):
         if active.size == 0:
             break
         joint = probs[:, None] * channel
         q = joint.sum(axis=1)
         live = q > ZERO_MASS
-        mixtures = np.einsum("sij,iab->sjab", joint, reduced_b)
-        # Dead outputs get a harmless mixture; their scores are -inf anyway.
-        mixtures[live] /= q[live, None, None]
-        mixtures[~live] = identity
-        lam, vec = np.linalg.eigh(mixtures)
-        log_lam = np.log2(np.clip(lam, 1e-300, None))
-        # log2(rho_j) reassembled in the eigenbasis, then d(i,j) = -Tr[rho_i log2 rho_j]
-        log_mix = np.einsum("sjak,sjk,sjbk->sjab", vec, log_lam, vec.conj())
-        distortion = -np.einsum("iab,sjba->sij", reduced_b, log_mix).real
         log_q = np.log2(q, out=np.full_like(q, -np.inf), where=live)
-        updated = _softmax_rows(log_q[:, None, :] - ratio * distortion)
+        updated = _softmax_rows(log_q[:, None, :]
+                                - ratio * distortion(joint, q, live))
         done = np.abs(updated - channel).max(axis=(1, 2)) < CONVERGENCE_TOL
         result[active] = updated
         converged[active[done]] = True

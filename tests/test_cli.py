@@ -71,6 +71,22 @@ def test_wrong_json_types_exit_1(fields, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("fields", [
+    {"probs": [True, False]},
+    {"probs": ["0.5", "0.5"]},
+    {"states": [[[True, False], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]},
+    {"states": [[[1.0, 0.0], [0.0, False]], [[0.0, 0.0], [1.0, 0.0]]]},
+], ids=["bool-probs", "string-probs", "bool-amplitude", "bool-imaginary"])
+def test_non_numbers_exit_1(fields, tmp_path, capsys):
+    # JSON true/false must not load as 1/0, nor "0.5" as a probability.
+    payload = ensemble_to_dict(builtin_ensemble("zero-plus"))
+    payload.update(fields)
+    path = tmp_path / "types.json"
+    path.write_text(json.dumps(payload))
+    assert main(["stats", "--ensemble", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_usage_errors_exit_1():
     for argv in ([],
                  ["qct", "--builtin", "zero-plus"],  # missing --out
@@ -140,6 +156,22 @@ def test_verify_rejects_bad_tolerance(tolerance, tmp_path, capsys):
                  "--out", str(out)] + FAST)
     assert code == 1
     assert "tolerance must be finite and nonnegative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("option", [["--tolerance", "nan"],
+                                    ["--tolerance", "inf"],
+                                    ["--depth", "0"]])
+def test_verify_rejects_bad_options_before_solving(option, tmp_path, capsys,
+                                                   monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("surface_grid ran before the option check")
+
+    monkeypatch.setattr("tradeoff.cli.surface_grid", no_solve)
+    out = tmp_path / "report.json"
+    code = main(["verify", "--builtin", "bb84", "--out", str(out)] + option)
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
 
 

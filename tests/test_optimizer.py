@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from helpers import fixed_point_one_start
+from helpers import fixed_point_one_start, random_ensemble
+from tradeoff import optimizer
 from tradeoff.ensembles import builtin_ensemble
 from tradeoff.optimizer import (
     TradeoffCurve,
@@ -186,14 +187,19 @@ def test_seed_determinism(zero_plus):
 
 
 @pytest.mark.parametrize("name, ratio", [("zero-plus", 1.0 / 0.62),
-                                         ("uniform-qubit-5", 4.0)],
-                         ids=["zero-plus-critical", "uniform-qubit-5"])
+                                         ("uniform-qubit-5", 4.0),
+                                         ("qutrit-3", 2.0)],
+                         ids=["zero-plus-critical", "uniform-qubit-5",
+                              "qutrit-3"])
 def test_fixed_point_rows_independent(name, ratio):
     # The lockstep solve must give each start exactly what a solve of that
-    # start alone gives, and what the plain per-start loop gives, whether it
-    # converges early, never, or starts from the constant channel whose
-    # unused outputs are dead from the first step.
-    ensemble = builtin_ensemble(name)
+    # start alone gives, whether it converges early, never, or starts from
+    # the constant channel whose unused outputs are dead from the first step.
+    # Against the eigh-based per-start loop, qubit ensembles take the Bloch
+    # kernel and agree to rounding; other dimB take the same dense path and
+    # agree exactly.
+    ensemble = (random_ensemble(np.random.default_rng(7), 3, 1, 3)
+                if name == "qutrit-3" else builtin_ensemble(name))
     b, p = ensemble.reduced_b, ensemble.probs
     starts = _start_points(ensemble.m, ensemble.m + 1, 6, [0, 0, 0])
     starts[2] = ClassicalChannel.constant(ensemble.m).matrix
@@ -203,7 +209,47 @@ def test_fixed_point_rows_independent(name, ratio):
             alone, alone_flag = _fixed_point(b, p, ratio, start[None], max_iter)
             loop, loop_flag = fixed_point_one_start(b, p, ratio, start, max_iter)
             assert np.array_equal(channel, alone[0])
-            assert np.array_equal(channel, loop)
+            if ensemble.dimB == 2:
+                np.testing.assert_allclose(channel, loop, rtol=0, atol=1e-12)
+            else:
+                assert np.array_equal(channel, loop)
             assert flag == alone_flag[0] == loop_flag
         if max_iter == 10:  # some starts converged and some hit the cap
             assert 0 < converged.sum() < len(starts)
+
+
+def _dense_fixed_point(monkeypatch, *args):
+    with monkeypatch.context() as patch:
+        patch.setattr(optimizer, "_qubit_distortion",
+                      optimizer._dense_distortion)
+        return _fixed_point(*args)
+
+
+@pytest.mark.parametrize("case", ["random-mixed", "identity-pure",
+                                  "bb84-constant", "uniform-qubit-24"])
+def test_qubit_kernel_matches_dense(case, monkeypatch):
+    # Mixed posteriors, pure ones (n = 1), the maximally mixed one (n = 0)
+    # and the largest built-in ensemble.  The pure case uses the orthonormal
+    # pair: both kernels get its zero eigenvalue exactly.  For non-orthogonal
+    # pure states each gets it as its own +-1e-16 rounding noise, and log2 of
+    # that lands anywhere from -53 to the -996 clip, so the paths part there.
+    if case == "random-mixed":
+        ensemble = random_ensemble(np.random.default_rng(3), 4, 2, 2)
+        starts = _start_points(ensemble.m, ensemble.m + 1, 4, [0, 0, 0])
+    elif case == "identity-pure":
+        ensemble = builtin_ensemble("orthonormal-pair")
+        starts = ClassicalChannel.identity(ensemble.m).matrix[None]
+    elif case == "bb84-constant":
+        ensemble = builtin_ensemble("bb84")
+        starts = ClassicalChannel.constant(ensemble.m).matrix[None]
+    else:
+        ensemble = builtin_ensemble("uniform-qubit-24")
+        starts = _start_points(ensemble.m, ensemble.m + 1, 4, [0, 0, 0])
+    args = (ensemble.reduced_b, ensemble.probs)
+    for max_iter in (1, 60):
+        for ratio in (0.5, 1.0 / 0.62, 5.0):
+            qubit, qubit_flags = _fixed_point(*args, ratio, starts, max_iter)
+            dense, dense_flags = _dense_fixed_point(monkeypatch, *args, ratio,
+                                                    starts, max_iter)
+            np.testing.assert_allclose(qubit, dense, rtol=0, atol=1e-12)
+            assert np.array_equal(qubit_flags, dense_flags)
