@@ -5,10 +5,8 @@ shared entanglement.
 
 from .achievability import (
     AchievableHull,
-    ConversionKind,
     RateTriple,
     achievable_hull,
-    apply_conversion,
     primitive_points,
     verify_surface,
 )
@@ -34,8 +32,6 @@ from .profiles import (
     ClassicalChannel,
     EntropicProfile,
     entropic_profile,
-    entropic_profile_dense,
-    omega_dense,
 )
 from .states import (
     BipartitePureState,
@@ -44,7 +40,6 @@ from .states import (
     EnsembleStats,
     ensemble_stats,
     partial_trace,
-    partial_trace_dense,
     shannon_entropy,
     von_neumann_entropy,
 )
@@ -57,7 +52,6 @@ __all__ = [
     "BipartitePureState",
     "BUILTIN_NAMES",
     "ClassicalChannel",
-    "ConversionKind",
     "CriticalRate",
     "CurveSet",
     "DensityOperator",
@@ -69,7 +63,6 @@ __all__ = [
     "SurfaceGrid",
     "TradeoffCurve",
     "achievable_hull",
-    "apply_conversion",
     "builtin_ensemble",
     "classify_region",
     "compute_curves",
@@ -79,13 +72,10 @@ __all__ = [
     "ensemble_stats",
     "ensemble_to_dict",
     "entropic_profile",
-    "entropic_profile_dense",
     "load_ensemble",
     "minimize_profile",
-    "omega_dense",
     "parse_ensemble",
     "partial_trace",
-    "partial_trace_dense",
     "primitive_points",
     "qct_curve",
     "rsp_curve",

@@ -1,28 +1,28 @@
 """Independent achievability oracle for the trade-off surface.
 
-The surface formula is cross-checked against a point cloud of rate triples
-(R cbits, Q qubits, E ebits) that are achievable by construction: points on
-the two optimized curves, their coherent (superdense-coded) versions, and
-everything reachable from those by short chains of standard resource
-conversions.  Time-sharing closes the cloud under convex combinations.  If
-the formula is right, the cheapest point of that convex closure dominating a
-grid cell must match it to within discretization error, and nothing in the
-closure may beat it.
+The surface formula is cross-checked against rate triples (R cbits, Q
+qubits, E ebits) that are achievable by construction: points on the two
+optimized curves and their coherent (superdense-coded) versions.  Standard
+resource conversions then trade one resource for others.  Each is a fixed
+direction in (R, Q, E) cost space, added per unit of converted resource:
 
-Conversions implemented (consuming the left triple, producing the right):
+    Teleport:        (2, -1, 1)      a qubit is replaced by two cbits and an ebit
+    SuperdenseCbits: (-1, 1/2, 1/2)  a cbit is replaced by half a qubit and
+                                     half an ebit
+    QubitsToEbits:   (0, 1, -1)      an ebit is replaced by a qubit
 
-    Teleport:        (R, Q, E) -> (R + 2Q, 0, E + Q)
-    SuperdenseCbits: (R, Q, E) -> (0, Q + R/2, E + R/2)
-    QubitsToEbits:   (R, Q, E) -> (R, Q + E, 0)
-
-Time-sharing, lam * t1 + (1 - lam) * t2, is never materialized.  Each query
-solves the linear program over mixing weights of the whole cloud exactly:
-two cover constraints plus the unit-weight constraint make a three-row
-program, which a small revised simplex answers.  Its optimal mix uses at
-most three cloud points.
+Partial conversion is time-sharing, so a chain of conversions of any depth
+is a nonnegative flow along these three directions.  Each query solves one
+linear program exactly: minimize the ebit total over weights lam >= 0 on
+the primitive points and flows nu >= 0, subject to sum(lam) = 1, the R and
+Q totals at or under the cell and the E total at or above zero.  A small
+revised simplex on these four rows answers it.  The R and Q totals need no
+rows keeping them nonnegative: when a cover drives one below zero, its
+flows can be changed so that every total is nonnegative and the E total
+does not rise.  If the formula is right, the optimum must match it to within
+discretization error, and nothing in the closure may beat it.
 """
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +31,6 @@ from .optimizer import CurveSet
 
 COVER_TOL = 1e-9
 NEGATIVE_CLAMP = 1e-12
-DEFAULT_DEPTH = 2
 DEFAULT_SAMPLES = 128
 # Reduced costs, pivot entries and step lengths below this count as zero in
 # the simplex; a phase-one residual above it means nothing covers the cell.
@@ -55,28 +54,6 @@ class RateTriple:
             if v < -NEGATIVE_CLAMP:
                 raise ValueError(f"{name} must be nonnegative, got {v}")
             object.__setattr__(self, name, max(v, 0.0))
-
-
-class ConversionKind(enum.Enum):
-    TELEPORT = "Teleport"
-    SUPERDENSE_CBITS = "SuperdenseCbits"
-    QUBITS_TO_EBITS = "QubitsToEbits"
-
-
-def apply_conversion(triple: RateTriple, kind: ConversionKind) -> RateTriple:
-    """Apply one resource conversion to an achievable triple."""
-    R, Q, E = triple.R, triple.Q, triple.E
-    if kind is ConversionKind.TELEPORT:
-        rates = (R + 2.0 * Q, 0.0, E + Q)
-    elif kind is ConversionKind.SUPERDENSE_CBITS:
-        rates = (0.0, Q + 0.5 * R, E + 0.5 * R)
-    else:
-        rates = (R, Q + E, 0.0)
-    return RateTriple(*rates, f"{kind.value}({triple.provenance})")
-
-
-_CHAIN_RULES = (ConversionKind.TELEPORT, ConversionKind.SUPERDENSE_CBITS,
-                ConversionKind.QUBITS_TO_EBITS)
 
 
 def _curve_samples(curve, n: int) -> np.ndarray:
@@ -121,47 +98,16 @@ def primitive_points(curves: CurveSet, *,
     return tuple(points)
 
 
-def _dedupe(points) -> list:
-    seen = {}
-    for p in points:
-        key = (round(p.R, 9), round(p.Q, 9), round(p.E, 9))
-        if key not in seen:
-            seen[key] = p
-    return list(seen.values())
-
-
-def _pareto_prune(points) -> list:
-    """Drop triples dominated in all three coordinates.
-
-    Mixing preserves domination componentwise, so pruning before time-sharing
-    never raises the queried lower envelope.
-    """
-    arr = np.array([(p.R, p.Q, p.E) for p in points])
-    n = len(points)
-    keep = np.ones(n, dtype=bool)
-    # Domination is transitive, so testing against all points (kept or not)
-    # leaves exactly the non-dominated set.
-    for i in range(n):
-        le = ((arr[:, 0] <= arr[i, 0] + 1e-12) &
-              (arr[:, 1] <= arr[i, 1] + 1e-12) &
-              (arr[:, 2] <= arr[i, 2] + 1e-12))
-        lt = ((arr[:, 0] < arr[i, 0] - 1e-12) |
-              (arr[:, 1] < arr[i, 1] - 1e-12) |
-              (arr[:, 2] < arr[i, 2] - 1e-12))
-        if np.any(le & lt):
-            keep[i] = False
-    return [p for p, k in zip(points, keep) if k]
-
-
 def _simplex(A: np.ndarray, b: np.ndarray, c: np.ndarray,
              basis: np.ndarray) -> np.ndarray:
     """Revised simplex for min c @ x subject to A @ x = b, x >= 0.
 
-    Starts from the feasible `basis` (three column indices, updated in
+    Starts from the feasible `basis` (one column index per row, updated in
     place) and returns the basic values at the optimum.  The entering column
     has the most negative reduced cost, or the lowest index (Bland's rule)
-    right after a degenerate pivot, so the loop cannot cycle.  The feasible
-    set here is bounded, so some basic value always limits the step.
+    right after a degenerate pivot, so the loop cannot cycle.  The objectives
+    here are bounded below on the feasible set, so some basic value always
+    limits an improving step.
     """
     bland = False
     while True:
@@ -181,20 +127,28 @@ def _simplex(A: np.ndarray, b: np.ndarray, c: np.ndarray,
         bland = step <= SIMPLEX_EPS
 
 
+# Per unit of flow, each conversion's change to the (R, Q, E) totals.
+CONVERSIONS = {"Teleport": (2.0, -1.0, 1.0),
+               "SuperdenseCbits": (-1.0, 0.5, 0.5),
+               "QubitsToEbits": (0.0, 1.0, -1.0)}
+
+
 @dataclass(frozen=True, eq=False)
 class AchievableHull:
-    """Achievable cloud whose convex closure is queried exactly per cell."""
+    """Primitive points whose closure under conversions and time-sharing is
+    queried exactly per cell."""
 
     points: tuple
     chi: float
 
     def __post_init__(self):
-        arr = np.array([(p.R, p.Q, p.E) for p in self.points])
-        # Constraint columns: one per cloud point (R_i, Q_i, 1), then the R
-        # and Q cover slacks, then the phase-one artificial for sum(lam) = 1.
-        A = np.hstack([np.vstack([arr[:, 0], arr[:, 1], np.ones(len(arr))]),
-                       np.eye(3)])
-        cost = np.concatenate([arr[:, 2], np.zeros(2)])
+        arr = np.array([(p.R, p.Q, p.E, 1.0) for p in self.points])
+        flows = np.array([(*d, 0.0) for d in CONVERSIONS.values()])
+        # Constraint columns, one row each for the R, Q and E totals and for
+        # sum(lam) = 1: the primitive weights, the conversion flows, the R
+        # and Q cover slacks, the E surplus, then the phase-one artificial.
+        A = np.hstack([arr.T, flows.T, np.diag([1.0, 1.0, -1.0, 1.0])])
+        cost = np.concatenate([arr[:, 2], flows[:, 2], np.zeros(3)])
         A.flags.writeable = cost.flags.writeable = False
         object.__setattr__(self, "_lp", (A, cost))
 
@@ -211,30 +165,31 @@ class AchievableHull:
         return 0
 
     def min_e(self, R: float, Q: float, *, tol: float = COVER_TOL) -> float | None:
-        """Cheapest ebit rate over the convex closure of the cloud covering (R, Q).
+        """Cheapest ebit rate over the closure of the points covering (R, Q).
 
-        A mix with weights lam covers (R, Q) when sum(lam_i R_i) <= R and
-        sum(lam_i Q_i) <= Q up to tol.  Phase one starts from the two cover
-        slacks and an artificial weight column and drives the artificial out;
-        if it cannot, nothing covers the cell and None is returned.  Phase
-        two minimizes sum(lam_i E_i) from there.
+        Weights lam and flows nu cover (R, Q) when the R and Q totals of the
+        mix plus the flows are at most R and Q up to tol, and the E total is
+        nonnegative.  Phase one starts from the two cover slacks, the E
+        surplus and an artificial weight column and drives the artificial
+        out; if it cannot, nothing covers the cell and None is returned.
+        Phase two minimizes the E total from there.
         """
         A, cost = self._lp
-        n = len(self.points)
-        b = np.array([R + tol, Q + tol, 1.0])
-        basis = np.array([n, n + 1, n + 2])
-        phase_one = np.zeros(n + 3)
+        m = A.shape[1] - 1
+        b = np.array([R + tol, Q + tol, 0.0, 1.0])
+        basis = np.arange(m - 3, m + 1)
+        phase_one = np.zeros(m + 1)
         phase_one[-1] = 1.0
         x_B = _simplex(A, b, phase_one, basis)
         if phase_one[basis] @ x_B > SIMPLEX_EPS:
             return None
-        artificial = np.flatnonzero(basis == n + 2)
+        artificial = np.flatnonzero(basis == m)
         if artificial.size:
             # Basic at level zero: pivot it out on the largest entry of its
-            # row, which is nonzero because the other columns have rank 3.
-            row = np.linalg.inv(A[:, basis])[artificial[0]] @ A[:, :n + 2]
+            # row, which is nonzero because the other columns have rank 4.
+            row = np.linalg.inv(A[:, basis])[artificial[0]] @ A[:, :m]
             basis[artificial[0]] = np.abs(row).argmax()
-        x_B = _simplex(A[:, :n + 2], b, cost, basis)
+        x_B = _simplex(A[:, :m], b, cost, basis)
         return float(cost[basis] @ x_B)
 
     def provenance_samples(self, count: int = 8) -> tuple:
@@ -242,32 +197,23 @@ class AchievableHull:
         return tuple(p.provenance for p in self.points[::step][:count])
 
 
-def check_options(*, depth: int = DEFAULT_DEPTH,
-                  tolerance: float = 0.0) -> None:
-    """Reject a conversion depth or a verify tolerance the oracle cannot use."""
-    if depth < 1:
-        raise ValueError("depth must be at least 1")
+def check_options(*, tolerance: float = 0.0,
+                  samples: int = DEFAULT_SAMPLES) -> None:
+    """Reject a verify tolerance or a sample count the oracle cannot use."""
     if not (np.isfinite(tolerance) and tolerance >= 0.0):
         raise ValueError(f"tolerance must be finite and nonnegative, "
                          f"got {tolerance}")
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
 
 
-def achievable_hull(curves: CurveSet, depth: int = DEFAULT_DEPTH, *,
+def achievable_hull(curves: CurveSet, *,
                     n_samples: int = DEFAULT_SAMPLES) -> AchievableHull:
-    """Close the primitive points under conversion chains and time-sharing.
-
-    Conversion chains of length up to `depth` are materialized, deduplicated
-    and Pareto-pruned; time-sharing over the result is solved per query.
-    """
-    check_options(depth=depth)
-    base = list(primitive_points(curves, n_samples=n_samples))
-    frontier = list(base)
-    for _ in range(depth):
-        frontier = [apply_conversion(p, kind)
-                    for p in frontier for kind in _CHAIN_RULES]
-        base.extend(frontier)
-    base = _pareto_prune(_dedupe(base))
-    return AchievableHull(points=tuple(base), chi=curves.stats.chi)
+    """The primitive points of the curves, closed under conversions of any
+    depth and time-sharing by each query's linear program."""
+    check_options(samples=n_samples)
+    return AchievableHull(points=primitive_points(curves, n_samples=n_samples),
+                          chi=curves.stats.chi)
 
 
 def verify_surface(grid, hull: AchievableHull, *,

@@ -6,7 +6,9 @@ stats    print the ensemble's entropic summary (S, Sbar, chi, H)
 qct      classical-channel trade-off curve Q*(R) -> CSV + channel sidecar
 rsp      remote-state-preparation curve E*(R) -> CSV + channel sidecar
 surface  full (R, Q) -> E* grid -> CSV + metadata JSON
-verify   cross-check the surface against the achievability oracle -> report
+verify   cross-check the surface against the achievability oracle (curve
+         points closed under conversions of any depth and time-sharing)
+         -> report
 plot     emit a gnuplot script rendering a surface CSV
 
 Exit codes: 0 success; 1 bad input; 2 optimizer diagnostics raised;
@@ -18,8 +20,8 @@ import sys
 from pathlib import Path
 
 from . import export
-from .achievability import (DEFAULT_DEPTH, DEFAULT_SAMPLES, achievable_hull,
-                            check_options, verify_surface)
+from .achievability import (DEFAULT_SAMPLES, achievable_hull, check_options,
+                            verify_surface)
 from .ensembles import BUILTIN_NAMES, builtin_ensemble, load_ensemble
 from .optimizer import (DEFAULT_MULTISTARTS, DEFAULT_RESOLUTION, qct_curve,
                         rsp_curve)
@@ -39,7 +41,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
     if args.command == "verify":
         # Bad oracle options fail here, not after the curves are solved.
-        check_options(depth=args.depth, tolerance=args.tolerance)
+        check_options(tolerance=args.tolerance, samples=args.samples)
 
     ensemble = (load_ensemble(args.ensemble) if args.ensemble is not None
                 else builtin_ensemble(args.builtin))
@@ -74,8 +76,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         print(f"wrote {args.out} ({nR}x{nQ} cells)")
         return 2 if grid.diagnostics else 0
 
-    hull = achievable_hull(grid.curves, depth=args.depth,
-                           n_samples=args.samples)
+    hull = achievable_hull(grid.curves, n_samples=args.samples)
     report = verify_surface(grid, hull, tolerance=args.tolerance)
     export.write_verification_report(report, args.out)
     print(f"wrote {args.out}: max |gap| = {report['max_abs_gap']:.3e} over "
@@ -165,7 +166,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify",
                               help="cross-check the surface against the "
-                                   "achievability oracle")
+                                   "achievability oracle: curve points "
+                                   "closed under conversions of any depth "
+                                   "and time-sharing")
     _add_ensemble_args(p_verify)
     _add_solver_args(p_verify)
     p_verify.add_argument("--grid", type=_grid_type, default=DEFAULT_GRID,
@@ -173,8 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE,
                           metavar="X", help="max allowed |minE - E*| "
                           f"(default {DEFAULT_TOLERANCE:g})")
-    p_verify.add_argument("--depth", type=int, default=DEFAULT_DEPTH, metavar="N",
-                          help="conversion chain depth (default %(default)s)")
     p_verify.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
                           metavar="N", help="rate samples per primitive "
                           "family (default %(default)s)")

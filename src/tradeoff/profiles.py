@@ -6,11 +6,6 @@ quantum system B, and the channel output C.  Because X and C are classical
 and the B state conditioned on X = i is fixed, every entropic quantity the
 trade-off optimizer needs reduces to a closed form in the channel matrix and
 the reduced states on B; that closed form is `entropic_profile`.
-
-`omega_dense` and `entropic_profile_dense` instead build the three-register
-state literally as one block-diagonal matrix and take partial traces.  The
-dense path is the reference implementation used by the test suite; it is not
-used in production code paths.
 """
 
 from dataclasses import dataclass
@@ -18,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .states import (Ensemble, EnsembleStats, _spectrum_entropy, ensemble_stats,
-                     partial_trace_dense, shannon_entropy)
+                     shannon_entropy)
 
 ROW_SUM_TOL = 1e-10
 # Channel outputs with probability mass below this are dropped from the
@@ -129,45 +124,3 @@ def entropic_profile(ensemble: Ensemble, channel: ClassicalChannel,
     SXBgC = max(SBgC - stats.Sbar, 0.0)
     return EntropicProfile(SXC=max(SXC, 0.0), SBgC=SBgC, SXBgC=SXBgC,
                            SXBC=max(SXC, 0.0) + SXBgC)
-
-
-def omega_dense(ensemble: Ensemble, channel: ClassicalChannel) -> np.ndarray:
-    """The classical-quantum state on X x B x C as one dense matrix.
-
-    Block-diagonal over the classical registers: the (i, j) block carries
-    weight p_i p(j|i) times the reduced state of ensemble member i.
-    """
-    if channel.m != ensemble.m:
-        raise ValueError("channel/ensemble size mismatch")
-    m, dB, k = ensemble.m, ensemble.dimB, channel.k
-    joint = ensemble.probs[:, None] * channel.matrix
-    omega = np.zeros((m, dB, k, m, dB, k), dtype=complex)
-    for i in range(m):
-        for j in range(k):
-            omega[i, :, j, i, :, j] = joint[i, j] * ensemble.reduced_b[i]
-    return omega.reshape(m * dB * k, m * dB * k)
-
-
-def _dense_entropy(matrix: np.ndarray) -> float:
-    return _spectrum_entropy(np.linalg.eigvalsh(matrix))
-
-
-def entropic_profile_dense(ensemble: Ensemble,
-                           channel: ClassicalChannel) -> EntropicProfile:
-    """Entropic profile computed from the dense three-register state.
-
-    Every quantity is obtained by partial tracing the full matrix; this is
-    the reference (test oracle) path for `entropic_profile`.
-    """
-    omega = omega_dense(ensemble, channel)
-    dims = (ensemble.m, ensemble.dimB, channel.k)
-    S_X = _dense_entropy(partial_trace_dense(omega, dims, (0,)))
-    S_C = _dense_entropy(partial_trace_dense(omega, dims, (2,)))
-    S_XC = _dense_entropy(partial_trace_dense(omega, dims, (0, 2)))
-    S_BC = _dense_entropy(partial_trace_dense(omega, dims, (1, 2)))
-    S_XBC = _dense_entropy(omega)
-    SXC = S_X + S_C - S_XC
-    SBgC = S_BC - S_C
-    SXBgC = S_XC + S_BC - S_XBC - S_C
-    SXBC = S_X + S_BC - S_XBC
-    return EntropicProfile(SXC=SXC, SBgC=SBgC, SXBgC=SXBgC, SXBC=SXBC)

@@ -114,28 +114,6 @@ def partial_trace(state: BipartitePureState, keep: str) -> DensityOperator:
     raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
 
 
-def partial_trace_dense(matrix: np.ndarray, dims, keep) -> np.ndarray:
-    """Partial trace of a dense operator on a tensor product of subsystems.
-
-    ``dims`` lists the subsystem dimensions in tensor order; ``keep`` lists
-    the (ascending) indices of the subsystems to retain.
-    """
-    dims = tuple(int(d) for d in dims)
-    keep = tuple(sorted({int(i) for i in keep}))
-    n = len(dims)
-    if any(i < 0 or i >= n for i in keep):
-        raise ValueError(f"keep indices must lie in [0, {n}), got {keep}")
-    total = int(np.prod(dims))
-    m = np.asarray(matrix)
-    if m.shape != (total, total):
-        raise ValueError(f"operator shape {m.shape} does not match dims {dims}")
-    t = m.reshape(dims + dims)
-    for axis in sorted(set(range(n)) - set(keep), reverse=True):
-        t = np.trace(t, axis1=axis, axis2=axis + t.ndim // 2)
-    d_keep = int(np.prod([dims[i] for i in keep])) if keep else 1
-    return t.reshape(d_keep, d_keep)
-
-
 @dataclass(frozen=True, eq=False)
 class Ensemble:
     """Finite ensemble of bipartite pure states with source probabilities."""

@@ -4,11 +4,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from tradeoff.profiles import ClassicalChannel
+from tradeoff.profiles import ClassicalChannel, EntropicProfile
 from tradeoff.states import (
     BipartitePureState,
     Ensemble,
-    partial_trace_dense,
+    _spectrum_entropy,
     shannon_entropy,
     von_neumann_entropy,
 )
@@ -34,6 +34,70 @@ def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
+
+
+def partial_trace_dense(matrix: np.ndarray, dims, keep) -> np.ndarray:
+    """Partial trace of a dense operator on a tensor product of subsystems.
+
+    ``dims`` lists the subsystem dimensions in tensor order; ``keep`` lists
+    the (ascending) indices of the subsystems to retain.
+    """
+    dims = tuple(int(d) for d in dims)
+    keep = tuple(sorted({int(i) for i in keep}))
+    n = len(dims)
+    if any(i < 0 or i >= n for i in keep):
+        raise ValueError(f"keep indices must lie in [0, {n}), got {keep}")
+    total = int(np.prod(dims))
+    m = np.asarray(matrix)
+    if m.shape != (total, total):
+        raise ValueError(f"operator shape {m.shape} does not match dims {dims}")
+    t = m.reshape(dims + dims)
+    for axis in sorted(set(range(n)) - set(keep), reverse=True):
+        t = np.trace(t, axis1=axis, axis2=axis + t.ndim // 2)
+    d_keep = int(np.prod([dims[i] for i in keep])) if keep else 1
+    return t.reshape(d_keep, d_keep)
+
+
+def omega_dense(ensemble: Ensemble, channel: ClassicalChannel) -> np.ndarray:
+    """The classical-quantum state on X x B x C as one dense matrix.
+
+    Block-diagonal over the classical registers: the (i, j) block carries
+    weight p_i p(j|i) times the reduced state of ensemble member i.
+    """
+    if channel.m != ensemble.m:
+        raise ValueError("channel/ensemble size mismatch")
+    m, dB, k = ensemble.m, ensemble.dimB, channel.k
+    joint = ensemble.probs[:, None] * channel.matrix
+    omega = np.zeros((m, dB, k, m, dB, k), dtype=complex)
+    for i in range(m):
+        for j in range(k):
+            omega[i, :, j, i, :, j] = joint[i, j] * ensemble.reduced_b[i]
+    return omega.reshape(m * dB * k, m * dB * k)
+
+
+def _dense_entropy(matrix: np.ndarray) -> float:
+    return _spectrum_entropy(np.linalg.eigvalsh(matrix))
+
+
+def entropic_profile_dense(ensemble: Ensemble,
+                           channel: ClassicalChannel) -> EntropicProfile:
+    """Entropic profile computed from the dense three-register state.
+
+    Every quantity is obtained by partial tracing the full matrix; this is
+    the reference path for the closed form `entropic_profile`.
+    """
+    omega = omega_dense(ensemble, channel)
+    dims = (ensemble.m, ensemble.dimB, channel.k)
+    S_X = _dense_entropy(partial_trace_dense(omega, dims, (0,)))
+    S_C = _dense_entropy(partial_trace_dense(omega, dims, (2,)))
+    S_XC = _dense_entropy(partial_trace_dense(omega, dims, (0, 2)))
+    S_BC = _dense_entropy(partial_trace_dense(omega, dims, (1, 2)))
+    S_XBC = _dense_entropy(omega)
+    SXC = S_X + S_C - S_XC
+    SBgC = S_BC - S_C
+    SXBgC = S_XC + S_BC - S_XBC - S_C
+    SXBC = S_X + S_BC - S_XBC
+    return EntropicProfile(SXC=SXC, SBgC=SBgC, SXBgC=SXBgC, SXBC=SXBC)
 
 
 def cq_state_dense(probs: np.ndarray, blocks: list) -> np.ndarray:

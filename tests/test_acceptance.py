@@ -13,6 +13,7 @@ import pytest
 
 from helpers import (
     conditional_mutual_information_xa_b,
+    entropic_profile_dense,
     random_channel,
     random_density,
     random_ensemble,
@@ -20,7 +21,7 @@ from helpers import (
 from tradeoff.achievability import achievable_hull, verify_surface
 from tradeoff.ensembles import builtin_ensemble
 from tradeoff.optimizer import compute_curves
-from tradeoff.profiles import entropic_profile, entropic_profile_dense
+from tradeoff.profiles import entropic_profile
 from tradeoff.states import ensemble_stats
 from tradeoff.surface import classify_region, e_star, surface_grid
 
@@ -91,7 +92,7 @@ def test_criterion_3_zero_cbit_line(zp_production):
     start = time.monotonic()
     ensemble, curves = zp_production
     stats = curves.stats
-    hull = achievable_hull(curves, depth=2)
+    hull = achievable_hull(curves)
     worst_formula = worst_oracle = 0.0
     for Q in np.linspace(0.5 * stats.chi, stats.S, 10):
         expected = stats.S - float(Q)
@@ -164,7 +165,7 @@ def test_criterion_6_surface_matches_achievable_cloud(zp_production):
     start = time.monotonic()
     ensemble, curves = zp_production
     grid = surface_grid(ensemble, 8, 8, curves=curves)
-    hull = achievable_hull(curves, depth=2)
+    hull = achievable_hull(curves)
     for p in hull.points:
         assert curves.stats.chi <= p.R + 2.0 * p.Q + 1e-9
     report = verify_surface(grid, hull, tolerance=2e-2)

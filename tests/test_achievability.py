@@ -2,17 +2,13 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from helpers import conditional_mutual_information_xa_b, random_density
 from tradeoff.achievability import (
     COVER_TOL,
     AchievableHull,
-    ConversionKind,
     RateTriple,
     achievable_hull,
-    apply_conversion,
     primitive_points,
     verify_surface,
 )
@@ -28,43 +24,21 @@ def test_rate_triple_validation():
     assert clamped.R == 0.0
 
 
+def _one_point_hull(r, q, e):
+    return AchievableHull(points=(RateTriple(r, q, e),), chi=0.0)
+
+
 def test_conversion_examples():
     s = 0.75
-    tele = apply_conversion(RateTriple(0.0, s, 0.0, "x"),
-                            ConversionKind.TELEPORT)
-    assert (tele.R, tele.Q, tele.E) == (2 * s, 0.0, s)
-    dense = apply_conversion(RateTriple(1.0, 0.0, 0.0, "x"),
-                             ConversionKind.SUPERDENSE_CBITS)
-    assert (dense.R, dense.Q, dense.E) == (0.0, 0.5, 0.5)
-    q2e = apply_conversion(RateTriple(0.3, 0.4, 0.2, "x"),
-                           ConversionKind.QUBITS_TO_EBITS)
-    assert (q2e.R, q2e.E) == (0.3, 0.0)
-    assert q2e.Q == pytest.approx(0.6)
-
-
-@settings(max_examples=200)
-@given(st.floats(0.0, 4.0), st.floats(0.0, 4.0), st.floats(0.0, 4.0),
-       st.lists(st.sampled_from(["T", "S", "Q"]), min_size=1, max_size=5))
-def test_conversion_chains_are_exact(r, q, e, chain):
-    t = RateTriple(r, q, e, "seed")
-    for tag in chain:
-        before = t
-        if tag == "T":
-            t = apply_conversion(t, ConversionKind.TELEPORT)
-            assert abs(t.R - (before.R + 2 * before.Q)) <= 1e-12
-            assert t.Q == 0.0
-            assert abs(t.E - (before.E + before.Q)) <= 1e-12
-        elif tag == "S":
-            t = apply_conversion(t, ConversionKind.SUPERDENSE_CBITS)
-            assert t.R == 0.0
-            assert abs(t.Q - (before.Q + 0.5 * before.R)) <= 1e-12
-            assert abs(t.E - (before.E + 0.5 * before.R)) <= 1e-12
-        else:
-            t = apply_conversion(t, ConversionKind.QUBITS_TO_EBITS)
-            assert abs(t.Q - (before.Q + before.E)) <= 1e-12
-            assert t.E == 0.0
-        assert before.provenance in t.provenance
-    assert t.provenance.count("(") == len(chain)
+    # Teleport every qubit: (0, s, 0) -> (2s, 0, s).
+    assert _one_point_hull(0.0, s, 0.0).min_e(2 * s, 0.0) == pytest.approx(
+        s, abs=1e-8)
+    # Superdense-code every cbit: (1, 0, 0) -> (0, 1/2, 1/2).
+    assert _one_point_hull(1.0, 0.0, 0.0).min_e(0.0, 0.5) == pytest.approx(
+        0.5, abs=1e-8)
+    # Replace every ebit by a qubit: (0.3, 0.4, 0.2) -> (0.3, 0.6, 0).
+    assert _one_point_hull(0.3, 0.4, 0.2).min_e(0.3, 0.6) == pytest.approx(
+        0.0, abs=1e-8)
 
 
 def test_primitive_point_families(zp_curves):
@@ -92,14 +66,6 @@ def test_cloud_respects_causality(zp_hull):
     stats_chi = zp_hull.chi
     for p in zp_hull.points:
         assert stats_chi <= p.R + 2.0 * p.Q + 1e-9
-
-
-def test_cloud_is_pareto_minimal(zp_hull):
-    arr = np.array([(p.R, p.Q, p.E) for p in zp_hull.points])
-    for i in range(len(arr)):
-        le = np.all(arr <= arr[i] + 1e-12, axis=1)
-        lt = np.any(arr < arr[i] - 1e-12, axis=1)
-        assert not np.any(le & lt)
 
 
 def test_min_e_anchor_points(zp_hull, zp_curves):
@@ -143,28 +109,36 @@ def test_strictly_forbidden_cells_uncovered(zp_hull):
     assert zp_hull.min_e(0.2 * chi, 0.0) is None
 
 
-def _min_e_over_small_mixes(arr, R, Q, tol=COVER_TOL):
-    """Cheapest covering mix by enumerating every basis of the three-row LP.
+# Teleport, SuperdenseCbits and QubitsToEbits, per unit of flow.
+CONVERSION_DIRECTIONS = ((2.0, -1.0, 1.0), (-1.0, 0.5, 0.5), (0.0, 1.0, -1.0))
 
-    Each basis pairs one to three cloud points with enough of the two cover
-    slacks to make three columns, so this visits every vertex of the
-    program, i.e. every mix of at most three points.
+
+def _min_e_over_all_bases(arr, R, Q, tol=COVER_TOL):
+    """Cheapest cover by enumerating every basis of the six-row program.
+
+    Rows: the R and Q totals at most the cell (with slacks), the E, R and Q
+    totals at least zero (with surpluses), and unit total weight.  Columns:
+    one weight per cloud point, one flow per conversion, then the five
+    slacks and surpluses.  Every vertex of the program is the solution of
+    some nonsingular 6x6 basis, and the optimum is attained at a vertex
+    because the E total is bounded below.
     """
-    cols = [np.array([r, q, 1.0]) for r, q, _ in arr]
-    cols += [np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])]
-    cost = list(arr[:, 2]) + [0.0, 0.0]
-    rhs = np.array([R + tol, Q + tol, 1.0])
-    best = None
-    for basis in itertools.combinations(range(len(cols)), 3):
-        B = np.column_stack([cols[k] for k in basis])
-        if abs(np.linalg.det(B)) < 1e-12:
-            continue
-        x = np.linalg.solve(B, rhs)
-        if x.min() < -1e-12:
-            continue
-        value = sum(cost[k] * xk for k, xk in zip(basis, x))
-        best = value if best is None else min(best, value)
-    return best
+    points = [(r, q, e, r, q, 1.0) for r, q, e in arr]
+    flows = [(r, q, e, r, q, 0.0) for r, q, e in CONVERSION_DIRECTIONS]
+    slacks = np.diag([1.0, 1.0, -1.0, -1.0, -1.0, 0.0])[:5]
+    cols = np.vstack([points, flows, slacks]).T
+    cost = np.concatenate([arr[:, 2], [e for _, _, e in CONVERSION_DIRECTIONS],
+                           np.zeros(5)])
+    rhs = np.array([R + tol, Q + tol, 0.0, 0.0, 0.0, 1.0])
+    bases = np.array(list(itertools.combinations(range(cols.shape[1]), 6)))
+    B = cols[:, bases].transpose(1, 0, 2)
+    nonsingular = np.abs(np.linalg.det(B)) > 1e-12
+    B, bases = B[nonsingular], bases[nonsingular]
+    x = np.linalg.solve(B, rhs[None, :, None])[..., 0]
+    feasible = x.min(axis=1) >= -1e-12
+    if not feasible.any():
+        return None
+    return float((cost[bases[feasible]] * x[feasible]).sum(axis=1).min())
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -178,16 +152,16 @@ def test_min_e_is_exact_convex_closure(seed):
         queries = list(rng.uniform(0.0, 2.2, size=(25, 2)))
         queries.append(0.5 * lowest)  # below every point: uncovered
         for R, Q in queries:
-            expected = _min_e_over_small_mixes(arr, R, Q)
+            expected = _min_e_over_all_bases(arr, R, Q)
             got = hull.min_e(float(R), float(Q))
             assert (got is None) == (expected is None), (arr, R, Q)
             if got is not None:
                 assert got == pytest.approx(expected, abs=1e-9), (arr, R, Q)
 
 
-def test_hull_depth_validation(zp_curves):
-    with pytest.raises(ValueError):
-        achievable_hull(zp_curves, 0)
+def test_hull_samples_validation(zp_curves):
+    with pytest.raises(ValueError, match="samples"):
+        achievable_hull(zp_curves, n_samples=0)
 
 
 def test_verify_surface_orthonormal(ortho, ortho_curves, ortho_hull):

@@ -161,7 +161,8 @@ def test_verify_rejects_bad_tolerance(tolerance, tmp_path, capsys):
 
 @pytest.mark.parametrize("option", [["--tolerance", "nan"],
                                     ["--tolerance", "inf"],
-                                    ["--depth", "0"]])
+                                    ["--samples", "0"],
+                                    ["--samples", "-3"]])
 def test_verify_rejects_bad_options_before_solving(option, tmp_path, capsys,
                                                    monkeypatch):
     def no_solve(*args, **kwargs):

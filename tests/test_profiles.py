@@ -1,13 +1,9 @@
 import numpy as np
 import pytest
 
-from helpers import random_channel, random_ensemble
-from tradeoff.profiles import (
-    ClassicalChannel,
-    entropic_profile,
-    entropic_profile_dense,
-    omega_dense,
-)
+from helpers import (entropic_profile_dense, omega_dense, random_channel,
+                     random_ensemble)
+from tradeoff.profiles import ClassicalChannel, entropic_profile
 from tradeoff.states import ensemble_stats
 
 # Binary symmetric classifier with flip probability 0.1 on the |0>/|+> pair,

@@ -3,14 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_density, random_ensemble, random_pure_state
+from helpers import (partial_trace_dense, random_density, random_ensemble,
+                     random_pure_state)
 from tradeoff.states import (
     BipartitePureState,
     DensityOperator,
     Ensemble,
     ensemble_stats,
     partial_trace,
-    partial_trace_dense,
     shannon_entropy,
     von_neumann_entropy,
 )
