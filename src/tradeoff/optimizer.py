@@ -35,8 +35,13 @@ over row-stochastic channels gives the self-consistent update
 where rho_j is the posterior mixture at output j.  Each update solves one
 block of an exact alternating minimization, so the objective is
 non-increasing; many seeded random starts guard against local minima.  The
-starts at one weight are iterated together as one array, and each is frozen
-once it converges.
+starts of consecutive weights (the whole ladder, or one refinement pass) are
+iterated together as a few arrays, each row at its own weight and each
+frozen once it converges.  An array holds the starts of as many weights as
+fit in STACK_ELEMENTS channel entries, and always at least one weight:
+small stacks cost numpy call overhead per iteration, so batching them saves
+time, while past the cap the cost is array work and a larger stack only
+adds memory.
 
 For a qubit B register the distortion has a closed form.  With Bloch
 vectors rho = (I + r.sigma)/2, the posterior vector r_j = sum_i p_i p(j|i)
@@ -75,16 +80,20 @@ REFINE_PASSES = 8
 # Fraction of starts allowed to hit the iteration cap before a sweep is
 # reported as diagnostically suspect.
 NONCONVERGED_DIAGNOSTIC = 0.5
+# Most channel entries (starts * m * k) in one lockstep solve of the starts
+# of several multipliers (see the module docstring).
+STACK_ELEMENTS = 1 << 16
 
 _KIND_TO_CODE = {"XC": 0, "XBC": 1}
 _CURVE_KIND_TO_CONSTRAINT = {"QCT": "XC", "RSP": "XBC"}
 
 
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=-1, keepdims=True)
-    p = np.exp2(z)
-    p /= p.sum(axis=-1, keepdims=True)
-    return p
+    """Base-2 softmax over the last axis, computed in place in logits."""
+    logits -= logits.max(axis=-1, keepdims=True)
+    np.exp2(logits, out=logits)
+    logits /= logits.sum(axis=-1, keepdims=True)
+    return logits
 
 
 def _dense_distortion(reduced_b: np.ndarray):
@@ -125,30 +134,36 @@ def _qubit_distortion(reduced_b: np.ndarray):
         gamma = np.divide(f_plus - f_minus, 2.0 * n,
                           out=np.zeros_like(n), where=n > 0)
         alpha = (f_plus + f_minus) / 2.0
-        return -(alpha[:, None, :]
-                 + gamma[:, None, :] * (bloch @ post.transpose(0, 2, 1)))
+        # -(alpha_j + gamma_j * r_i . r_j) in one (starts, m, k) buffer
+        d = bloch @ post.transpose(0, 2, 1)
+        d *= gamma[:, None, :]
+        d += alpha[:, None, :]
+        return np.negative(d, out=d)
 
     return distortion
 
 
-def _fixed_point(reduced_b: np.ndarray, probs: np.ndarray, ratio: float,
+def _fixed_point(reduced_b: np.ndarray, probs: np.ndarray, ratio,
                  channels: np.ndarray, max_iter: int
                  ) -> tuple[np.ndarray, np.ndarray]:
     """Run the multiplicative fixed-point update from a stack of channels.
 
     channels has shape (starts, m, k).  ratio is alpha/beta, the weight of
-    the entropy distortion relative to the classical mutual information.
-    Every start takes the same update as if run alone; a start leaves the
+    the entropy distortion relative to the classical mutual information,
+    either one scalar or one per start, of shape (starts,).  Every start
+    takes the same update as if run alone at its ratio; a start leaves the
     active set at its first step whose sup-norm change is below
     CONVERGENCE_TOL.  Returns the final channels and a per-start flag saying
     whether the start converged before the cap.
     """
     distortion = (_qubit_distortion if reduced_b.shape[-1] == 2
                   else _dense_distortion)(reduced_b)
-    result = channels.copy()
+    result = np.empty_like(channels)
     converged = np.zeros(len(channels), dtype=bool)
     active = np.arange(len(channels))
     channel = channels
+    weight = np.broadcast_to(np.asarray(ratio, dtype=float),
+                             (len(channels),))[:, None, None]
     for _ in range(max_iter):
         if active.size == 0:
             break
@@ -156,12 +171,21 @@ def _fixed_point(reduced_b: np.ndarray, probs: np.ndarray, ratio: float,
         q = joint.sum(axis=1)
         live = q > ZERO_MASS
         log_q = np.log2(q, out=np.full_like(q, -np.inf), where=live)
-        updated = _softmax_rows(log_q[:, None, :]
-                                - ratio * distortion(joint, q, live))
-        done = np.abs(updated - channel).max(axis=(1, 2)) < CONVERGENCE_TOL
-        result[active] = updated
-        converged[active[done]] = True
-        active, channel = active[~done], updated[~done]
+        # In place, so that a full stack holds few (starts, m, k) arrays.
+        scores = distortion(joint, q, live)
+        scores *= weight
+        updated = _softmax_rows(np.subtract(log_q[:, None, :], scores,
+                                            out=scores))
+        change = np.abs(np.subtract(updated, channel, out=joint), out=joint)
+        done = change.max(axis=(1, 2)) < CONVERGENCE_TOL
+        if done.any():
+            result[active[done]] = updated[done]
+            converged[active[done]] = True
+            keep = ~done
+            active, channel, weight = active[keep], updated[keep], weight[keep]
+        else:
+            channel = updated
+    result[active] = channel
     return result, converged
 
 
@@ -170,25 +194,38 @@ def _start_points(m: int, k: int, count: int, seed_key) -> np.ndarray:
     return _softmax_rows(rng.normal(0.0, 2.0, size=(count, m, k)))
 
 
-def _sweep_one_mu(ensemble: Ensemble, stats: EnsembleStats, kind: str,
-                  mu: float, mu_index: int, multistarts: int, seed: int,
-                  max_iter: int) -> list:
-    """Optimize all starts at one mu in one lockstep solve.
+def _sweep(ensemble: Ensemble, stats: EnsembleStats, kind: str, mus,
+           first_index: int, multistarts: int, seed: int,
+           max_iter: int) -> list:
+    """Optimize all starts of every mu in a few lockstep solves.
 
-    Returns one (constraint, S(B|C), channel matrix, converged) per start.
+    mus[i] draws its starts from the seed key (seed, kind, first_index + i).
+    The starts of consecutive mus share one stack of at most STACK_ELEMENTS
+    channel entries, and always at least one mu.  Returns one list per mu of
+    one (constraint, S(B|C), channel matrix, converged) per start.
     """
-    alpha = 1.0 if kind == "XC" else 1.0 + mu
     m, k = ensemble.m, ensemble.m + 1
-    starts = _start_points(m, k, multistarts,
-                           [seed, _KIND_TO_CODE[kind], mu_index])
-    channels, converged = _fixed_point(ensemble.reduced_b, ensemble.probs,
-                                       alpha / mu, starts, max_iter)
-    outcomes = []
-    for channel, ok in zip(channels, converged.tolist()):
-        profile = entropic_profile(ensemble, ClassicalChannel(channel), stats)
-        constraint = profile.SXC if kind == "XC" else profile.SXBC
-        outcomes.append((constraint, profile.SBgC, channel, ok))
-    return outcomes
+    code = _KIND_TO_CODE[kind]
+    per_stack = max(1, STACK_ELEMENTS // (multistarts * m * k))
+    sweeps = []
+    for lo in range(0, len(mus), per_stack):
+        group = mus[lo:lo + per_stack]
+        starts = np.concatenate([
+            _start_points(m, k, multistarts, [seed, code, first_index + index])
+            for index in range(lo, lo + len(group))])
+        ratios = np.repeat([(1.0 if kind == "XC" else 1.0 + mu) / mu
+                            for mu in group], multistarts)
+        channels, converged = _fixed_point(ensemble.reduced_b, ensemble.probs,
+                                           ratios, starts, max_iter)
+        outcomes = []
+        for channel, ok in zip(channels, converged.tolist()):
+            profile = entropic_profile(ensemble, ClassicalChannel(channel),
+                                       stats)
+            constraint = profile.SXC if kind == "XC" else profile.SXBC
+            outcomes.append((constraint, profile.SBgC, channel, ok))
+        sweeps.extend(outcomes[i:i + multistarts]
+                      for i in range(0, len(outcomes), multistarts))
+    return sweeps
 
 
 def minimize_profile(ensemble: Ensemble, mu: float, kind: str = "XC", *,
@@ -212,8 +249,8 @@ def minimize_profile(ensemble: Ensemble, mu: float, kind: str = "XC", *,
     if mu == 0.0:
         channel = ClassicalChannel.identity(ensemble.m)
         return channel, entropic_profile(ensemble, channel, stats)
-    outcomes = _sweep_one_mu(ensemble, stats, kind, float(mu), 0,
-                             multistarts, seed, max_iter)
+    [outcomes] = _sweep(ensemble, stats, kind, [float(mu)], 0, multistarts,
+                         seed, max_iter)
     best = min(outcomes, key=lambda item: item[1] + mu * item[0])
     channel = ClassicalChannel(best[2])
     return channel, entropic_profile(ensemble, channel, stats)
@@ -363,9 +400,9 @@ def _curve(ensemble: Ensemble, curve_kind: str, resolution: int,
         # the scalarized objective sits on a certified slope -mu lower-bound
         # line; local optima get no line (mu tag None).
         nonlocal total, nonconverged
-        for index, mu in enumerate(mus, first_index):
-            outcomes = _sweep_one_mu(ensemble, stats, constraint_kind, mu,
-                                     index, multistarts, seed, max_iter)
+        sweeps = _sweep(ensemble, stats, constraint_kind, mus, first_index,
+                        multistarts, seed, max_iter)
+        for mu, outcomes in zip(mus, sweeps):
             best = min(value + mu * constraint
                        for constraint, value, _, _ in outcomes)
             for constraint, value, channel, converged in outcomes:

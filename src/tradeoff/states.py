@@ -22,7 +22,7 @@ def shannon_entropy(probs) -> float:
     """Shannon entropy of a probability vector, in bits, with 0 log 0 = 0."""
     p = np.asarray(probs, dtype=float).ravel()
     p = p[p > 0.0]
-    return float(-np.dot(p, np.log2(p)))
+    return float(0.0 - np.dot(p, np.log2(p)))  # +0.0, not -0.0, when pure
 
 
 def _spectrum_entropy(eigenvalues) -> float:
@@ -30,7 +30,7 @@ def _spectrum_entropy(eigenvalues) -> float:
     lam = np.clip(np.asarray(eigenvalues, dtype=float), 0.0, 1.0)
     lam[lam < EIGENVALUE_CLAMP] = 0.0
     lam = lam[lam > 0.0]
-    return float(-np.dot(lam, np.log2(lam)))
+    return float(0.0 - np.dot(lam, np.log2(lam)))
 
 
 @dataclass(frozen=True, eq=False)

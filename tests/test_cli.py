@@ -23,6 +23,13 @@ def test_stats_builtin(capsys):
     assert "H = 1" in out
 
 
+@pytest.mark.parametrize("name", ["uniform-qubit-1", "single-entangled"])
+def test_stats_prints_no_negative_zero(name, capsys):
+    # Pure states and a single-state ensemble have zero entropies.
+    assert main(["stats", "--builtin", name]) == 0
+    assert "= -0" not in capsys.readouterr().out
+
+
 def test_stats_from_file(tmp_path, capsys):
     path = tmp_path / "e.json"
     path.write_text(json.dumps(ensemble_to_dict(builtin_ensemble("bb84"))))

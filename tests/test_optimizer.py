@@ -8,6 +8,7 @@ from tradeoff.optimizer import (
     TradeoffCurve,
     _fixed_point,
     _start_points,
+    _sweep,
     compute_curves,
     critical_rate,
     minimize_profile,
@@ -194,7 +195,8 @@ def test_seed_determinism(zero_plus):
 def test_fixed_point_rows_independent(name, ratio):
     # The lockstep solve must give each start exactly what a solve of that
     # start alone gives, whether it converges early, never, or starts from
-    # the constant channel whose unused outputs are dead from the first step.
+    # the constant channel whose unused outputs are dead from the first step,
+    # and whether the stack shares one ratio or mixes one per start.
     # Against the eigh-based per-start loop, qubit ensembles take the Bloch
     # kernel and agree to rounding; other dimB take the same dense path and
     # agree exactly.
@@ -203,19 +205,60 @@ def test_fixed_point_rows_independent(name, ratio):
     b, p = ensemble.reduced_b, ensemble.probs
     starts = _start_points(ensemble.m, ensemble.m + 1, 6, [0, 0, 0])
     starts[2] = ClassicalChannel.constant(ensemble.m).matrix
+    mixed = np.resize([ratio, 2.0 * ratio, ratio / 3.0], len(starts))
     for max_iter in (0, 1, 10, 60):
-        channels, converged = _fixed_point(b, p, ratio, starts, max_iter)
-        for start, channel, flag in zip(starts, channels, converged):
-            alone, alone_flag = _fixed_point(b, p, ratio, start[None], max_iter)
-            loop, loop_flag = fixed_point_one_start(b, p, ratio, start, max_iter)
-            assert np.array_equal(channel, alone[0])
-            if ensemble.dimB == 2:
-                np.testing.assert_allclose(channel, loop, rtol=0, atol=1e-12)
-            else:
-                assert np.array_equal(channel, loop)
-            assert flag == alone_flag[0] == loop_flag
-        if max_iter == 10:  # some starts converged and some hit the cap
-            assert 0 < converged.sum() < len(starts)
+        for ratios in (ratio, mixed):
+            channels, converged = _fixed_point(b, p, ratios, starts, max_iter)
+            row_ratios = np.broadcast_to(ratios, len(starts)).tolist()
+            for start, row_ratio, channel, flag in zip(starts, row_ratios,
+                                                       channels, converged):
+                alone, alone_flag = _fixed_point(b, p, row_ratio, start[None],
+                                                 max_iter)
+                loop, loop_flag = fixed_point_one_start(b, p, row_ratio, start,
+                                                        max_iter)
+                assert np.array_equal(channel, alone[0])
+                if ensemble.dimB == 2:
+                    np.testing.assert_allclose(channel, loop, rtol=0, atol=1e-12)
+                else:
+                    assert np.array_equal(channel, loop)
+                assert flag == alone_flag[0] == loop_flag
+            if max_iter == 10 and ratios is ratio:
+                # some starts converged and some hit the cap
+                assert 0 < converged.sum() < len(starts)
+
+
+@pytest.mark.parametrize("kind", ["XC", "XBC"])
+def test_sweep_stacks_match_one_mu_sweeps(kind, monkeypatch):
+    # Stacking the starts of consecutive multipliers changes no outcome, and
+    # a stack of several multipliers stays within STACK_ELEMENTS.
+    ensemble = builtin_ensemble("uniform-qubit-5")
+    stats = ensemble_stats(ensemble)
+    mus = np.geomspace(0.05, 20.0, 7).tolist()
+    multistarts, first_index, max_iter = 3, 11, 80
+    row = ensemble.m * (ensemble.m + 1)
+    monkeypatch.setattr(optimizer, "STACK_ELEMENTS", 2 * multistarts * row + 1)
+    args = (multistarts, 0, max_iter)
+    singles = [_sweep(ensemble, stats, kind, [mu], first_index + i, *args)[0]
+               for i, mu in enumerate(mus)]
+
+    shapes = []
+
+    def recording(reduced_b, probs, ratio, channels, max_iter):
+        shapes.append(channels.shape)
+        return _fixed_point(reduced_b, probs, ratio, channels, max_iter)
+
+    monkeypatch.setattr(optimizer, "_fixed_point", recording)
+    stacked = _sweep(ensemble, stats, kind, mus, first_index, *args)
+    assert len(shapes) >= 3
+    assert sum(shape[0] for shape in shapes) == len(mus) * multistarts
+    for rows, m, k in shapes:
+        assert rows == multistarts or rows * m * k <= optimizer.STACK_ELEMENTS
+    assert len(stacked) == len(singles) == len(mus)
+    for grouped, alone in zip(stacked, singles):
+        assert len(grouped) == len(alone) == multistarts
+        for (c0, v0, ch0, ok0), (c1, v1, ch1, ok1) in zip(grouped, alone):
+            assert (c0, v0, ok0) == (c1, v1, ok1)
+            assert np.array_equal(ch0, ch1)
 
 
 def _dense_fixed_point(monkeypatch, *args):

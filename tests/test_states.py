@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,8 @@ def test_shannon_entropy_examples():
     assert shannon_entropy(np.array([1.0, 0.0])) == 0.0
     assert shannon_entropy(np.array([0.5, 0.5])) == pytest.approx(1.0)
     assert shannon_entropy(np.array([0.5, 0.25, 0.25])) == pytest.approx(1.5)
+    # A zero entropy is +0.0: -0.0 would print as "-0".
+    assert math.copysign(1.0, shannon_entropy([1.0])) == 1.0
 
 
 @given(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=8))
