@@ -68,27 +68,21 @@ def primitive_points(curves: CurveSet, *,
                      n_samples: int = DEFAULT_SAMPLES) -> tuple:
     """Directly achievable triples read off the two curves.
 
-    Four families: qubit-curve points (R, Q*(R), 0); their coherent versions
-    (R, (Q*(R) - Sbar)/2, (Q*(R) + Sbar)/2); ebit-curve points (R, 0, E*(R));
-    and qubit-curve points converted to cbit-plus-ebit form
-    (R + Q*(R) - Sbar, 0, Q*(R)) for R at or above the critical rate.
+    Three families: qubit-curve points (R, Q*(R), 0); their coherent
+    versions (R, (Q*(R) - Sbar)/2, (Q*(R) + Sbar)/2); and ebit-curve points
+    (R, 0, E*(R)).  A qubit-curve point at or above the critical rate,
+    converted to cbit-plus-ebit form (R + Q*(R) - Sbar, 0, Q*(R)), lies on
+    the ebit curve, which is that curve's shear, so it needs no family.
     Rates where a curve is unachievable are skipped.
     """
     stats = curves.stats
     points = []
-    qct_rates = _curve_samples(curves.qct, n_samples)
-    hc = curves.critical.Hc
-    if curves.qct.domain[0] <= hc <= curves.qct.domain[1]:
-        qct_rates = np.unique(np.append(qct_rates, hc))
-    for R in qct_rates:
+    for R in _curve_samples(curves.qct, n_samples):
         R = float(R)
         q = curves.qct.value(R)
         points.append(RateTriple(R, q, 0.0, f"qct@{R:.6g}"))
         points.append(RateTriple(R, max(0.5 * (q - stats.Sbar), 0.0),
                                  0.5 * (q + stats.Sbar), f"coherent@{R:.6g}"))
-        if R >= curves.critical.Hc - 1e-12:
-            points.append(RateTriple(max(R + q - stats.Sbar, 0.0), 0.0, q,
-                                     f"qct-as-rsp@{R:.6g}"))
     for R in _curve_samples(curves.rsp, n_samples):
         R = float(R)
         e = curves.rsp.value(R)

@@ -7,19 +7,23 @@ the channel output, under a mutual-information budget:
     ebit  curve  (kind "XBC"):  value(R) = min S(B|C)  s.t.  S(X:BC) <= R
 
 Each curve is convex and non-increasing in R, so every point is exposed by a
-supporting slope: sweeping the weight mu in the scalarized objective
-S(B|C) + mu * constraint and taking the lower convex envelope of the
-resulting (constraint, objective) support points recovers the curve.  The
-"XBC" constraint equals S(X:C) + S(B|C) - Sbar, so both kinds reduce to
-weighted combinations of S(B|C) and S(X:C).
+supporting slope.  As S(X:BC) = S(X:C) + S(B|C) - Sbar, one solve serves
+both: a ladder of weights mu in S(B|C) + mu * S(X:C) gives (S(X:C), S(B|C))
+points whose lower convex envelope is the qubit curve, and the envelope of
+their shear (R, Q) -> (R + Q - Sbar, Q) is the ebit curve.  The shear turns
+a slope -mu line into a slope -mu/(1 - mu) one for mu < 1, and otherwise
+into a vertical or rising one that bounds nothing; it takes (0, S) to
+(chi, S) and fixes (H, Sbar), so the analytic endpoints serve both curves.
 
 The mu ladder is geometric, which undersamples curves whose slope range is
-narrow, so the sweep is followed by a sandwich refinement pass: the point
+narrow, so the sweep is followed by sandwich refinement passes: the point
 produced at weight mu carries the global lower-bound line of slope -mu
 through itself (scalarization duality), the gap between each envelope chord
 and the two supporting lines of its endpoints bounds the interpolation
-error, and segments whose bound exceeds a small target are re-solved at the
-chord slope until the bound closes or the budget runs out.
+error, and segments of either envelope whose bound exceeds a small target
+are re-solved at the chord slope (-nu: mu = nu on the qubit curve,
+mu = nu/(1 + nu) on the ebit curve) until the bound closes or the budget
+runs out.
 
 The inner problem is nonconvex in the channel.  It is solved by the
 multiplicative fixed-point iteration familiar from Blahut-Arimoto and
@@ -83,9 +87,6 @@ NONCONVERGED_DIAGNOSTIC = 0.5
 # Most channel entries (starts * m * k) in one lockstep solve of the starts
 # of several multipliers (see the module docstring).
 STACK_ELEMENTS = 1 << 16
-
-_KIND_TO_CODE = {"XC": 0, "XBC": 1}
-_CURVE_KIND_TO_CONSTRAINT = {"QCT": "XC", "RSP": "XBC"}
 
 
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
@@ -194,35 +195,31 @@ def _start_points(m: int, k: int, count: int, seed_key) -> np.ndarray:
     return _softmax_rows(rng.normal(0.0, 2.0, size=(count, m, k)))
 
 
-def _sweep(ensemble: Ensemble, stats: EnsembleStats, kind: str, mus,
-           first_index: int, multistarts: int, seed: int,
-           max_iter: int) -> list:
-    """Optimize all starts of every mu in a few lockstep solves.
+def _sweep(ensemble: Ensemble, stats: EnsembleStats, mus, first_index: int,
+           multistarts: int, seed: int, max_iter: int) -> list:
+    """Minimize S(B|C) + mu * S(X:C) from every start of every mu, in stacks.
 
-    mus[i] draws its starts from the seed key (seed, kind, first_index + i).
+    mus[i] draws its starts from the seed key (seed, 0, first_index + i).
     The starts of consecutive mus share one stack of at most STACK_ELEMENTS
     channel entries, and always at least one mu.  Returns one list per mu of
-    one (constraint, S(B|C), channel matrix, converged) per start.
+    one (S(X:C), S(B|C), channel matrix, converged) per start.
     """
     m, k = ensemble.m, ensemble.m + 1
-    code = _KIND_TO_CODE[kind]
     per_stack = max(1, STACK_ELEMENTS // (multistarts * m * k))
     sweeps = []
     for lo in range(0, len(mus), per_stack):
         group = mus[lo:lo + per_stack]
         starts = np.concatenate([
-            _start_points(m, k, multistarts, [seed, code, first_index + index])
+            _start_points(m, k, multistarts, [seed, 0, first_index + index])
             for index in range(lo, lo + len(group))])
-        ratios = np.repeat([(1.0 if kind == "XC" else 1.0 + mu) / mu
-                            for mu in group], multistarts)
+        ratios = np.repeat([1.0 / mu for mu in group], multistarts)
         channels, converged = _fixed_point(ensemble.reduced_b, ensemble.probs,
                                            ratios, starts, max_iter)
         outcomes = []
         for channel, ok in zip(channels, converged.tolist()):
             profile = entropic_profile(ensemble, ClassicalChannel(channel),
                                        stats)
-            constraint = profile.SXC if kind == "XC" else profile.SXBC
-            outcomes.append((constraint, profile.SBgC, channel, ok))
+            outcomes.append((profile.SXC, profile.SBgC, channel, ok))
         sweeps.extend(outcomes[i:i + multistarts]
                       for i in range(0, len(outcomes), multistarts))
     return sweeps
@@ -234,12 +231,13 @@ def minimize_profile(ensemble: Ensemble, mu: float, kind: str = "XC", *,
                      ) -> tuple[ClassicalChannel, EntropicProfile]:
     """Minimize SBgC + mu * constraint over channels with m+1 outputs.
 
-    kind selects the constraint: "XC" uses S(X:C), "XBC" uses S(X:BC).
+    kind selects the constraint: "XC" uses S(X:C), "XBC" uses S(X:BC), whose
+    objective is solved as XC at weight mu/(1 + mu) (module docstring).
     Returns the best channel found over the multi-starts and its profile.
     At mu = 0 the objective is S(B|C) alone, whose unconstrained minimum Sbar
     is attained by the identity channel; that case is answered analytically.
     """
-    if kind not in _KIND_TO_CODE:
+    if kind not in ("XC", "XBC"):
         raise ValueError(f"kind must be 'XC' or 'XBC', got {kind!r}")
     if not (math.isfinite(mu) and mu >= 0.0):
         raise ValueError(f"mu must be finite and nonnegative, got {mu}")
@@ -249,9 +247,10 @@ def minimize_profile(ensemble: Ensemble, mu: float, kind: str = "XC", *,
     if mu == 0.0:
         channel = ClassicalChannel.identity(ensemble.m)
         return channel, entropic_profile(ensemble, channel, stats)
-    [outcomes] = _sweep(ensemble, stats, kind, [float(mu)], 0, multistarts,
-                         seed, max_iter)
-    best = min(outcomes, key=lambda item: item[1] + mu * item[0])
+    weight = float(mu) if kind == "XC" else mu / (1.0 + mu)
+    [outcomes] = _sweep(ensemble, stats, [weight], 0, multistarts, seed,
+                        max_iter)
+    best = min(outcomes, key=lambda item: item[1] + weight * item[0])
     channel = ClassicalChannel(best[2])
     return channel, entropic_profile(ensemble, channel, stats)
 
@@ -382,17 +381,21 @@ class CurveSet:
     critical: CriticalRate
 
 
-def _curve(ensemble: Ensemble, curve_kind: str, resolution: int,
-           multistarts: int, seed: int, max_iter: int) -> TradeoffCurve:
+def _solve(ensemble: Ensemble, resolution: int, multistarts: int, seed: int,
+           max_iter: int) -> tuple[TradeoffCurve, TradeoffCurve]:
+    """The QCT and RSP curves of one XC ladder and refinement loop."""
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
     if multistarts < 1:
         raise ValueError("multistarts must be positive")
-    constraint_kind = _CURVE_KIND_TO_CONSTRAINT[curve_kind]
     stats = ensemble_stats(ensemble)
-    lo = 0.0 if curve_kind == "QCT" else stats.chi
 
-    points = []
+    # Outcomes as (S(X:C), S(B|C), channel, mu tag).  Analytic endpoints come
+    # first so exact ties keep their tags: the constant channel reveals
+    # nothing (the mu = 1 solution), the identity channel everything (mu = 0).
+    points = [(0.0, stats.S, ClassicalChannel.constant(ensemble.m).matrix, 1.0),
+              (stats.H, stats.Sbar, ClassicalChannel.identity(ensemble.m).matrix,
+               0.0)]
     total = nonconverged = 0
 
     def collect(mus, first_index):
@@ -400,34 +403,29 @@ def _curve(ensemble: Ensemble, curve_kind: str, resolution: int,
         # the scalarized objective sits on a certified slope -mu lower-bound
         # line; local optima get no line (mu tag None).
         nonlocal total, nonconverged
-        sweeps = _sweep(ensemble, stats, constraint_kind, mus, first_index,
-                        multistarts, seed, max_iter)
+        sweeps = _sweep(ensemble, stats, mus, first_index, multistarts, seed,
+                        max_iter)
         for mu, outcomes in zip(mus, sweeps):
             best = min(value + mu * constraint
                        for constraint, value, _, _ in outcomes)
             for constraint, value, channel, converged in outcomes:
-                x = min(max(constraint, lo), stats.H)
-                y = max(value, stats.Sbar)
                 tag = mu if value + mu * constraint <= best + 1e-9 else None
-                points.append((x, y, channel, tag))
+                points.append((min(max(constraint, 0.0), stats.H),
+                               max(value, stats.Sbar), channel, tag))
                 total += 1
                 nonconverged += not converged
 
-    # Analytic endpoints, listed first so exact ties keep their tags: the
-    # constant channel reveals nothing (on the QCT curve it wins the mu = 1
-    # scalarization, so it carries the slope -1 line; the RSP wall is
-    # vertical and carries none), the identity channel reveals everything
-    # (the mu = 0 solution, horizontal line at the floor).
-    constant = ClassicalChannel.constant(ensemble.m)
-    identity = ClassicalChannel.identity(ensemble.m)
-    points.append((lo, stats.S, constant.matrix,
-                   1.0 if curve_kind == "QCT" else None))
-    points.append((stats.H, stats.Sbar, identity.matrix, 0.0))
+    def envelopes():
+        # RSP points and tags are the shear of these (module docstring).
+        sheared = [(min(max(x + y - stats.Sbar, stats.chi), stats.H), y, c,
+                    mu / (1.0 - mu) if mu is not None and mu < 1.0 else None)
+                   for x, y, c, mu in points]
+        return _lower_envelope(points), _lower_envelope(sheared)
 
     mus = np.geomspace(MU_MIN, MU_MAX, int(resolution)).tolist()
     collect(mus, 0)
 
-    hull = _lower_envelope(points)
+    hulls = envelopes()
     used = {round(math.log(mu), 6) for mu in mus}
     budget = int(resolution)
     next_index = len(mus)
@@ -435,51 +433,52 @@ def _curve(ensemble: Ensemble, curve_kind: str, resolution: int,
         if budget <= 0:
             break
         requests = []
-        for rec0, rec1 in zip(hull[:-1], hull[1:]):
-            if _segment_bound(rec0, rec1) <= REFINE_TARGET:
-                continue
-            slope = (rec1[1] - rec0[1]) / (rec1[0] - rec0[0])
-            mu_new = min(max(-slope, MU_MIN), MU_CAP)
-            key = round(math.log(mu_new), 6)
-            if key in used:
-                continue
-            used.add(key)
-            requests.append(mu_new)
+        for hull, to_mu in zip(hulls, (lambda nu: nu,
+                                       lambda nu: nu / (1.0 + nu))):
+            for rec0, rec1 in zip(hull[:-1], hull[1:]):
+                if _segment_bound(rec0, rec1) <= REFINE_TARGET:
+                    continue
+                slope = (rec1[1] - rec0[1]) / (rec1[0] - rec0[0])
+                mu_new = to_mu(min(max(-slope, MU_MIN), MU_CAP))
+                key = round(math.log(mu_new), 6)
+                if key in used:
+                    continue
+                used.add(key)
+                requests.append(mu_new)
         requests = requests[:budget]
         if not requests:
             break
         budget -= len(requests)
         collect(requests, next_index)
         next_index += len(requests)
-        hull = _lower_envelope(points)
+        hulls = envelopes()
 
-    diagnostics = []
+    diagnostics = ()
     if nonconverged > NONCONVERGED_DIAGNOSTIC * max(total, 1):
-        diagnostics.append(
-            f"{curve_kind}: {nonconverged}/{total} starts hit the "
-            f"{max_iter}-iteration cap")
-    return TradeoffCurve(
-        kind=curve_kind,
-        samples=tuple((float(x), float(y)) for x, y, _, _ in hull),
-        domain=(lo, stats.H),
-        floor=stats.Sbar,
-        channels=tuple(ClassicalChannel(c) for _, _, c, _ in hull),
-        diagnostics=tuple(diagnostics),
-    )
+        diagnostics = (f"{nonconverged}/{total} starts hit the "
+                       f"{max_iter}-iteration cap",)
+    return tuple(
+        TradeoffCurve(kind=kind,
+                      samples=tuple((float(x), float(y)) for x, y, _, _ in hull),
+                      domain=(lo, stats.H), floor=stats.Sbar,
+                      channels=tuple(ClassicalChannel(c) for _, _, c, _ in hull),
+                      diagnostics=diagnostics)
+        for kind, lo, hull in (("QCT", 0.0, hulls[0]),
+                               ("RSP", stats.chi, hulls[1])))
 
 
 def qct_curve(ensemble: Ensemble, resolution: int = DEFAULT_RESOLUTION, *,
               multistarts: int = DEFAULT_MULTISTARTS, seed: int = 0,
               max_iter: int = DEFAULT_MAX_ITER) -> TradeoffCurve:
     """Optimal qubit rate versus classical rate, Q*(R), for R in [0, H]."""
-    return _curve(ensemble, "QCT", resolution, multistarts, seed, max_iter)
+    return _solve(ensemble, resolution, multistarts, seed, max_iter)[0]
 
 
 def rsp_curve(ensemble: Ensemble, resolution: int = DEFAULT_RESOLUTION, *,
               multistarts: int = DEFAULT_MULTISTARTS, seed: int = 0,
               max_iter: int = DEFAULT_MAX_ITER) -> TradeoffCurve:
     """Optimal ebit rate versus classical rate, E*(R), for R in [chi, H]."""
-    return _curve(ensemble, "RSP", resolution, multistarts, seed, max_iter)
+    return _solve(ensemble, resolution, multistarts, seed, max_iter)[1]
 
 
 def critical_rate(curve: TradeoffCurve, S: float, *,
@@ -521,9 +520,6 @@ def compute_curves(ensemble: Ensemble, resolution: int = DEFAULT_RESOLUTION, *,
     workers is accepted for old callers and has no effect.
     """
     stats = ensemble_stats(ensemble)
-    qct = qct_curve(ensemble, resolution, multistarts=multistarts, seed=seed,
-                    max_iter=max_iter)
-    rsp = rsp_curve(ensemble, resolution, multistarts=multistarts, seed=seed,
-                    max_iter=max_iter)
+    qct, rsp = _solve(ensemble, resolution, multistarts, seed, max_iter)
     return CurveSet(stats=stats, qct=qct, rsp=rsp,
                     critical=critical_rate(qct, stats.S))

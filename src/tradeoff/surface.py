@@ -119,7 +119,9 @@ def surface_grid(ensemble: Ensemble, nR: int, nQ: int, *,
             E[i, j] = np.inf if value is None else value
             if abs(Q - 0.5 * (stats.chi - R)) <= REGION_EPS:
                 boundary.append((i, j))
-    diagnostics = list(curves.qct.diagnostics) + list(curves.rsp.diagnostics)
+    # Both curves of one solve carry its notes; each is reported once.
+    diagnostics = list(dict.fromkeys(curves.qct.diagnostics
+                                     + curves.rsp.diagnostics))
     if not curves.critical.found:
         diagnostics.append("critical rate not localized on the qubit curve")
     return SurfaceGrid(Rs=Rs, Qs=Qs, E=E, region=region, curves=curves,

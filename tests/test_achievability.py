@@ -41,25 +41,26 @@ def test_conversion_examples():
         0.0, abs=1e-8)
 
 
-def test_primitive_point_families(zp_curves):
+def test_primitive_point_families(zp_curves, zp_hull):
     stats = zp_curves.stats
     points = primitive_points(zp_curves)
     by_family = {}
     for p in points:
         by_family.setdefault(p.provenance.split("@")[0], []).append(p)
-    assert set(by_family) == {"qct", "coherent", "qct-as-rsp", "rsp"}
+    assert set(by_family) == {"qct", "coherent", "rsp"}
     for p in by_family["qct"]:
         assert p.E == 0.0 and abs(p.Q - zp_curves.qct.value(p.R)) <= 1e-9
     for p in by_family["coherent"]:
         q = zp_curves.qct.value(p.R)
         assert abs(p.Q - 0.5 * (q - stats.Sbar)) <= 1e-9
         assert abs(p.E - 0.5 * (q + stats.Sbar)) <= 1e-9
-    hc = zp_curves.critical.Hc
-    for p in by_family["qct-as-rsp"]:
-        assert p.Q == 0.0
-        assert float(p.provenance.split("@")[1]) >= hc - 1e-6
     for p in by_family["rsp"]:
         assert p.Q == 0.0 and p.R >= stats.chi - 1e-9
+    # A qubit-curve point past the critical rate, converted to cbits and
+    # ebits, is covered by the ebit-curve family.
+    for p in by_family["qct"]:
+        if p.R >= zp_curves.critical.Hc:
+            assert zp_hull.min_e(p.R + p.Q - stats.Sbar, 0.0) <= p.Q + 1e-9
 
 
 def test_cloud_respects_causality(zp_hull):

@@ -4,8 +4,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from tradeoff import optimizer
 from tradeoff.cli import _grid_type, build_parser, main
 from tradeoff.ensembles import builtin_ensemble, ensemble_to_dict
 from tradeoff.optimizer import TradeoffCurve
@@ -195,6 +197,24 @@ def test_solver_diagnostics_exit_2(tmp_path, capsys, monkeypatch):
     assert code == 2
     assert "diagnostic: synthetic" in capsys.readouterr().err
     assert out.exists()  # artifacts are still written alongside the warning
+
+
+def test_cap_diagnostic_printed_once(tmp_path, capsys, monkeypatch):
+    # Both curves come from one solve, so its cap note is one line.
+    fixed_point = optimizer._fixed_point
+
+    def never_converges(*args):
+        channels, converged = fixed_point(*args)
+        return channels, np.zeros_like(converged)
+
+    monkeypatch.setattr(optimizer, "_fixed_point", never_converges)
+    out = tmp_path / "surface.csv"
+    code = main(["surface", "--builtin", "zero-plus", "--grid", "4x4",
+                 "--out", str(out)] + FAST)
+    assert code == 2
+    notes = [line for line in capsys.readouterr().err.splitlines()
+             if line.startswith("diagnostic:")]
+    assert len(notes) == 1 and "iteration cap" in notes[0]
 
 
 def test_grid_type():

@@ -13,6 +13,7 @@ from tradeoff.optimizer import (
     critical_rate,
     minimize_profile,
     qct_curve,
+    rsp_curve,
 )
 from tradeoff.profiles import ClassicalChannel, entropic_profile
 from tradeoff.states import ensemble_stats
@@ -102,22 +103,36 @@ def test_vertex_channels_reproduce_their_rates(zp_curves, zero_plus):
             assert abs(prof.SBgC - value) <= 1e-2
 
 
-def test_qubit_rate_reachable_on_ebit_curve(zp_curves):
+@pytest.fixture(scope="module")
+def mirror_inputs(zp_curves):
+    return (zp_curves, compute_curves(builtin_ensemble("uniform-qubit-5"), 10,
+                                      multistarts=4, seed=0))
+
+
+def test_qubit_rate_reachable_on_ebit_curve(mirror_inputs):
     # Trading the quantum register for entanglement: the point
-    # (R + Q*(R) - Sbar, Q*(R)) lies on the ebit curve past the kink.
-    stats, hc = zp_curves.stats, zp_curves.critical.Hc
-    for R in np.linspace(hc, stats.H, 10):
-        q = zp_curves.qct.value(float(R))
-        e = zp_curves.rsp.value(float(R) + q - stats.Sbar)
-        assert e is not None and abs(e - q) <= 2e-2
+    # (R + Q*(R) - Sbar, Q*(R)) lies on the ebit curve past the kink.  The
+    # ebit curve is the shear of the points of the qubit curve's solve, so
+    # this holds to rounding, at the vertices too.
+    for curves in mirror_inputs:
+        stats, hc = curves.stats, curves.critical.Hc
+        rates = np.concatenate([np.linspace(hc, stats.H, 10),
+                                curves.qct.rates[curves.qct.rates >= hc]])
+        for R in rates:
+            q = curves.qct.value(float(R))
+            e = curves.rsp.value(float(R) + q - stats.Sbar)
+            assert e is not None and abs(e - q) <= 1e-9
 
 
-def test_ebit_rate_reachable_on_qubit_curve(zp_curves):
-    stats = zp_curves.stats
-    for R in np.linspace(stats.chi, stats.H, 10):
-        e = zp_curves.rsp.value(float(R))
-        q = zp_curves.qct.value(float(R) - e + stats.Sbar)
-        assert q is not None and abs(q - e) <= 2e-2
+def test_ebit_rate_reachable_on_qubit_curve(mirror_inputs):
+    for curves in mirror_inputs:
+        stats = curves.stats
+        rates = np.concatenate([np.linspace(stats.chi, stats.H, 10),
+                                curves.rsp.rates])
+        for R in rates:
+            e = curves.rsp.value(float(R))
+            q = curves.qct.value(float(R) - e + stats.Sbar)
+            assert q is not None and abs(q - e) <= 1e-9
 
 
 def test_critical_rate_orthonormal(ortho_curves):
@@ -227,8 +242,7 @@ def test_fixed_point_rows_independent(name, ratio):
                 assert 0 < converged.sum() < len(starts)
 
 
-@pytest.mark.parametrize("kind", ["XC", "XBC"])
-def test_sweep_stacks_match_one_mu_sweeps(kind, monkeypatch):
+def test_sweep_stacks_match_one_mu_sweeps(monkeypatch):
     # Stacking the starts of consecutive multipliers changes no outcome, and
     # a stack of several multipliers stays within STACK_ELEMENTS.
     ensemble = builtin_ensemble("uniform-qubit-5")
@@ -238,7 +252,7 @@ def test_sweep_stacks_match_one_mu_sweeps(kind, monkeypatch):
     row = ensemble.m * (ensemble.m + 1)
     monkeypatch.setattr(optimizer, "STACK_ELEMENTS", 2 * multistarts * row + 1)
     args = (multistarts, 0, max_iter)
-    singles = [_sweep(ensemble, stats, kind, [mu], first_index + i, *args)[0]
+    singles = [_sweep(ensemble, stats, [mu], first_index + i, *args)[0]
                for i, mu in enumerate(mus)]
 
     shapes = []
@@ -248,7 +262,7 @@ def test_sweep_stacks_match_one_mu_sweeps(kind, monkeypatch):
         return _fixed_point(reduced_b, probs, ratio, channels, max_iter)
 
     monkeypatch.setattr(optimizer, "_fixed_point", recording)
-    stacked = _sweep(ensemble, stats, kind, mus, first_index, *args)
+    stacked = _sweep(ensemble, stats, mus, first_index, *args)
     assert len(shapes) >= 3
     assert sum(shape[0] for shape in shapes) == len(mus) * multistarts
     for rows, m, k in shapes:
@@ -259,6 +273,26 @@ def test_sweep_stacks_match_one_mu_sweeps(kind, monkeypatch):
         for (c0, v0, ch0, ok0), (c1, v1, ch1, ok1) in zip(grouped, alone):
             assert (c0, v0, ok0) == (c1, v1, ok1)
             assert np.array_equal(ch0, ch1)
+
+
+def test_one_solve_serves_both_curves(zero_plus, monkeypatch):
+    # compute_curves solves the ladder once, for both curves, and refines
+    # both within one budget of `resolution` multipliers; qct_curve and
+    # rsp_curve return the halves of that same solve.
+    solved = []
+
+    def recording(ensemble, stats, mus, *args):
+        solved.append(list(mus))
+        return _sweep(ensemble, stats, mus, *args)
+
+    monkeypatch.setattr(optimizer, "_sweep", recording)
+    curves = compute_curves(zero_plus, 8, multistarts=2)
+    ladder = np.geomspace(optimizer.MU_MIN, optimizer.MU_MAX, 8).tolist()
+    assert solved[0] == ladder
+    assert sum(mus == ladder for mus in solved) == 1
+    assert sum(len(mus) for mus in solved) <= 16
+    assert qct_curve(zero_plus, 8, multistarts=2).samples == curves.qct.samples
+    assert rsp_curve(zero_plus, 8, multistarts=2).samples == curves.rsp.samples
 
 
 def _dense_fixed_point(monkeypatch, *args):
