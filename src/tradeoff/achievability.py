@@ -1,10 +1,13 @@
 """Independent achievability oracle for the trade-off surface.
 
 The surface formula is cross-checked against rate triples (R cbits, Q
-qubits, E ebits) that are achievable by construction: points on the two
-optimized curves and their coherent (superdense-coded) versions.  Standard
-resource conversions then trade one resource for others.  Each is a fixed
-direction in (R, Q, E) cost space, added per unit of converted resource:
+qubits, E ebits) that are achievable by construction: the vertices of the
+two optimized curves and their coherent (superdense-coded) versions.  The
+curves are piecewise linear and the coherent map is affine, so every other
+curve point is a time-share of two vertices, which each query's linear
+program already spans.  Standard resource conversions then trade one
+resource for others.  Each is a fixed direction in (R, Q, E) cost space,
+added per unit of converted resource:
 
     Teleport:        (2, -1, 1)      a qubit is replaced by two cbits and an ebit
     SuperdenseCbits: (-1, 1/2, 1/2)  a cbit is replaced by half a qubit and
@@ -31,7 +34,7 @@ from .optimizer import CurveSet
 
 COVER_TOL = 1e-9
 NEGATIVE_CLAMP = 1e-12
-DEFAULT_SAMPLES = 128
+DEFAULT_TOLERANCE = 2e-2
 # Reduced costs, pivot entries and step lengths below this count as zero in
 # the simplex; a phase-one residual above it means nothing covers the cell.
 SIMPLEX_EPS = 1e-12
@@ -56,38 +59,24 @@ class RateTriple:
             object.__setattr__(self, name, max(v, 0.0))
 
 
-def _curve_samples(curve, n: int) -> np.ndarray:
-    lo, hi = curve.domain
-    if hi - lo <= 1e-12:
-        return np.array([lo])
-    grid = np.linspace(lo, hi, n)
-    return np.unique(np.concatenate([grid, curve.rates]))
+def primitive_points(curves: CurveSet) -> tuple:
+    """Directly achievable triples at the vertices of the two curves.
 
-
-def primitive_points(curves: CurveSet, *,
-                     n_samples: int = DEFAULT_SAMPLES) -> tuple:
-    """Directly achievable triples read off the two curves.
-
-    Three families: qubit-curve points (R, Q*(R), 0); their coherent
-    versions (R, (Q*(R) - Sbar)/2, (Q*(R) + Sbar)/2); and ebit-curve points
-    (R, 0, E*(R)).  A qubit-curve point at or above the critical rate,
-    converted to cbit-plus-ebit form (R + Q*(R) - Sbar, 0, Q*(R)), lies on
-    the ebit curve, which is that curve's shear, so it needs no family.
-    Rates where a curve is unachievable are skipped.
+    Three families: qubit-curve vertices (R, Q*(R), 0); their coherent
+    versions (R, (Q*(R) - Sbar)/2, (Q*(R) + Sbar)/2); and ebit-curve
+    vertices (R, 0, E*(R)).  Every point between two vertices of a family is
+    a time-share of them, so the closure needs no other curve point.  A
+    qubit-curve point at or above the critical rate, converted to
+    cbit-plus-ebit form (R + Q*(R) - Sbar, 0, Q*(R)), lies on the ebit
+    curve, which is that curve's shear, so it needs no family.
     """
-    stats = curves.stats
+    sbar = curves.stats.Sbar
     points = []
-    for R in _curve_samples(curves.qct, n_samples):
-        R = float(R)
-        q = curves.qct.value(R)
+    for R, q in curves.qct.samples:
         points.append(RateTriple(R, q, 0.0, f"qct@{R:.6g}"))
-        points.append(RateTriple(R, max(0.5 * (q - stats.Sbar), 0.0),
-                                 0.5 * (q + stats.Sbar), f"coherent@{R:.6g}"))
-    for R in _curve_samples(curves.rsp, n_samples):
-        R = float(R)
-        e = curves.rsp.value(R)
-        if e is None:
-            continue
+        points.append(RateTriple(R, max(0.5 * (q - sbar), 0.0),
+                                 0.5 * (q + sbar), f"coherent@{R:.6g}"))
+    for R, e in curves.rsp.samples:
         points.append(RateTriple(R, 0.0, e, f"rsp@{R:.6g}"))
     return tuple(points)
 
@@ -191,27 +180,22 @@ class AchievableHull:
         return tuple(p.provenance for p in self.points[::step][:count])
 
 
-def check_options(*, tolerance: float = 0.0,
-                  samples: int = DEFAULT_SAMPLES) -> None:
-    """Reject a verify tolerance or a sample count the oracle cannot use."""
+def check_options(*, tolerance: float = 0.0) -> None:
+    """Reject a verify tolerance the oracle cannot use."""
     if not (np.isfinite(tolerance) and tolerance >= 0.0):
         raise ValueError(f"tolerance must be finite and nonnegative, "
                          f"got {tolerance}")
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
 
 
-def achievable_hull(curves: CurveSet, *,
-                    n_samples: int = DEFAULT_SAMPLES) -> AchievableHull:
-    """The primitive points of the curves, closed under conversions of any
-    depth and time-sharing by each query's linear program."""
-    check_options(samples=n_samples)
-    return AchievableHull(points=primitive_points(curves, n_samples=n_samples),
+def achievable_hull(curves: CurveSet) -> AchievableHull:
+    """The primitive points at the curve vertices, closed under conversions
+    of any depth and time-sharing by each query's linear program."""
+    return AchievableHull(points=primitive_points(curves),
                           chi=curves.stats.chi)
 
 
 def verify_surface(grid, hull: AchievableHull, *,
-                   tolerance: float = 2e-2) -> dict:
+                   tolerance: float = DEFAULT_TOLERANCE) -> dict:
     """Compare the surface grid against the achievability oracle.
 
     For each finite cell the gap min_e - E is recorded; |gap| <= tolerance is

@@ -7,8 +7,8 @@ qct      classical-channel trade-off curve Q*(R) -> CSV + channel sidecar
 rsp      remote-state-preparation curve E*(R) -> CSV + channel sidecar
 surface  full (R, Q) -> E* grid -> CSV + metadata JSON
 verify   cross-check the surface against the achievability oracle (curve
-         points closed under conversions of any depth and time-sharing)
-         -> report
+         vertices closed under conversions of any depth and time-sharing,
+         which spans every point between them) -> report
 plot     emit a gnuplot script rendering a surface CSV
 
 Exit codes: 0 success; 1 bad input; 2 optimizer diagnostics raised;
@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from . import export
-from .achievability import (DEFAULT_SAMPLES, achievable_hull, check_options,
+from .achievability import (DEFAULT_TOLERANCE, achievable_hull, check_options,
                             verify_surface)
 from .ensembles import BUILTIN_NAMES, builtin_ensemble, load_ensemble
 from .optimizer import (DEFAULT_MULTISTARTS, DEFAULT_RESOLUTION, qct_curve,
@@ -29,7 +29,6 @@ from .states import ensemble_stats
 from .surface import surface_grid
 
 DEFAULT_GRID = (16, 16)
-DEFAULT_TOLERANCE = 2e-2
 
 
 def _dispatch(args: argparse.Namespace) -> int:
@@ -41,7 +40,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
     if args.command == "verify":
         # Bad oracle options fail here, not after the curves are solved.
-        check_options(tolerance=args.tolerance, samples=args.samples)
+        check_options(tolerance=args.tolerance)
 
     ensemble = (load_ensemble(args.ensemble) if args.ensemble is not None
                 else builtin_ensemble(args.builtin))
@@ -76,7 +75,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         print(f"wrote {args.out} ({nR}x{nQ} cells)")
         return 2 if grid.diagnostics else 0
 
-    hull = achievable_hull(grid.curves, n_samples=args.samples)
+    hull = achievable_hull(grid.curves)
     report = verify_surface(grid, hull, tolerance=args.tolerance)
     export.write_verification_report(report, args.out)
     print(f"wrote {args.out}: max |gap| = {report['max_abs_gap']:.3e} over "
@@ -166,9 +165,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify",
                               help="cross-check the surface against the "
-                                   "achievability oracle: curve points "
+                                   "achievability oracle: curve vertices "
                                    "closed under conversions of any depth "
-                                   "and time-sharing")
+                                   "and time-sharing, which spans the "
+                                   "curves between vertices")
     _add_ensemble_args(p_verify)
     _add_solver_args(p_verify)
     p_verify.add_argument("--grid", type=_grid_type, default=DEFAULT_GRID,
@@ -176,9 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE,
                           metavar="X", help="max allowed |minE - E*| "
                           f"(default {DEFAULT_TOLERANCE:g})")
-    p_verify.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
-                          metavar="N", help="rate samples per primitive "
-                          "family (default %(default)s)")
     p_verify.add_argument("--out", required=True, metavar="PATH",
                           help="output report JSON path")
 

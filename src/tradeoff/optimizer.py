@@ -66,7 +66,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .profiles import ClassicalChannel, EntropicProfile, entropic_profile
+from .profiles import (ZERO_OUTPUT, ClassicalChannel, EntropicProfile,
+                       entropic_profile)
 from .states import Ensemble, EnsembleStats, ensemble_stats
 
 MU_MIN = 1e-3
@@ -77,7 +78,6 @@ DEFAULT_MULTISTARTS = 32
 DEFAULT_MAX_ITER = 500
 CONVERGENCE_TOL = 1e-10
 DOMAIN_TOL = 1e-9
-ZERO_MASS = 1e-14
 # Sandwich refinement: per-segment interpolation-error target and caps.
 REFINE_TARGET = 2e-3
 REFINE_PASSES = 8
@@ -170,7 +170,7 @@ def _fixed_point(reduced_b: np.ndarray, probs: np.ndarray, ratio,
             break
         joint = probs[:, None] * channel
         q = joint.sum(axis=1)
-        live = q > ZERO_MASS
+        live = q > ZERO_OUTPUT
         log_q = np.log2(q, out=np.full_like(q, -np.inf), where=live)
         # In place, so that a full stack holds few (starts, m, k) arrays.
         scores = distortion(joint, q, live)
@@ -243,6 +243,8 @@ def minimize_profile(ensemble: Ensemble, mu: float, kind: str = "XC", *,
         raise ValueError(f"mu must be finite and nonnegative, got {mu}")
     if multistarts < 1:
         raise ValueError("multistarts must be positive")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     stats = ensemble_stats(ensemble)
     if mu == 0.0:
         channel = ClassicalChannel.identity(ensemble.m)
@@ -388,6 +390,8 @@ def _solve(ensemble: Ensemble, resolution: int, multistarts: int, seed: int,
         raise ValueError("resolution must be at least 2")
     if multistarts < 1:
         raise ValueError("multistarts must be positive")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     stats = ensemble_stats(ensemble)
 
     # Outcomes as (S(X:C), S(B|C), channel, mu tag).  Analytic endpoints come

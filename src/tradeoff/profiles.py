@@ -17,7 +17,8 @@ from .states import (Ensemble, EnsembleStats, _spectrum_entropy, ensemble_stats,
 
 ROW_SUM_TOL = 1e-10
 # Channel outputs with probability mass below this are dropped from the
-# conditional-entropy sum; they contribute 0 in exact arithmetic.
+# conditional-entropy sum and from the fixed-point update; they contribute 0
+# in exact arithmetic.
 ZERO_OUTPUT = 1e-14
 PROFILE_TOL = 1e-9
 

@@ -4,6 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from tradeoff.achievability import RateTriple
 from tradeoff.profiles import ClassicalChannel, EntropicProfile
 from tradeoff.states import (
     BipartitePureState,
@@ -98,6 +99,38 @@ def entropic_profile_dense(ensemble: Ensemble,
     SXBgC = S_XC + S_BC - S_XBC - S_C
     SXBC = S_X + S_BC - S_XBC
     return EntropicProfile(SXC=SXC, SBgC=SBgC, SXBgC=SXBgC, SXBC=SXBC)
+
+
+def _curve_samples(curve, n: int) -> np.ndarray:
+    lo, hi = curve.domain
+    if hi - lo <= 1e-12:
+        return np.array([lo])
+    grid = np.linspace(lo, hi, n)
+    return np.unique(np.concatenate([grid, curve.rates]))
+
+
+def sampled_primitive_points(curves, n: int) -> tuple:
+    """The three primitive families at n evenly spaced rates plus the vertices.
+
+    Reference for the vertex-only `primitive_points`: every sampled point
+    between two vertices is a time-share of them, so both sets have the
+    same closure.  Rates where a curve is unachievable are skipped.
+    """
+    sbar = curves.stats.Sbar
+    points = []
+    for R in _curve_samples(curves.qct, n):
+        R = float(R)
+        q = curves.qct.value(R)
+        points.append(RateTriple(R, q, 0.0, f"qct@{R:.6g}"))
+        points.append(RateTriple(R, max(0.5 * (q - sbar), 0.0),
+                                 0.5 * (q + sbar), f"coherent@{R:.6g}"))
+    for R in _curve_samples(curves.rsp, n):
+        R = float(R)
+        e = curves.rsp.value(R)
+        if e is None:
+            continue
+        points.append(RateTriple(R, 0.0, e, f"rsp@{R:.6g}"))
+    return tuple(points)
 
 
 def cq_state_dense(probs: np.ndarray, blocks: list) -> np.ndarray:

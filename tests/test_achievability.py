@@ -3,7 +3,11 @@ import itertools
 import numpy as np
 import pytest
 
-from helpers import conditional_mutual_information_xa_b, random_density
+from helpers import (
+    conditional_mutual_information_xa_b,
+    random_density,
+    sampled_primitive_points,
+)
 from tradeoff.achievability import (
     COVER_TOL,
     AchievableHull,
@@ -160,9 +164,31 @@ def test_min_e_is_exact_convex_closure(seed):
                 assert got == pytest.approx(expected, abs=1e-9), (arr, R, Q)
 
 
-def test_hull_samples_validation(zp_curves):
-    with pytest.raises(ValueError, match="samples"):
-        achievable_hull(zp_curves, n_samples=0)
+@pytest.mark.parametrize("name", ["zp", "ortho"])
+def test_vertex_primitives_match_sampled_closure(name, request):
+    # Every sampled curve point is a time-share of two vertices, so the
+    # vertex primitives close to the same set as 128 samples per family.
+    curves = request.getfixturevalue(f"{name}_curves")
+    vertices = achievable_hull(curves)
+    sampled = AchievableHull(points=sampled_primitive_points(curves, 128),
+                             chi=curves.stats.chi)
+    assert vertices.size < sampled.size
+    stats = curves.stats
+    r_max, q_max = stats.H + 0.1, stats.S + 0.1
+    rng = np.random.default_rng(0)
+    queries = [(float(R), float(Q))
+               for R in np.linspace(0.0, r_max, 12)
+               for Q in np.linspace(0.0, q_max, 12)]
+    queries += [tuple(map(float, rq))
+                for rq in rng.uniform(0.0, 1.0, size=(100, 2)) * (r_max, q_max)]
+    queries += [(float(R), 0.0) for R in np.linspace(0.0, r_max, 25)]
+    queries += [(0.0, float(Q)) for Q in np.linspace(0.0, q_max, 25)]
+    for R, Q in queries:
+        expected = sampled.min_e(R, Q)
+        got = vertices.min_e(R, Q)
+        assert (got is None) == (expected is None), (R, Q)
+        if got is not None:
+            assert got == pytest.approx(expected, abs=1e-12), (R, Q)
 
 
 def test_verify_surface_orthonormal(ortho, ortho_curves, ortho_hull):

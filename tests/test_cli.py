@@ -127,6 +127,15 @@ def test_surface_then_plot(tmp_path, capsys):
     assert "splot" in script.read_text()
 
 
+def test_negative_seed_exits_1_naming_seed(tmp_path, capsys):
+    out = tmp_path / "qct.csv"
+    code = main(["qct", "--builtin", "zero-plus", "--seed", "-1",
+                 "--out", str(out)] + FAST)
+    assert code == 1
+    assert "seed must be nonnegative" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_plot_rejects_malformed_surface(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("R,Q\n1,2\n")
@@ -139,7 +148,7 @@ def test_plot_rejects_malformed_surface(tmp_path, capsys):
 def test_verify_passes_at_default_tolerance(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main(["verify", "--builtin", "orthonormal-pair", "--grid", "6x6",
-                 "--samples", "48", "--out", str(out)] + FAST)
+                 "--out", str(out)] + FAST)
     assert code == 0
     report = json.loads(out.read_text())
     assert report["violations"] == []
@@ -149,8 +158,7 @@ def test_verify_passes_at_default_tolerance(tmp_path, capsys):
 def test_verify_gaps_exit_3(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main(["verify", "--builtin", "orthonormal-pair", "--grid", "6x6",
-                 "--samples", "48", "--tolerance", "1e-9",
-                 "--out", str(out)] + FAST)
+                 "--tolerance", "1e-9", "--out", str(out)] + FAST)
     assert code == 3
     report = json.loads(out.read_text())
     assert report["violations"]
@@ -161,17 +169,14 @@ def test_verify_gaps_exit_3(tmp_path, capsys):
 def test_verify_rejects_bad_tolerance(tolerance, tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main(["verify", "--builtin", "orthonormal-pair", "--grid", "3x3",
-                 "--samples", "8", "--tolerance", tolerance,
-                 "--out", str(out)] + FAST)
+                 "--tolerance", tolerance, "--out", str(out)] + FAST)
     assert code == 1
     assert "tolerance must be finite and nonnegative" in capsys.readouterr().err
     assert not out.exists()
 
 
 @pytest.mark.parametrize("option", [["--tolerance", "nan"],
-                                    ["--tolerance", "inf"],
-                                    ["--samples", "0"],
-                                    ["--samples", "-3"]])
+                                    ["--tolerance", "inf"]])
 def test_verify_rejects_bad_options_before_solving(option, tmp_path, capsys,
                                                    monkeypatch):
     def no_solve(*args, **kwargs):

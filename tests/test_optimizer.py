@@ -57,6 +57,14 @@ def test_minimize_profile_validation(zero_plus):
         minimize_profile(zero_plus, 1.0, multistarts=0)
 
 
+def test_negative_seed_names_seed(zero_plus):
+    # numpy's own message for a negative seed does not say which input.
+    with pytest.raises(ValueError, match="seed"):
+        minimize_profile(zero_plus, 1.0, multistarts=2, seed=-1)
+    with pytest.raises(ValueError, match="seed"):
+        compute_curves(zero_plus, 4, multistarts=2, seed=-1)
+
+
 def test_frozen_curve_values(zp_curves):
     for R, expected in FROZEN_QCT.items():
         assert zp_curves.qct.value(R) == pytest.approx(expected, abs=1e-3)
