@@ -127,7 +127,9 @@ def _add_ensemble_args(parser) -> None:
 
 def _add_solver_args(parser) -> None:
     parser.add_argument("--resolution", type=int, default=DEFAULT_RESOLUTION,
-                        metavar="N", help="size of the multiplier ladder "
+                        metavar="N", help="multiplier ladder: the mu <= 1 "
+                        "half of N geometric rungs on [1e-3, 1e3], as no "
+                        "qubit-curve slope is steeper than -1 "
                         "(default %(default)s)")
     parser.add_argument("--seed", type=int, default=0, metavar="N",
                         help="base seed for multistart draws (default 0)")

@@ -15,15 +15,27 @@ a slope -mu line into a slope -mu/(1 - mu) one for mu < 1, and otherwise
 into a vertical or rising one that bounds nothing; it takes (0, S) to
 (chi, S) and fixes (H, Sbar), so the analytic endpoints serve both curves.
 
-The mu ladder is geometric, which undersamples curves whose slope range is
-narrow, so the sweep is followed by sandwich refinement passes: the point
-produced at weight mu carries the global lower-bound line of slope -mu
-through itself (scalarization duality), the gap between each envelope chord
-and the two supporting lines of its endpoints bounds the interpolation
-error, and segments of either envelope whose bound exceeds a small target
-are re-solved at the chord slope (-nu: mu = nu on the qubit curve,
-mu = nu/(1 + nu) on the ebit curve) until the bound closes or the budget
-runs out.
+The ladder is the mu <= 1 half of an N-point geometric grid (N = the
+resolution) symmetric about 1 on [MU_MIN, 1/MU_MIN] = [1e-3, 1e3]; rung i
+draws its starts from seed key (seed, 0, i).  The half above 1 is never
+needed: data processing gives I(B:C) <= I(X:C), i.e. S(X:C) + S(B|C) >= S,
+so the qubit curve is nowhere steeper than -1 and every mu > 1 is minimized
+at the known point (0, S) of the constant channel.
+
+The endpoints (0, S) and (H, Sbar) are exact: a solved outcome with
+S(X:C) <= SNAP or S(X:C) >= H - SNAP is dropped, as data processing puts it
+within SNAP of an endpoint, by S - S(B|C) <= S(X:C) at the left end and
+S(B|C) - Sbar = I(X:B|C) <= S(X|C) = H - S(X:C) at the right one.
+
+A geometric ladder undersamples curves whose slope range is narrow, so the
+sweep is followed by sandwich refinement passes: the point produced at
+weight mu carries the global lower-bound line of slope -mu through itself
+(scalarization duality), the gap between each envelope chord and the two
+supporting lines of its endpoints bounds the interpolation error, and
+segments of either envelope whose bound exceeds a small target are
+re-solved at the chord slope (-nu: mu = nu on the qubit curve,
+mu = nu/(1 + nu) on the ebit curve, capped at mu = 1) until the bound
+closes or the budget runs out.
 
 The inner problem is nonconvex in the channel.  It is solved by the
 multiplicative fixed-point iteration familiar from Blahut-Arimoto and
@@ -71,13 +83,14 @@ from .profiles import (ZERO_OUTPUT, ClassicalChannel, EntropicProfile,
 from .states import Ensemble, EnsembleStats, ensemble_stats
 
 MU_MIN = 1e-3
-MU_MAX = 1e3
-MU_CAP = 1e5
 DEFAULT_RESOLUTION = 40
 DEFAULT_MULTISTARTS = 32
 DEFAULT_MAX_ITER = 500
 CONVERGENCE_TOL = 1e-10
 DOMAIN_TOL = 1e-9
+# Solved points within SNAP of an analytic endpoint in S(X:C) are dropped
+# (module docstring).
+SNAP = 1e-9
 # Sandwich refinement: per-segment interpolation-error target and caps.
 REFINE_TARGET = 2e-3
 REFINE_PASSES = 8
@@ -394,9 +407,11 @@ def _solve(ensemble: Ensemble, resolution: int, multistarts: int, seed: int,
         raise ValueError(f"seed must be nonnegative, got {seed}")
     stats = ensemble_stats(ensemble)
 
-    # Outcomes as (S(X:C), S(B|C), channel, mu tag).  Analytic endpoints come
-    # first so exact ties keep their tags: the constant channel reveals
-    # nothing (the mu = 1 solution), the identity channel everything (mu = 0).
+    # Outcomes as (S(X:C), S(B|C), channel, mu tag), starting from the exact
+    # analytic endpoints: the constant channel reveals nothing (the mu = 1
+    # solution), the identity channel everything (mu = 0).  collect keeps
+    # every solved point more than SNAP from both in S(X:C), so no solver
+    # point can tie an endpoint and displace it or its tag.
     points = [(0.0, stats.S, ClassicalChannel.constant(ensemble.m).matrix, 1.0),
               (stats.H, stats.Sbar, ClassicalChannel.identity(ensemble.m).matrix,
                0.0)]
@@ -413,11 +428,13 @@ def _solve(ensemble: Ensemble, resolution: int, multistarts: int, seed: int,
             best = min(value + mu * constraint
                        for constraint, value, _, _ in outcomes)
             for constraint, value, channel, converged in outcomes:
-                tag = mu if value + mu * constraint <= best + 1e-9 else None
-                points.append((min(max(constraint, 0.0), stats.H),
-                               max(value, stats.Sbar), channel, tag))
                 total += 1
                 nonconverged += not converged
+                if not SNAP < constraint < stats.H - SNAP:
+                    continue  # an analytic endpoint, to within SNAP
+                tag = mu if value + mu * constraint <= best + 1e-9 else None
+                points.append((constraint, max(value, stats.Sbar), channel,
+                               tag))
 
     def envelopes():
         # RSP points and tags are the shear of these (module docstring).
@@ -426,13 +443,16 @@ def _solve(ensemble: Ensemble, resolution: int, multistarts: int, seed: int,
                    for x, y, c, mu in points]
         return _lower_envelope(points), _lower_envelope(sheared)
 
-    mus = np.geomspace(MU_MIN, MU_MAX, int(resolution)).tolist()
+    # The mu <= 1 rungs (module docstring); refinement keys start at
+    # `resolution`, after the keys of the whole symmetric grid.
+    mus = [mu for mu in np.geomspace(MU_MIN, 1.0 / MU_MIN,
+                                     int(resolution)).tolist() if mu <= 1.0]
     collect(mus, 0)
 
     hulls = envelopes()
     used = {round(math.log(mu), 6) for mu in mus}
     budget = int(resolution)
-    next_index = len(mus)
+    next_index = int(resolution)
     for _ in range(REFINE_PASSES):
         if budget <= 0:
             break
@@ -443,7 +463,7 @@ def _solve(ensemble: Ensemble, resolution: int, multistarts: int, seed: int,
                 if _segment_bound(rec0, rec1) <= REFINE_TARGET:
                     continue
                 slope = (rec1[1] - rec0[1]) / (rec1[0] - rec0[0])
-                mu_new = to_mu(min(max(-slope, MU_MIN), MU_CAP))
+                mu_new = min(to_mu(max(-slope, MU_MIN)), 1.0)
                 key = round(math.log(mu_new), 6)
                 if key in used:
                     continue

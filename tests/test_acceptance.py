@@ -190,6 +190,9 @@ def test_criterion_7_curve_shape(ortho_production, zp_production):
             xs, ys = curve.rates, curve.values
             assert np.all(np.diff(ys) <= 1e-6)
             assert np.all(ys >= stats.Sbar - 1e-9)
+            if curve is curves.qct:
+                # R + Q >= S by data processing: no slope below -1.
+                assert np.all(xs + ys >= stats.S - 1e-9)
             for i in range(1, xs.size - 1):
                 width = xs[i + 1] - xs[i - 1]
                 if width <= 1e-12:

@@ -91,6 +91,25 @@ def test_curve_endpoints(zp_curves):
     assert zp_curves.rsp.value(stats.H) == pytest.approx(stats.Sbar, abs=1e-9)
 
 
+def test_analytic_endpoints_are_exact(zp_curves, ortho_curves):
+    # Solver points within SNAP of an endpoint are dropped, so the exact
+    # endpoints (0, S) and (H, Sbar) are the first and last QCT vertices and
+    # no rounding twin sits next to either end of either curve.
+    bb84_curves = compute_curves(builtin_ensemble("bb84"), 40, multistarts=8,
+                                 seed=0)
+    for curves in (zp_curves, ortho_curves, bb84_curves):
+        stats = curves.stats
+        assert curves.qct.samples[0] == (0.0, stats.S)
+        assert curves.qct.samples[-1] == (stats.H, stats.Sbar)
+        last_r, last_e = curves.rsp.samples[-1]
+        assert abs(last_r - stats.H) <= 1e-15
+        assert abs(last_e - stats.Sbar) <= 1e-15
+        for curve in (curves.qct, curves.rsp):
+            lo, hi = curve.domain
+            for r in curve.rates[1:-1]:
+                assert lo + 1e-9 < r < hi - 1e-9
+
+
 def test_value_outside_domain(zp_curves):
     stats = zp_curves.stats
     assert zp_curves.rsp.value(0.0) is None
@@ -295,10 +314,13 @@ def test_one_solve_serves_both_curves(zero_plus, monkeypatch):
 
     monkeypatch.setattr(optimizer, "_sweep", recording)
     curves = compute_curves(zero_plus, 8, multistarts=2)
-    ladder = np.geomspace(optimizer.MU_MIN, optimizer.MU_MAX, 8).tolist()
+    # The mu <= 1 half of the 8-point grid symmetric about 1.
+    ladder = np.geomspace(optimizer.MU_MIN, 1.0 / optimizer.MU_MIN,
+                          8).tolist()[:4]
     assert solved[0] == ladder
     assert sum(mus == ladder for mus in solved) == 1
-    assert sum(len(mus) for mus in solved) <= 16
+    assert sum(len(mus) for mus in solved) <= 4 + 8
+    assert all(mu <= 1.0 for mus in solved for mu in mus)
     assert qct_curve(zero_plus, 8, multistarts=2).samples == curves.qct.samples
     assert rsp_curve(zero_plus, 8, multistarts=2).samples == curves.rsp.samples
 
