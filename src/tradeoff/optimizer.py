@@ -68,7 +68,12 @@ gamma_j = (f+ - f-)/(2n),
 
 which costs two small matrix products per iteration.  Any other dimB takes
 the dense path: the posterior mixtures are eigendecomposed and log2 rho_j is
-reassembled in their eigenbasis.
+reassembled in their eigenbasis.  Both kernels floor the eigenvalues (1 +- n)/2
+or lambda at states.EIGENVALUE_CLAMP before the log2, the same dust rule by
+which every entropy in the package drops tiny eigenvalues: a pure
+posterior's zero eigenvalue, which rounding leaves at +-1e-16, then scores
+the same in either kernel.  When a stack is done, one call of
+profiles.stack_entropies scores all its starts.
 """
 
 import math
@@ -79,8 +84,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .profiles import (ZERO_OUTPUT, ClassicalChannel, EntropicProfile,
-                       entropic_profile)
-from .states import Ensemble, EnsembleStats, ensemble_stats
+                       entropic_profile, stack_entropies)
+from .states import EIGENVALUE_CLAMP, Ensemble, EnsembleStats, ensemble_stats
 
 MU_MIN = 1e-3
 DEFAULT_RESOLUTION = 40
@@ -120,7 +125,7 @@ def _dense_distortion(reduced_b: np.ndarray):
         mixtures[live] /= q[live, None, None]
         mixtures[~live] = identity
         lam, vec = np.linalg.eigh(mixtures)
-        log_lam = np.log2(np.clip(lam, 1e-300, None))
+        log_lam = np.log2(np.clip(lam, EIGENVALUE_CLAMP, None))
         # log2(rho_j) reassembled in the eigenbasis, then the trace with rho_i
         log_mix = np.einsum("sjak,sjk,sjbk->sjab", vec, log_lam, vec.conj())
         return -np.einsum("iab,sjba->sij", reduced_b, log_mix).real
@@ -143,8 +148,8 @@ def _qubit_distortion(reduced_b: np.ndarray):
         post = np.divide(joint.transpose(0, 2, 1) @ bloch, q[..., None],
                          out=np.zeros(q.shape + (3,)), where=live[..., None])
         n = np.linalg.norm(post, axis=-1)
-        f_plus = np.log2(np.maximum((1.0 + n) / 2.0, 1e-300))
-        f_minus = np.log2(np.maximum((1.0 - n) / 2.0, 1e-300))
+        f_plus = np.log2(np.maximum((1.0 + n) / 2.0, EIGENVALUE_CLAMP))
+        f_minus = np.log2(np.maximum((1.0 - n) / 2.0, EIGENVALUE_CLAMP))
         gamma = np.divide(f_plus - f_minus, 2.0 * n,
                           out=np.zeros_like(n), where=n > 0)
         alpha = (f_plus + f_minus) / 2.0
@@ -208,8 +213,15 @@ def _start_points(m: int, k: int, count: int, seed_key) -> np.ndarray:
     return _softmax_rows(rng.normal(0.0, 2.0, size=(count, m, k)))
 
 
-def _sweep(ensemble: Ensemble, stats: EnsembleStats, mus, first_index: int,
-           multistarts: int, seed: int, max_iter: int) -> list:
+def _check_starts(multistarts: int, seed: int) -> None:
+    if multistarts < 1:
+        raise ValueError("multistarts must be positive")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+
+
+def _sweep(ensemble: Ensemble, mus, first_index: int, multistarts: int,
+           seed: int, max_iter: int) -> list:
     """Minimize S(B|C) + mu * S(X:C) from every start of every mu, in stacks.
 
     mus[i] draws its starts from the seed key (seed, 0, first_index + i).
@@ -228,11 +240,9 @@ def _sweep(ensemble: Ensemble, stats: EnsembleStats, mus, first_index: int,
         ratios = np.repeat([1.0 / mu for mu in group], multistarts)
         channels, converged = _fixed_point(ensemble.reduced_b, ensemble.probs,
                                            ratios, starts, max_iter)
-        outcomes = []
-        for channel, ok in zip(channels, converged.tolist()):
-            profile = entropic_profile(ensemble, ClassicalChannel(channel),
-                                       stats)
-            outcomes.append((profile.SXC, profile.SBgC, channel, ok))
+        SXC, SBgC = stack_entropies(ensemble, channels)
+        outcomes = list(zip(SXC.tolist(), SBgC.tolist(), channels,
+                            converged.tolist()))
         sweeps.extend(outcomes[i:i + multistarts]
                       for i in range(0, len(outcomes), multistarts))
     return sweeps
@@ -254,20 +264,15 @@ def minimize_profile(ensemble: Ensemble, mu: float, kind: str = "XC", *,
         raise ValueError(f"kind must be 'XC' or 'XBC', got {kind!r}")
     if not (math.isfinite(mu) and mu >= 0.0):
         raise ValueError(f"mu must be finite and nonnegative, got {mu}")
-    if multistarts < 1:
-        raise ValueError("multistarts must be positive")
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
-    stats = ensemble_stats(ensemble)
+    _check_starts(multistarts, seed)
     if mu == 0.0:
         channel = ClassicalChannel.identity(ensemble.m)
-        return channel, entropic_profile(ensemble, channel, stats)
+        return channel, entropic_profile(ensemble, channel)
     weight = float(mu) if kind == "XC" else mu / (1.0 + mu)
-    [outcomes] = _sweep(ensemble, stats, [weight], 0, multistarts, seed,
-                        max_iter)
+    [outcomes] = _sweep(ensemble, [weight], 0, multistarts, seed, max_iter)
     best = min(outcomes, key=lambda item: item[1] + weight * item[0])
     channel = ClassicalChannel(best[2])
-    return channel, entropic_profile(ensemble, channel, stats)
+    return channel, entropic_profile(ensemble, channel)
 
 
 def _lower_envelope(points):
@@ -397,14 +402,13 @@ class CurveSet:
 
 
 def _solve(ensemble: Ensemble, resolution: int, multistarts: int, seed: int,
-           max_iter: int) -> tuple[TradeoffCurve, TradeoffCurve]:
-    """The QCT and RSP curves of one XC ladder and refinement loop."""
+           max_iter: int
+           ) -> tuple[EnsembleStats, TradeoffCurve, TradeoffCurve]:
+    """The ensemble's stats, and the QCT and RSP curves of one XC ladder and
+    refinement loop."""
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
-    if multistarts < 1:
-        raise ValueError("multistarts must be positive")
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
+    _check_starts(multistarts, seed)
     stats = ensemble_stats(ensemble)
 
     # Outcomes as (S(X:C), S(B|C), channel, mu tag), starting from the exact
@@ -422,7 +426,7 @@ def _solve(ensemble: Ensemble, resolution: int, multistarts: int, seed: int,
         # the scalarized objective sits on a certified slope -mu lower-bound
         # line; local optima get no line (mu tag None).
         nonlocal total, nonconverged
-        sweeps = _sweep(ensemble, stats, mus, first_index, multistarts, seed,
+        sweeps = _sweep(ensemble, mus, first_index, multistarts, seed,
                         max_iter)
         for mu, outcomes in zip(mus, sweeps):
             best = min(value + mu * constraint
@@ -481,7 +485,7 @@ def _solve(ensemble: Ensemble, resolution: int, multistarts: int, seed: int,
     if nonconverged > NONCONVERGED_DIAGNOSTIC * max(total, 1):
         diagnostics = (f"{nonconverged}/{total} starts hit the "
                        f"{max_iter}-iteration cap",)
-    return tuple(
+    qct, rsp = (
         TradeoffCurve(kind=kind,
                       samples=tuple((float(x), float(y)) for x, y, _, _ in hull),
                       domain=(lo, stats.H), floor=stats.Sbar,
@@ -489,20 +493,21 @@ def _solve(ensemble: Ensemble, resolution: int, multistarts: int, seed: int,
                       diagnostics=diagnostics)
         for kind, lo, hull in (("QCT", 0.0, hulls[0]),
                                ("RSP", stats.chi, hulls[1])))
+    return stats, qct, rsp
 
 
 def qct_curve(ensemble: Ensemble, resolution: int = DEFAULT_RESOLUTION, *,
               multistarts: int = DEFAULT_MULTISTARTS, seed: int = 0,
               max_iter: int = DEFAULT_MAX_ITER) -> TradeoffCurve:
     """Optimal qubit rate versus classical rate, Q*(R), for R in [0, H]."""
-    return _solve(ensemble, resolution, multistarts, seed, max_iter)[0]
+    return _solve(ensemble, resolution, multistarts, seed, max_iter)[1]
 
 
 def rsp_curve(ensemble: Ensemble, resolution: int = DEFAULT_RESOLUTION, *,
               multistarts: int = DEFAULT_MULTISTARTS, seed: int = 0,
               max_iter: int = DEFAULT_MAX_ITER) -> TradeoffCurve:
     """Optimal ebit rate versus classical rate, E*(R), for R in [chi, H]."""
-    return _solve(ensemble, resolution, multistarts, seed, max_iter)[1]
+    return _solve(ensemble, resolution, multistarts, seed, max_iter)[2]
 
 
 def critical_rate(curve: TradeoffCurve, S: float, *,
@@ -510,30 +515,24 @@ def critical_rate(curve: TradeoffCurve, S: float, *,
     """Largest rate R with R + Q*(R) = S, located on the qubit curve.
 
     Scans the curve vertices for the largest R whose excess R + Q*(R) - S
-    stays within tol, then refines by bisection on the interpolated curve.
-    A missing plateau (no qualifying vertex) is flagged via found = False.
+    stays within tol.  The excess is linear on the segment that follows, so
+    its crossing of tol there is solved in closed form, clamped to the
+    segment's right end.  A missing plateau (no qualifying vertex) is
+    flagged via found = False.
     """
     if curve.kind != "QCT":
         raise ValueError("the critical rate is defined on the QCT curve")
-
-    def excess(r: float) -> float:
-        return r + curve.value(r) - S
-
-    qualifying = [float(x) for x in curve.rates if abs(excess(float(x))) <= tol]
+    qualifying = [i for i, (r, q) in enumerate(curve.samples)
+                  if abs(r + q - S) <= tol]
     if not qualifying:
         return CriticalRate(Hc=0.0, found=False)
-    r_lo = max(qualifying)
-    later = curve.rates[curve.rates > r_lo + 1e-15]
-    if later.size == 0:
-        return CriticalRate(Hc=r_lo, found=True)
-    r_hi = float(later[0])
-    for _ in range(60):
-        mid = 0.5 * (r_lo + r_hi)
-        if excess(mid) <= tol:
-            r_lo = mid
-        else:
-            r_hi = mid
-    return CriticalRate(Hc=r_lo, found=True)
+    i = qualifying[-1]
+    if i + 1 == len(curve.samples):
+        return CriticalRate(Hc=curve.samples[i][0], found=True)
+    (r0, q0), (r1, q1) = curve.samples[i], curve.samples[i + 1]
+    growth = 1.0 + (q1 - q0) / (r1 - r0)  # d(excess)/dR on the segment
+    Hc = r1 if growth <= 0.0 else min(r0 + (tol - (r0 + q0 - S)) / growth, r1)
+    return CriticalRate(Hc=Hc, found=True)
 
 
 def compute_curves(ensemble: Ensemble, resolution: int = DEFAULT_RESOLUTION, *,
@@ -543,7 +542,6 @@ def compute_curves(ensemble: Ensemble, resolution: int = DEFAULT_RESOLUTION, *,
 
     workers is accepted for old callers and has no effect.
     """
-    stats = ensemble_stats(ensemble)
-    qct, rsp = _solve(ensemble, resolution, multistarts, seed, max_iter)
+    stats, qct, rsp = _solve(ensemble, resolution, multistarts, seed, max_iter)
     return CurveSet(stats=stats, qct=qct, rsp=rsp,
                     critical=critical_rate(qct, stats.S))

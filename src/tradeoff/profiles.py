@@ -5,15 +5,17 @@ label defines a classical-quantum state on three registers: the label X, the
 quantum system B, and the channel output C.  Because X and C are classical
 and the B state conditioned on X = i is fixed, every entropic quantity the
 trade-off optimizer needs reduces to a closed form in the channel matrix and
-the reduced states on B; that closed form is `entropic_profile`.
+the reduced states on B.  That closed form is `stack_entropies`, which
+scores a whole (..., m, k) stack of channel matrices with one batched
+eigvalsh; `entropic_profile` is its validated single-channel form.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .states import (Ensemble, EnsembleStats, _spectrum_entropy, ensemble_stats,
-                     shannon_entropy)
+from .states import (Ensemble, EnsembleStats, _entropy, _spectrum_entropy,
+                     ensemble_stats)
 
 ROW_SUM_TOL = 1e-10
 # Channel outputs with probability mass below this are dropped from the
@@ -99,29 +101,41 @@ class EntropicProfile:
                              f"SXBC = SXC + SXBgC: {self}")
 
 
+def stack_entropies(ensemble: Ensemble, channels: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """S(X:C) and S(B|C) of every channel matrix in a (..., m, k) stack.
+
+    The conditional entropy of B given output j is the entropy of the
+    posterior-weighted mixture of the reduced states; the label/output mutual
+    information is purely classical.  Outputs of mass at most ZERO_OUTPUT
+    contribute 0.
+    """
+    p = ensemble.probs
+    joint = p[:, None] * channels
+    q = joint.sum(axis=-2)
+    SXC = (_entropy(p) + _entropy(q)
+           - _entropy(joint.reshape(joint.shape[:-2] + (-1,))))
+    live = q > ZERO_OUTPUT
+    mixtures = np.einsum("...ij,iab->...jab", joint, ensemble.reduced_b)
+    mixtures /= np.where(live, q, 1.0)[..., None, None]
+    spectra = _spectrum_entropy(np.linalg.eigvalsh(mixtures))
+    SBgC = np.where(live, q * spectra, 0.0).sum(axis=-1)
+    return np.maximum(SXC, 0.0), SBgC
+
+
 def entropic_profile(ensemble: Ensemble, channel: ClassicalChannel,
                      stats: EnsembleStats | None = None) -> EntropicProfile:
     """Closed-form entropic profile of an (ensemble, channel) pair.
 
-    The conditional entropy of B given output j is the entropy of the
-    posterior-weighted mixture of the reduced states; the label/output mutual
-    information is purely classical.  SXBgC then follows from SBgC minus the
-    mean conditional entropy Sbar, and SXBC from the chain rule.
+    S(X:C) and S(B|C) come from `stack_entropies`; SXBgC then follows from
+    SBgC minus the mean conditional entropy Sbar, and SXBC from the chain
+    rule.
     """
     if channel.m != ensemble.m:
         raise ValueError(f"channel has {channel.m} inputs for an "
                          f"ensemble of {ensemble.m} states")
     if stats is None:
         stats = ensemble_stats(ensemble)
-    p = ensemble.probs
-    joint = p[:, None] * channel.matrix
-    q = joint.sum(axis=0)
-    SXC = shannon_entropy(p) + shannon_entropy(q) - shannon_entropy(joint)
-    live = q > ZERO_OUTPUT
-    mixtures = np.einsum("ij,iab->jab", joint[:, live], ensemble.reduced_b)
-    mixtures /= q[live, None, None]
-    spectra = np.linalg.eigvalsh(mixtures)
-    SBgC = float(np.dot(q[live], [_spectrum_entropy(row) for row in spectra]))
+    SXC, SBgC = (float(v) for v in stack_entropies(ensemble, channel.matrix))
     SXBgC = max(SBgC - stats.Sbar, 0.0)
-    return EntropicProfile(SXC=max(SXC, 0.0), SBgC=SBgC, SXBgC=SXBgC,
-                           SXBC=max(SXC, 0.0) + SXBgC)
+    return EntropicProfile(SXC=SXC, SBgC=SBgC, SXBgC=SXBgC, SXBC=SXC + SXBgC)

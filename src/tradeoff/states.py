@@ -18,19 +18,22 @@ PROB_TOL = 1e-10
 EIGENVALUE_CLAMP = 1e-12
 
 
+def _entropy(weights, dust: float = 0.0) -> np.ndarray:
+    """Entropy in bits along the last axis, with 0 log 0 = 0; weights are
+    clipped to at most 1, and those below dust count as 0."""
+    w = np.minimum(np.asarray(weights, dtype=float), 1.0)
+    logs = np.log2(w, out=np.zeros_like(w), where=(w > 0.0) & (w >= dust))
+    return 0.0 - (w * logs).sum(axis=-1)  # +0.0, not -0.0, when pure
+
+
 def shannon_entropy(probs) -> float:
     """Shannon entropy of a probability vector, in bits, with 0 log 0 = 0."""
-    p = np.asarray(probs, dtype=float).ravel()
-    p = p[p > 0.0]
-    return float(0.0 - np.dot(p, np.log2(p)))  # +0.0, not -0.0, when pure
+    return float(_entropy(np.ravel(probs)))
 
 
-def _spectrum_entropy(eigenvalues) -> float:
-    """Entropy of an eigenvalue list, clamping numerical dust to zero."""
-    lam = np.clip(np.asarray(eigenvalues, dtype=float), 0.0, 1.0)
-    lam[lam < EIGENVALUE_CLAMP] = 0.0
-    lam = lam[lam > 0.0]
-    return float(0.0 - np.dot(lam, np.log2(lam)))
+def _spectrum_entropy(eigenvalues) -> np.ndarray:
+    """Entropy of each eigenvalue row, clamping numerical dust to zero."""
+    return _entropy(eigenvalues, EIGENVALUE_CLAMP)
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,7 +69,7 @@ def von_neumann_entropy(rho) -> float:
     """
     if not isinstance(rho, DensityOperator):
         rho = DensityOperator(rho)
-    return _spectrum_entropy(np.linalg.eigvalsh(rho.matrix))
+    return float(_spectrum_entropy(np.linalg.eigvalsh(rho.matrix)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,9 +184,8 @@ class EnsembleStats:
 def ensemble_stats(ensemble: Ensemble) -> EnsembleStats:
     """Compute S, Sbar, chi and H for an ensemble (all in bits)."""
     average = np.einsum("i,iab->ab", ensemble.probs, ensemble.reduced_b)
-    S = _spectrum_entropy(np.linalg.eigvalsh(average))
-    spectra = np.linalg.eigvalsh(ensemble.reduced_b)
-    Sbar = float(np.dot(ensemble.probs,
-                        [_spectrum_entropy(row) for row in spectra]))
+    S = float(_spectrum_entropy(np.linalg.eigvalsh(average)))
+    Sbar = float(ensemble.probs
+                 @ _spectrum_entropy(np.linalg.eigvalsh(ensemble.reduced_b)))
     return EnsembleStats(S=S, Sbar=Sbar, chi=S - Sbar,
                          H=shannon_entropy(ensemble.probs))

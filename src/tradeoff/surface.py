@@ -3,7 +3,7 @@
 For a classical rate R and qubit rate Q, the optimal ebit rate E*(R, Q)
 splits into four regions:
 
-  * QCT: Q exceeds the qubit curve Q*(R); no entanglement is needed.
+  * QCT: Q reaches the qubit curve Q*(R); no entanglement is needed.
   * LowEntanglement: (Q*(R) - Sbar)/2 <= Q <= Q*(R); time-sharing between
     the qubit-curve point and its coherent (superdense-coded) version gives
     E = Q*(R) - Q, linear in Q.
@@ -28,7 +28,8 @@ from .states import Ensemble
 
 # Classification cushion: for R below the critical rate the low-entanglement
 # and forbidden boundaries coincide exactly, and a one-ulp difference between
-# the two evaluations must not flip a boundary cell into the wrong region.
+# the two evaluations, or in the interpolated Q*(R), must not flip a boundary
+# cell into the wrong region.
 REGION_EPS = 1e-9
 
 
@@ -44,32 +45,32 @@ def _qubit_curve_at(R: float, curves: CurveSet) -> float:
     return curves.qct.value(min(R, curves.qct.domain[1]))
 
 
-def classify_region(R: float, Q: float, curves: CurveSet) -> RegionLabel:
-    """Region of the (R, Q) plane that the point falls in, first match wins."""
+def _cell(R: float, Q: float,
+          curves: CurveSet) -> tuple[RegionLabel, float | None]:
+    """Region of (R, Q), first match wins, and the optimal ebit rate there."""
     if R < 0.0 or Q < 0.0:
         raise ValueError("rates must be nonnegative")
     stats = curves.stats
     q_curve = _qubit_curve_at(R, curves)
-    if Q > q_curve:
-        return RegionLabel.QCT
+    if Q >= q_curve - REGION_EPS:
+        return RegionLabel.QCT, 0.0
     if Q >= 0.5 * (q_curve - stats.Sbar) - REGION_EPS:
-        return RegionLabel.LOW_ENTANGLEMENT
+        return RegionLabel.LOW_ENTANGLEMENT, max(q_curve - Q, 0.0)
     if Q >= 0.5 * (stats.chi - R) - REGION_EPS:
-        return RegionLabel.HIGH_ENTANGLEMENT
-    return RegionLabel.FORBIDDEN
+        combined = max(R + 2.0 * Q, stats.chi)
+        return (RegionLabel.HIGH_ENTANGLEMENT,
+                max(curves.rsp.value(combined) - Q, 0.0))
+    return RegionLabel.FORBIDDEN, None
+
+
+def classify_region(R: float, Q: float, curves: CurveSet) -> RegionLabel:
+    """Region of the (R, Q) plane that the point falls in, first match wins."""
+    return _cell(R, Q, curves)[0]
 
 
 def e_star(R: float, Q: float, curves: CurveSet) -> float | None:
     """Optimal ebit rate at (R, Q); None where the pair is unachievable."""
-    region = classify_region(R, Q, curves)
-    if region is RegionLabel.QCT:
-        return 0.0
-    if region is RegionLabel.LOW_ENTANGLEMENT:
-        return max(_qubit_curve_at(R, curves) - Q, 0.0)
-    if region is RegionLabel.HIGH_ENTANGLEMENT:
-        combined = max(R + 2.0 * Q, curves.stats.chi)
-        return max(curves.rsp.value(combined) - Q, 0.0)
-    return None
+    return _cell(R, Q, curves)[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,8 +114,7 @@ def surface_grid(ensemble: Ensemble, nR: int, nQ: int, *,
     boundary = []
     for i, R in enumerate(Rs):
         for j, Q in enumerate(Qs):
-            label = classify_region(float(R), float(Q), curves)
-            value = e_star(float(R), float(Q), curves)
+            label, value = _cell(float(R), float(Q), curves)
             region[i, j] = label
             E[i, j] = np.inf if value is None else value
             if abs(Q - 0.5 * (stats.chi - R)) <= REGION_EPS:

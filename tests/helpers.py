@@ -7,6 +7,7 @@ import numpy as np
 from tradeoff.achievability import RateTriple
 from tradeoff.profiles import ClassicalChannel, EntropicProfile
 from tradeoff.states import (
+    EIGENVALUE_CLAMP,
     BipartitePureState,
     Ensemble,
     _spectrum_entropy,
@@ -221,7 +222,8 @@ def fixed_point_one_start(reduced_b: np.ndarray, probs: np.ndarray,
     """The fixed-point update run from one start in a plain loop.
 
     Reference for the lockstep solver: dead outputs (q <= 1e-14) are left out
-    of the eigendecomposition and scored -inf; the start stops at its first
+    of the eigendecomposition and scored -inf, eigenvalues are floored at
+    EIGENVALUE_CLAMP before their log2, and the start stops at its first
     step whose sup-norm change is below 1e-10.
     """
     for _ in range(max_iter):
@@ -231,7 +233,7 @@ def fixed_point_one_start(reduced_b: np.ndarray, probs: np.ndarray,
         mixtures = np.einsum("ij,iab->jab", joint[:, live], reduced_b)
         mixtures /= q[live, None, None]
         lam, vec = np.linalg.eigh(mixtures)
-        log_lam = np.log2(np.clip(lam, 1e-300, None))
+        log_lam = np.log2(np.clip(lam, EIGENVALUE_CLAMP, None))
         log_mix = np.einsum("jak,jk,jbk->jab", vec, log_lam, vec.conj())
         distortion = -np.einsum("iab,jba->ij", reduced_b, log_mix).real
         scores = np.full_like(channel, -np.inf)

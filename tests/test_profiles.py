@@ -3,7 +3,7 @@ import pytest
 
 from helpers import (entropic_profile_dense, omega_dense, random_channel,
                      random_ensemble)
-from tradeoff.profiles import ClassicalChannel, entropic_profile
+from tradeoff.profiles import ClassicalChannel, entropic_profile, stack_entropies
 from tradeoff.states import ensemble_stats
 
 # Binary symmetric classifier with flip probability 0.1 on the |0>/|+> pair,
@@ -80,6 +80,30 @@ def test_closed_form_matches_dense_random():
         dense = entropic_profile_dense(e, ch)
         for name in ("SXC", "SBgC", "SXBgC", "SXBC"):
             assert abs(getattr(fast, name) - getattr(dense, name)) <= 1e-8
+
+
+def test_stack_entropies_match_dense():
+    # One call scores a (2, 4, m, k) stack whose rows include the constant
+    # and identity channels, an output that is never used and one whose
+    # mass is below ZERO_OUTPUT; each row must match the dense reference.
+    rng = np.random.default_rng(31)
+    for e in (random_ensemble(rng, 3, 2, 3), random_ensemble(rng, 4, 1, 2)):
+        m, k = e.m, e.m + 1
+        unused = np.zeros((m, k))
+        unused[:, :-1] = rng.dirichlet(np.ones(k - 1), size=m)
+        tiny = rng.dirichlet(np.ones(k), size=m)
+        tiny[:, 0] = 1e-15
+        tiny /= tiny.sum(axis=1, keepdims=True)
+        rows = [ClassicalChannel.constant(m).matrix,
+                ClassicalChannel.identity(m).matrix, unused, tiny]
+        rows += [random_channel(rng, m, k).matrix for _ in range(4)]
+        stack = np.stack(rows).reshape(2, 4, m, k)
+        SXC, SBgC = stack_entropies(e, stack)
+        assert SXC.shape == SBgC.shape == (2, 4)
+        for row, sxc, sbgc in zip(rows, SXC.ravel(), SBgC.ravel()):
+            dense = entropic_profile_dense(e, ClassicalChannel(row))
+            assert abs(sxc - dense.SXC) <= 1e-9
+            assert abs(sbgc - dense.SBgC) <= 1e-9
 
 
 def test_label_b_information_identity_random():

@@ -43,6 +43,17 @@ def test_no_entanglement_needed_on_qubit_curve(zp_curves):
         assert e_star(float(R), q + 0.05, zp_curves) == 0.0
 
 
+def test_cells_on_qubit_curve_are_qct(zp_curves):
+    # Within REGION_EPS of Q*(R), above or below, a cell is QCT and costs
+    # no entanglement, at a vertex and in the middle of a segment alike.
+    rates = zp_curves.qct.rates
+    for R in (float(rates[5]), 0.5 * float(rates[5] + rates[6])):
+        q = zp_curves.qct.value(R)
+        for Q in (q - 1e-12, q, q + 1e-12):
+            assert classify_region(R, Q, zp_curves) is RegionLabel.QCT
+            assert e_star(R, Q, zp_curves) == 0.0
+
+
 def test_zero_cbit_slice_is_linear(zp_curves):
     # At R = 0 the low-entanglement rule gives E = S - Q down to Q = chi/2.
     stats = zp_curves.stats
