@@ -28,10 +28,12 @@ within SNAP of an endpoint, by S - S(B|C) <= S(X:C) at the left end and
 S(B|C) - Sbar = I(X:B|C) <= S(X|C) = H - S(X:C) at the right one.
 
 A geometric ladder undersamples curves whose slope range is narrow, so the
-sweep is followed by sandwich refinement passes: the point produced at
+sweep is followed by sandwich refinement passes.  The point produced at
 weight mu carries the global lower-bound line of slope -mu through itself
-(scalarization duality), the gap between each envelope chord and the two
-supporting lines of its endpoints bounds the interpolation error, and
+(scalarization duality), unless some collected point, the analytic
+endpoints included, lies below that line: then the point is a local
+optimum and loses its line.  The gap between each envelope chord and the
+two supporting lines of its endpoints bounds the interpolation error, and
 segments of either envelope whose bound exceeds a small target are
 re-solved at the chord slope (-nu: mu = nu on the qubit curve,
 mu = nu/(1 + nu) on the ebit curve, capped at mu = 1) until the bound
@@ -48,16 +50,30 @@ over row-stochastic channels gives the self-consistent update
     p(j|i)  proportional to  q_j * 2^(-(alpha/beta) * d(i, j)),
     d(i, j) = -Tr[rho_i log2 rho_j],
 
-where rho_j is the posterior mixture at output j.  Each update solves one
-block of an exact alternating minimization, so the objective is
-non-increasing; many seeded random starts guard against local minima.  The
-starts of consecutive weights (the whole ladder, or one refinement pass) are
-iterated together as a few arrays, each row at its own weight and each
-frozen once it converges.  An array holds the starts of as many weights as
-fit in STACK_ELEMENTS channel entries, and always at least one weight:
-small stacks cost numpy call overhead per iteration, so batching them saves
-time, while past the cap the cost is array work and a larger stack only
-adds memory.
+where rho_j is the posterior mixture at output j.  Each plain update F solves
+one block of an exact alternating minimization, so it never raises the
+objective, but near a critical slope it barely contracts.  The solver
+therefore runs SQUAREM cycles (Varadhan & Roland 2008): from x0 it takes
+x1 = F(x0) and x2 = F(x1), with r = x1 - x0 and v = x2 - 2 x1 + x0, and
+jumps to
+
+    x' = x0 + 2 t r + t^2 v,    t = max(|r| / |v|, 1),
+
+whose image F(x') is the next cycle's x0 (SQUAREM's step length is
+alpha = -t, and t = 1 gives x' = x2; t is per row, from row norms).  x' is
+never clipped to the simplex: the update is multiplicative, so an output
+set to zero would never come back.  A row whose x' has any entry <= 0 takes
+x' = x2 instead.  A start stops at its first map evaluation that moves it
+by less than CONVERGENCE_TOL in sup norm, with that evaluation's image, and
+max_iter counts map evaluations, three per cycle.  Many seeded random
+starts guard against local minima.  The starts of consecutive weights (the
+whole ladder, or one refinement pass) are iterated together as a few
+arrays, each row at its own weight, with its own step length and fallback,
+and each frozen once it converges.  An array holds the starts of as many
+weights as fit in STACK_ELEMENTS channel entries, and always at least one
+weight: small stacks cost numpy call overhead per iteration, so batching
+them saves time, while past the cap the cost is array work and a larger
+stack only adds memory.
 
 For a qubit B register the distortion has a closed form.  With Bloch
 vectors rho = (I + r.sigma)/2, the posterior vector r_j = sum_i p_i p(j|i)
@@ -116,25 +132,31 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
 
 
 def _dense_distortion(reduced_b: np.ndarray):
-    """d(i, j) = -Tr[rho_i log2 rho_j] through a batched eigendecomposition."""
+    """The update's logits log2 q_j - w * d(i, j), with the distortion
+    d(i, j) = -Tr[rho_i log2 rho_j] from a batched eigendecomposition."""
     identity = np.eye(reduced_b.shape[-1])
 
-    def distortion(joint, q, live):
+    def logits(joint, q, live, log_q, weight):
         mixtures = np.einsum("sij,iab->sjab", joint, reduced_b)
-        # Dead outputs get a harmless mixture; their scores are -inf anyway.
+        # Dead outputs get a harmless mixture; their log_q is -inf anyway.
         mixtures[live] /= q[live, None, None]
         mixtures[~live] = identity
         lam, vec = np.linalg.eigh(mixtures)
         log_lam = np.log2(np.clip(lam, EIGENVALUE_CLAMP, None))
         # log2(rho_j) reassembled in the eigenbasis, then the trace with rho_i
         log_mix = np.einsum("sjak,sjk,sjbk->sjab", vec, log_lam, vec.conj())
-        return -np.einsum("iab,sjba->sij", reduced_b, log_mix).real
+        scores = np.multiply(
+            np.einsum("iab,sjba->sij", reduced_b, log_mix).real,
+            weight[:, None, None])
+        scores += log_q[:, None, :]
+        return scores
 
-    return distortion
+    return logits
 
 
 def _qubit_distortion(reduced_b: np.ndarray):
-    """d(i, j) = -Tr[rho_i log2 rho_j] for qubits, in Bloch-vector form.
+    """The update's logits log2 q_j - w * d(i, j) for qubits, with the
+    distortion in Bloch-vector form.
 
     log2 rho_j = alpha_j I + gamma_j r_j.sigma, and Tr rho_i = 1,
     Tr[rho_i sigma] = r_i give the closed form in the module docstring.
@@ -142,69 +164,100 @@ def _qubit_distortion(reduced_b: np.ndarray):
     bloch = np.stack([2.0 * reduced_b[:, 0, 1].real,
                       -2.0 * reduced_b[:, 0, 1].imag,
                       (reduced_b[:, 0, 0] - reduced_b[:, 1, 1]).real], axis=-1)
+    half_sum_diff = np.array([[0.5, 0.5], [0.5, -0.5]])
 
-    def distortion(joint, q, live):
-        # Posterior Bloch vectors; dead outputs keep r_j = 0 and score -inf.
+    def logits(joint, q, live, log_q, weight):
+        # Posterior Bloch vectors; dead outputs keep r_j = 0 and log_q -inf.
         post = np.divide(joint.transpose(0, 2, 1) @ bloch, q[..., None],
                          out=np.zeros(q.shape + (3,)), where=live[..., None])
-        n = np.linalg.norm(post, axis=-1)
-        f_plus = np.log2(np.maximum((1.0 + n) / 2.0, EIGENVALUE_CLAMP))
-        f_minus = np.log2(np.maximum((1.0 - n) / 2.0, EIGENVALUE_CLAMP))
-        gamma = np.divide(f_plus - f_minus, 2.0 * n,
-                          out=np.zeros_like(n), where=n > 0)
-        alpha = (f_plus + f_minus) / 2.0
-        # -(alpha_j + gamma_j * r_i . r_j) in one (starts, m, k) buffer
-        d = bloch @ post.transpose(0, 2, 1)
-        d *= gamma[:, None, :]
-        d += alpha[:, None, :]
-        return np.negative(d, out=d)
+        n = np.sqrt(np.einsum("sjc,sjc->sj", post, post))
+        # The eigenvalues (1 +- n)/2 on the last axis, then f+- = their
+        # floored log2, then w alpha_j = w (f+ + f-)/2 and
+        # w gamma_j n_j = w (f+ - f-)/2.
+        f = np.multiply.outer(n, (0.5, -0.5))
+        f += 0.5
+        np.log2(np.maximum(f, EIGENVALUE_CLAMP, out=f), out=f)
+        f = f @ half_sum_diff
+        f *= weight[:, None, None]
+        # log2 q_j + w alpha_j (in log_q's buffer) and w gamma_j as
+        # (starts, k) vectors, so that the (starts, m, k) buffer takes one
+        # product and two updates.
+        offset = np.add(f[..., 0], log_q, out=log_q)
+        scale = np.divide(f[..., 1], n, out=np.zeros_like(n), where=n > 0)
+        scores = bloch @ post.transpose(0, 2, 1)
+        scores *= scale[:, None, :]
+        scores += offset[:, None, :]
+        return scores
 
-    return distortion
+    return logits
+
+
+def _extrapolate(x0: np.ndarray, x1: np.ndarray,
+                 x2: np.ndarray) -> np.ndarray:
+    """The SQUAREM point x0 + 2 t r + t^2 v of each row, or x2 where that
+    point leaves the interior of the simplex (module docstring)."""
+    r = np.subtract(x1, x0)
+    v = np.subtract(x2, x1)
+    v -= r
+    rr = np.einsum("sij,sij->s", r, r)
+    vv = np.einsum("sij,sij->s", v, v)
+    # t^2 = max(|r|^2 / |v|^2, 1); |v| = 0 takes t = 1 as well.
+    t2 = np.maximum(np.divide(rr, vv, out=np.ones_like(rr), where=vv > 0.0),
+                    1.0)
+    r *= (2.0 * np.sqrt(t2))[:, None, None]
+    v *= t2[:, None, None]
+    r += x0
+    r += v
+    outside = (r <= 0.0).any(axis=(1, 2))
+    np.copyto(r, x2, where=outside[:, None, None])
+    return r
 
 
 def _fixed_point(reduced_b: np.ndarray, probs: np.ndarray, ratio,
                  channels: np.ndarray, max_iter: int
                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Run the multiplicative fixed-point update from a stack of channels.
+    """Run the extrapolated fixed-point update from a stack of channels.
 
     channels has shape (starts, m, k).  ratio is alpha/beta, the weight of
     the entropy distortion relative to the classical mutual information,
     either one scalar or one per start, of shape (starts,).  Every start
-    takes the same update as if run alone at its ratio; a start leaves the
-    active set at its first step whose sup-norm change is below
-    CONVERGENCE_TOL.  Returns the final channels and a per-start flag saying
+    takes the same cycles as if run alone at its ratio; a start leaves the
+    active set at its first map evaluation whose sup-norm change is below
+    CONVERGENCE_TOL, with that evaluation's image.  max_iter counts map
+    evaluations.  Returns the final channels and a per-start flag saying
     whether the start converged before the cap.
     """
-    distortion = (_qubit_distortion if reduced_b.shape[-1] == 2
-                  else _dense_distortion)(reduced_b)
+    logits = (_qubit_distortion if reduced_b.shape[-1] == 2
+              else _dense_distortion)(reduced_b)
     result = np.empty_like(channels)
     converged = np.zeros(len(channels), dtype=bool)
     active = np.arange(len(channels))
-    channel = channels
-    weight = np.broadcast_to(np.asarray(ratio, dtype=float),
-                             (len(channels),))[:, None, None]
+    weight = np.broadcast_to(np.asarray(ratio, dtype=float), (len(channels),))
+    # The current cycle's iterates: x0, then x1 = F(x0), then x2 = F(x1).
+    cycle = [channels]
     for _ in range(max_iter):
         if active.size == 0:
             break
-        joint = probs[:, None] * channel
+        if len(cycle) == 3:
+            point, cycle = _extrapolate(*cycle), []
+        else:
+            point = cycle[-1]
+        joint = probs[:, None] * point
         q = joint.sum(axis=1)
         live = q > ZERO_OUTPUT
         log_q = np.log2(q, out=np.full_like(q, -np.inf), where=live)
         # In place, so that a full stack holds few (starts, m, k) arrays.
-        scores = distortion(joint, q, live)
-        scores *= weight
-        updated = _softmax_rows(np.subtract(log_q[:, None, :], scores,
-                                            out=scores))
-        change = np.abs(np.subtract(updated, channel, out=joint), out=joint)
+        image = _softmax_rows(logits(joint, q, live, log_q, weight))
+        change = np.abs(np.subtract(image, point, out=joint), out=joint)
         done = change.max(axis=(1, 2)) < CONVERGENCE_TOL
         if done.any():
-            result[active[done]] = updated[done]
+            result[active[done]] = image[done]
             converged[active[done]] = True
             keep = ~done
-            active, channel, weight = active[keep], updated[keep], weight[keep]
-        else:
-            channel = updated
-    result[active] = channel
+            active, weight, image = active[keep], weight[keep], image[keep]
+            cycle = [x[keep] for x in cycle]
+        cycle.append(image)
+    result[active] = cycle[-1]
     return result, converged
 
 
@@ -422,25 +475,30 @@ def _solve(ensemble: Ensemble, resolution: int, multistarts: int, seed: int,
     total = nonconverged = 0
 
     def collect(mus, first_index):
-        # All outcomes are achievable points, but only the per-mu winner of
-        # the scalarized objective sits on a certified slope -mu lower-bound
-        # line; local optima get no line (mu tag None).
+        # All outcomes are achievable points; each is tagged with its mu
+        # until envelopes finds a point below its line.
         nonlocal total, nonconverged
         sweeps = _sweep(ensemble, mus, first_index, multistarts, seed,
                         max_iter)
         for mu, outcomes in zip(mus, sweeps):
-            best = min(value + mu * constraint
-                       for constraint, value, _, _ in outcomes)
             for constraint, value, channel, converged in outcomes:
                 total += 1
                 nonconverged += not converged
                 if not SNAP < constraint < stats.H - SNAP:
                     continue  # an analytic endpoint, to within SNAP
-                tag = mu if value + mu * constraint <= best + 1e-9 else None
                 points.append((constraint, max(value, stats.Sbar), channel,
-                               tag))
+                               mu))
 
     def envelopes():
+        # A point keeps its tag mu, the certified slope -mu lower-bound line
+        # through it, only while no collected point lies below that line:
+        # local optima lose theirs.  One points x tags array operation.
+        xs, ys = np.array([p[:2] for p in points]).T
+        tags = sorted({mu for _, _, _, mu in points if mu is not None})
+        lowest = dict(zip(tags, (ys[:, None] + xs[:, None] * tags).min(axis=0)))
+        points[:] = [(x, y, c, mu if mu is not None
+                      and y + mu * x <= lowest[mu] + 1e-9 else None)
+                     for x, y, c, mu in points]
         # RSP points and tags are the shear of these (module docstring).
         sheared = [(min(max(x + y - stats.Sbar, stats.chi), stats.H), y, c,
                     mu / (1.0 - mu) if mu is not None and mu < 1.0 else None)

@@ -216,31 +216,62 @@ def brute_force_two_state(ensemble: Ensemble, step: float = 0.02,
     return ChannelGridOracle(SXC=sxc, SBgC=sbgc, SXBC=sxc + sbgc - sbar)
 
 
+def blahut_arimoto_map(reduced_b: np.ndarray, probs: np.ndarray, ratio,
+                       channels: np.ndarray) -> np.ndarray:
+    """One plain fixed-point update of a (..., m, k) stack of channels.
+
+    ratio is one scalar or one per channel.  Dead outputs (q <= 1e-14) get
+    the identity as their mixture and score -inf; eigenvalues are floored at
+    EIGENVALUE_CLAMP before their log2.
+    """
+    joint = probs[:, None] * channels
+    q = joint.sum(axis=-2)
+    live = q > 1e-14
+    mixtures = np.einsum("...ij,iab->...jab", joint, reduced_b)
+    mixtures[live] /= q[live, None, None]
+    mixtures[~live] = np.eye(reduced_b.shape[-1])
+    lam, vec = np.linalg.eigh(mixtures)
+    log_lam = np.log2(np.clip(lam, EIGENVALUE_CLAMP, None))
+    log_mix = np.einsum("...jak,...jk,...jbk->...jab", vec, log_lam,
+                        vec.conj())
+    distortion = -np.einsum("iab,...jba->...ij", reduced_b, log_mix).real
+    log_q = np.log2(q, out=np.full_like(q, -np.inf), where=live)
+    ratio = np.asarray(ratio, dtype=float)[..., None, None]
+    scores = log_q[..., None, :] - ratio * distortion
+    updated = np.exp2(scores - scores.max(axis=-1, keepdims=True))
+    return updated / updated.sum(axis=-1, keepdims=True)
+
+
 def fixed_point_one_start(reduced_b: np.ndarray, probs: np.ndarray,
                           ratio: float, channel: np.ndarray,
                           max_iter: int) -> tuple[np.ndarray, bool]:
-    """The fixed-point update run from one start in a plain loop.
+    """The extrapolated (SQUAREM) fixed-point cycle from one start, in a
+    plain loop.
 
-    Reference for the lockstep solver: dead outputs (q <= 1e-14) are left out
-    of the eigendecomposition and scored -inf, eigenvalues are floored at
-    EIGENVALUE_CLAMP before their log2, and the start stops at its first
-    step whose sup-norm change is below 1e-10.
+    Reference for the lockstep solver.  From x0 a cycle takes x1 = F(x0) and
+    x2 = F(x1), with F the `blahut_arimoto_map`, extrapolates to
+    x' = x0 + 2 t r + t^2 v with r = x1 - x0, v = x2 - 2 x1 + x0 and
+    t = max(|r|/|v|, 1), or to x2 if x' has an entry <= 0, and maps x' to
+    the next x0.  The start stops at its first map evaluation whose
+    sup-norm change is below 1e-10, with that evaluation's image; max_iter
+    counts map evaluations.
     """
+    iterates = [channel]
     for _ in range(max_iter):
-        joint = probs[:, None] * channel
-        q = joint.sum(axis=0)
-        live = q > 1e-14
-        mixtures = np.einsum("ij,iab->jab", joint[:, live], reduced_b)
-        mixtures /= q[live, None, None]
-        lam, vec = np.linalg.eigh(mixtures)
-        log_lam = np.log2(np.clip(lam, EIGENVALUE_CLAMP, None))
-        log_mix = np.einsum("jak,jk,jbk->jab", vec, log_lam, vec.conj())
-        distortion = -np.einsum("iab,jba->ij", reduced_b, log_mix).real
-        scores = np.full_like(channel, -np.inf)
-        scores[:, live] = np.log2(q[live])[None, :] - ratio * distortion
-        updated = np.exp2(scores - scores.max(axis=1, keepdims=True))
-        updated /= updated.sum(axis=1, keepdims=True)
-        if np.abs(updated - channel).max() < 1e-10:
+        if len(iterates) == 3:
+            x0, x1, x2 = iterates
+            r = x1 - x0
+            v = x2 - x1 - r
+            rr, vv = np.einsum("ij,ij->", r, r), np.einsum("ij,ij->", v, v)
+            t2 = max(rr / vv if vv > 0.0 else 1.0, 1.0)
+            point = x0 + 2.0 * np.sqrt(t2) * r + t2 * v
+            if (point <= 0.0).any():
+                point = x2
+            iterates = []
+        else:
+            point = iterates[-1]
+        updated = blahut_arimoto_map(reduced_b, probs, ratio, point)
+        if np.abs(updated - point).max() < 1e-10:
             return updated, True
-        channel = updated
-    return channel, False
+        iterates.append(updated)
+    return iterates[-1], False

@@ -204,6 +204,16 @@ def test_solver_diagnostics_exit_2(tmp_path, capsys, monkeypatch):
     assert out.exists()  # artifacts are still written alongside the warning
 
 
+def test_qct_zero_plus_default_run_is_clean(tmp_path, capsys):
+    # The README's `tradeoff qct --builtin zero-plus`, at the default
+    # resolution and starts: more than half of its starts used to hit the
+    # iteration cap, which raised the diagnostic and exit code 2.
+    out = tmp_path / "qct.csv"
+    assert main(["qct", "--builtin", "zero-plus", "--out", str(out)]) == 0
+    assert not [line for line in capsys.readouterr().err.splitlines()
+                if line.startswith("diagnostic:")]
+
+
 def test_cap_diagnostic_printed_once(tmp_path, capsys, monkeypatch):
     # Both curves come from one solve, so its cap note is one line.
     fixed_point = optimizer._fixed_point

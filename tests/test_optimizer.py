@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from helpers import fixed_point_one_start, random_ensemble
+from helpers import (blahut_arimoto_map, fixed_point_one_start,
+                     random_ensemble)
 from tradeoff import optimizer
 from tradeoff.ensembles import builtin_ensemble
 from tradeoff.optimizer import (
@@ -15,7 +16,8 @@ from tradeoff.optimizer import (
     qct_curve,
     rsp_curve,
 )
-from tradeoff.profiles import ClassicalChannel, entropic_profile
+from tradeoff.profiles import (ZERO_OUTPUT, ClassicalChannel, entropic_profile,
+                               stack_entropies)
 from tradeoff.states import ensemble_stats
 
 # Pinned outputs of deterministic runs on the |0>/|+> pair (multistarts=16,
@@ -234,14 +236,16 @@ def test_seed_determinism(zero_plus):
                                          ("qutrit-3", 2.0)],
                          ids=["zero-plus-critical", "uniform-qubit-5",
                               "qutrit-3"])
-def test_fixed_point_rows_independent(name, ratio):
+def test_fixed_point_rows_independent(name, ratio, monkeypatch):
     # The lockstep solve must give each start exactly what a solve of that
     # start alone gives, whether it converges early, never, or starts from
     # the constant channel whose unused outputs are dead from the first step,
-    # and whether the stack shares one ratio or mixes one per start.
-    # Against the eigh-based per-start loop, qubit ensembles take the Bloch
-    # kernel and agree to rounding; other dimB take the same dense path and
-    # agree exactly.
+    # and whether the stack shares one ratio or mixes one per start.  On the
+    # dense kernel it also gives exactly what the eigh-based per-start loop
+    # of the same extrapolation cycle gives.  Qubit ensembles take the Bloch
+    # kernel, which test_qubit_kernel_matches_dense compares with the dense
+    # one: at the critical ratio the extrapolation amplifies their one-ulp
+    # differences to 1e-10 by the time a start converges.
     ensemble = (random_ensemble(np.random.default_rng(7), 3, 1, 3)
                 if name == "qutrit-3" else builtin_ensemble(name))
     b, p = ensemble.reduced_b, ensemble.probs
@@ -251,22 +255,102 @@ def test_fixed_point_rows_independent(name, ratio):
     for max_iter in (0, 1, 10, 60):
         for ratios in (ratio, mixed):
             channels, converged = _fixed_point(b, p, ratios, starts, max_iter)
+            dense, dense_flags = _dense_fixed_point(monkeypatch, b, p, ratios,
+                                                    starts, max_iter)
             row_ratios = np.broadcast_to(ratios, len(starts)).tolist()
-            for start, row_ratio, channel, flag in zip(starts, row_ratios,
-                                                       channels, converged):
+            for row, (start, row_ratio) in enumerate(zip(starts, row_ratios)):
                 alone, alone_flag = _fixed_point(b, p, row_ratio, start[None],
                                                  max_iter)
                 loop, loop_flag = fixed_point_one_start(b, p, row_ratio, start,
                                                         max_iter)
-                assert np.array_equal(channel, alone[0])
-                if ensemble.dimB == 2:
-                    np.testing.assert_allclose(channel, loop, rtol=0, atol=1e-12)
-                else:
-                    assert np.array_equal(channel, loop)
-                assert flag == alone_flag[0] == loop_flag
+                assert np.array_equal(channels[row], alone[0])
+                assert converged[row] == alone_flag[0]
+                assert np.array_equal(dense[row], loop)
+                assert dense_flags[row] == loop_flag
             if max_iter == 10 and ratios is ratio:
                 # some starts converged and some hit the cap
                 assert 0 < converged.sum() < len(starts)
+
+
+def test_extrapolation_keeps_to_the_interior():
+    # A row whose extrapolated point has an entry <= 0 takes x2 instead; it
+    # is never clipped, as the multiplicative update would never revive an
+    # output clipped to zero.  Other rows of the stack keep their point.
+    ensemble = builtin_ensemble("zero-plus")
+    b, p, ratio = ensemble.reduced_b, ensemble.probs, 2.0
+    x0 = _start_points(ensemble.m, ensemble.m + 1, 8, [0, 0, 0])
+    x1, _ = _fixed_point(b, p, ratio, x0, 1)
+    x2, _ = _fixed_point(b, p, ratio, x1, 1)
+    r, v = x1 - x0, x2 - 2.0 * x1 + x0
+    alpha = -np.maximum(np.linalg.norm(r, axis=(1, 2))
+                        / np.linalg.norm(v, axis=(1, 2)), 1.0)[:, None, None]
+    formula = x0 - 2.0 * alpha * r + alpha ** 2 * v
+    outside = (formula <= 0.0).any(axis=(1, 2))
+    assert 0 < outside.sum() < len(x0)
+    point = optimizer._extrapolate(x0, x1, x2)
+    assert np.array_equal(point[outside], x2[outside])
+    np.testing.assert_allclose(point[~outside], formula[~outside], rtol=0,
+                               atol=1e-12)
+    # The solve's third map evaluation is the image of that point, and no
+    # output that is live in x2 is dead in it.
+    x3, _ = _fixed_point(b, p, ratio, x0, 3)
+    assert np.array_equal(x3, _fixed_point(b, p, ratio, point, 1)[0])
+    live2, live3 = ((p[:, None] * x).sum(axis=1) > ZERO_OUTPUT
+                    for x in (x2, x3))
+    assert not (live2 & ~live3).any()
+
+
+def test_fixed_point_converges_at_critical_slope(zero_plus):
+    # At mu = 0.62 the plain map barely contracts: none of these 16 starts
+    # converged within 500 map evaluations before extrapolation.  Now all
+    # do, to the objective that 8000 plain updates reach.
+    mu, multistarts = 0.62, 16
+    [outcomes] = _sweep(zero_plus, [mu], 0, multistarts, 0, 500)
+    assert all(converged for _, _, _, converged in outcomes)
+    best = min(value + mu * constraint for constraint, value, _, _ in outcomes)
+    channels = _start_points(zero_plus.m, zero_plus.m + 1, multistarts,
+                             [0, 0, 0])
+    for _ in range(8000):
+        channels = blahut_arimoto_map(zero_plus.reduced_b, zero_plus.probs,
+                                      1.0 / mu, channels)
+    SXC, SBgC = stack_entropies(zero_plus, channels)
+    assert best == pytest.approx((SBgC + mu * SXC).min(), abs=1e-9)
+
+
+def test_zero_plus_starts_all_converge(zero_plus, monkeypatch):
+    flags = []
+
+    def recording(*args):
+        channels, converged = _fixed_point(*args)
+        flags.extend(converged.tolist())
+        return channels, converged
+
+    monkeypatch.setattr(optimizer, "_fixed_point", recording)
+    compute_curves(zero_plus, 40, multistarts=16, seed=0)
+    assert flags and all(flags)
+
+
+def test_surviving_tags_lie_below_every_point(monkeypatch):
+    # A tag mu certifies the slope -mu line through its point only if no
+    # collected point, the analytic endpoints included, lies below that
+    # line.  On uniform-qubit-24 the 4 starts of the low multipliers miss
+    # the identity channel, whose endpoint used to falsify 16 tagged lines
+    # by up to 0.156.
+    ensemble = builtin_ensemble("uniform-qubit-24")
+    lower_envelope, collected = optimizer._lower_envelope, []
+
+    def recording(points):
+        collected.append(list(points))
+        return lower_envelope(points)
+
+    monkeypatch.setattr(optimizer, "_lower_envelope", recording)
+    compute_curves(ensemble, 40, multistarts=4, seed=0)
+    points = collected[-2]  # the QCT side of the last envelopes() call
+    xs, ys = np.array([point[:2] for point in points]).T
+    lines = [(x, y, mu) for x, y, _, mu in points if mu is not None]
+    assert len(lines) > 2
+    for x, y, mu in lines:
+        assert (ys + mu * xs).min() >= y + mu * x - 1e-9
 
 
 def test_sweep_stacks_match_one_mu_sweeps(monkeypatch):
