@@ -115,8 +115,8 @@ SNAP = 1e-9
 # Sandwich refinement: per-segment interpolation-error target and caps.
 REFINE_TARGET = 2e-3
 REFINE_PASSES = 8
-# Fraction of starts allowed to hit the iteration cap before a sweep is
-# reported as diagnostically suspect.
+# Fraction of starts allowed to hit the cap of max_iter map evaluations before
+# a sweep is reported as diagnostically suspect.
 NONCONVERGED_DIAGNOSTIC = 0.5
 # Most channel entries (starts * m * k) in one lockstep solve of the starts
 # of several multipliers (see the module docstring).
@@ -131,7 +131,7 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
     return logits
 
 
-def _dense_distortion(reduced_b: np.ndarray):
+def _dense_logits(reduced_b: np.ndarray):
     """The update's logits log2 q_j - w * d(i, j), with the distortion
     d(i, j) = -Tr[rho_i log2 rho_j] from a batched eigendecomposition."""
     identity = np.eye(reduced_b.shape[-1])
@@ -154,7 +154,7 @@ def _dense_distortion(reduced_b: np.ndarray):
     return logits
 
 
-def _qubit_distortion(reduced_b: np.ndarray):
+def _qubit_logits(reduced_b: np.ndarray):
     """The update's logits log2 q_j - w * d(i, j) for qubits, with the
     distortion in Bloch-vector form.
 
@@ -179,10 +179,9 @@ def _qubit_distortion(reduced_b: np.ndarray):
         np.log2(np.maximum(f, EIGENVALUE_CLAMP, out=f), out=f)
         f = f @ half_sum_diff
         f *= weight[:, None, None]
-        # log2 q_j + w alpha_j (in log_q's buffer) and w gamma_j as
-        # (starts, k) vectors, so that the (starts, m, k) buffer takes one
-        # product and two updates.
-        offset = np.add(f[..., 0], log_q, out=log_q)
+        # log2 q_j + w alpha_j and w gamma_j as (starts, k) vectors, so that
+        # the (starts, m, k) buffer takes one product and two updates.
+        offset = f[..., 0] + log_q
         scale = np.divide(f[..., 1], n, out=np.zeros_like(n), where=n > 0)
         scores = bloch @ post.transpose(0, 2, 1)
         scores *= scale[:, None, :]
@@ -227,8 +226,8 @@ def _fixed_point(reduced_b: np.ndarray, probs: np.ndarray, ratio,
     evaluations.  Returns the final channels and a per-start flag saying
     whether the start converged before the cap.
     """
-    logits = (_qubit_distortion if reduced_b.shape[-1] == 2
-              else _dense_distortion)(reduced_b)
+    logits = (_qubit_logits if reduced_b.shape[-1] == 2
+              else _dense_logits)(reduced_b)
     result = np.empty_like(channels)
     converged = np.zeros(len(channels), dtype=bool)
     active = np.arange(len(channels))
@@ -541,8 +540,8 @@ def _solve(ensemble: Ensemble, resolution: int, multistarts: int, seed: int,
 
     diagnostics = ()
     if nonconverged > NONCONVERGED_DIAGNOSTIC * max(total, 1):
-        diagnostics = (f"{nonconverged}/{total} starts hit the "
-                       f"{max_iter}-iteration cap",)
+        diagnostics = (f"{nonconverged}/{total} starts hit the cap of "
+                       f"{max_iter} map evaluations",)
     qct, rsp = (
         TradeoffCurve(kind=kind,
                       samples=tuple((float(x), float(y)) for x, y, _, _ in hull),

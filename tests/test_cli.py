@@ -207,7 +207,7 @@ def test_solver_diagnostics_exit_2(tmp_path, capsys, monkeypatch):
 def test_qct_zero_plus_default_run_is_clean(tmp_path, capsys):
     # The README's `tradeoff qct --builtin zero-plus`, at the default
     # resolution and starts: more than half of its starts used to hit the
-    # iteration cap, which raised the diagnostic and exit code 2.
+    # cap of 500 map evaluations, which raised the diagnostic and exit code 2.
     out = tmp_path / "qct.csv"
     assert main(["qct", "--builtin", "zero-plus", "--out", str(out)]) == 0
     assert not [line for line in capsys.readouterr().err.splitlines()
@@ -229,7 +229,7 @@ def test_cap_diagnostic_printed_once(tmp_path, capsys, monkeypatch):
     assert code == 2
     notes = [line for line in capsys.readouterr().err.splitlines()
              if line.startswith("diagnostic:")]
-    assert len(notes) == 1 and "iteration cap" in notes[0]
+    assert len(notes) == 1 and "map evaluations" in notes[0]
 
 
 def test_grid_type():

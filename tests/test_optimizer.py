@@ -219,7 +219,7 @@ def test_resolution_validation(zero_plus):
 def test_iteration_cap_reported(zero_plus):
     curve = qct_curve(zero_plus, resolution=5, multistarts=2, max_iter=1)
     assert curve.diagnostics
-    assert "iteration cap" in curve.diagnostics[0]
+    assert "map evaluations" in curve.diagnostics[0]
 
 
 def test_seed_determinism(zero_plus):
@@ -240,12 +240,14 @@ def test_fixed_point_rows_independent(name, ratio, monkeypatch):
     # The lockstep solve must give each start exactly what a solve of that
     # start alone gives, whether it converges early, never, or starts from
     # the constant channel whose unused outputs are dead from the first step,
-    # and whether the stack shares one ratio or mixes one per start.  On the
-    # dense kernel it also gives exactly what the eigh-based per-start loop
-    # of the same extrapolation cycle gives.  Qubit ensembles take the Bloch
-    # kernel, which test_qubit_kernel_matches_dense compares with the dense
-    # one: at the critical ratio the extrapolation amplifies their one-ulp
-    # differences to 1e-10 by the time a start converges.
+    # and whether the stack shares one ratio or mixes one per start.  Against
+    # the eigh-based per-start loop of the same extrapolation cycle, the
+    # dense kernel agrees exactly and the Bloch kernel of qubit ensembles to
+    # rounding.  The one exception is a row at the zero-plus critical ratio
+    # once it has extrapolated (from the third map evaluation on): its step
+    # t is several hundred, and t^2 v carries the two kernels' one-ulp
+    # differences to 2e-11 at once and 8e-11 by the 60th evaluation.  Such a
+    # row is checked through the dense kernel only.
     ensemble = (random_ensemble(np.random.default_rng(7), 3, 1, 3)
                 if name == "qutrit-3" else builtin_ensemble(name))
     b, p = ensemble.reduced_b, ensemble.probs
@@ -264,9 +266,14 @@ def test_fixed_point_rows_independent(name, ratio, monkeypatch):
                 loop, loop_flag = fixed_point_one_start(b, p, row_ratio, start,
                                                         max_iter)
                 assert np.array_equal(channels[row], alone[0])
-                assert converged[row] == alone_flag[0]
+                assert converged[row] == alone_flag[0] == loop_flag
                 assert np.array_equal(dense[row], loop)
                 assert dense_flags[row] == loop_flag
+                amplified = (name == "zero-plus" and row_ratio == ratio
+                             and max_iter >= 3)
+                if ensemble.dimB == 2 and not amplified:
+                    np.testing.assert_allclose(channels[row], loop, rtol=0,
+                                               atol=1e-12)
             if max_iter == 10 and ratios is ratio:
                 # some starts converged and some hit the cap
                 assert 0 < converged.sum() < len(starts)
@@ -410,8 +417,7 @@ def test_one_solve_serves_both_curves(zero_plus, monkeypatch):
 
 def _dense_fixed_point(monkeypatch, *args):
     with monkeypatch.context() as patch:
-        patch.setattr(optimizer, "_qubit_distortion",
-                      optimizer._dense_distortion)
+        patch.setattr(optimizer, "_qubit_logits", optimizer._dense_logits)
         return _fixed_point(*args)
 
 
