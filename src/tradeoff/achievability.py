@@ -157,6 +157,8 @@ class AchievableHull:
         out; if it cannot, nothing covers the cell and None is returned.
         Phase two minimizes the E total from there.
         """
+        if not (np.isfinite(R) and np.isfinite(Q)):
+            raise ValueError(f"rates must be finite, got R={R}, Q={Q}")
         A, cost = self._lp
         m = A.shape[1] - 1
         b = np.array([R + tol, Q + tol, 0.0, 1.0])

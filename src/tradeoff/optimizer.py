@@ -28,16 +28,19 @@ within SNAP of an endpoint, by S - S(B|C) <= S(X:C) at the left end and
 S(B|C) - Sbar = I(X:B|C) <= S(X|C) = H - S(X:C) at the right one.
 
 A geometric ladder undersamples curves whose slope range is narrow, so the
-sweep is followed by sandwich refinement passes.  The point produced at
-weight mu carries the global lower-bound line of slope -mu through itself
-(scalarization duality), unless some collected point, the analytic
-endpoints included, lies below that line: then the point is a local
-optimum and loses its line.  The gap between each envelope chord and the
-two supporting lines of its endpoints bounds the interpolation error, and
-segments of either envelope whose bound exceeds a small target are
+ladder is pass 0 of a loop of sandwich refinement passes.  The point
+produced at weight mu carries the global lower-bound line of slope -mu
+through itself (scalarization duality), unless some collected point, the
+analytic endpoints included, lies below that line: then the point is a
+local optimum and loses its line.  The gap between each envelope chord and
+the two supporting lines of its endpoints bounds the interpolation error,
+and segments of either envelope whose bound exceeds a small target are
 re-solved at the chord slope (-nu: mu = nu on the qubit curve,
 mu = nu/(1 + nu) on the ebit curve, capped at mu = 1) until the bound
-closes or the budget runs out.
+closes or the budget runs out.  The solve keeps its points as parallel
+arrays of S(X:C), S(B|C), tag and channel, where the tag is the mu of the
+point's line, or NaN once it has none; each envelope is a list of indices
+into these arrays, and both curves are read from them by indexing.
 
 The inner problem is nonconvex in the channel.  It is solved by the
 multiplicative fixed-point iteration familiar from Blahut-Arimoto and
@@ -273,17 +276,18 @@ def _check_starts(multistarts: int, seed: int) -> None:
 
 
 def _sweep(ensemble: Ensemble, mus, first_index: int, multistarts: int,
-           seed: int, max_iter: int) -> list:
+           seed: int, max_iter: int) -> tuple:
     """Minimize S(B|C) + mu * S(X:C) from every start of every mu, in stacks.
 
     mus[i] draws its starts from the seed key (seed, 0, first_index + i).
     The starts of consecutive mus share one stack of at most STACK_ELEMENTS
-    channel entries, and always at least one mu.  Returns one list per mu of
-    one (S(X:C), S(B|C), channel matrix, converged) per start.
+    channel entries, and always at least one mu.  Returns four arrays with
+    one row per start, the multistarts starts of mus[0] first: S(X:C),
+    S(B|C), the channel matrices and the converged flags.
     """
     m, k = ensemble.m, ensemble.m + 1
     per_stack = max(1, STACK_ELEMENTS // (multistarts * m * k))
-    sweeps = []
+    stacks = []
     for lo in range(0, len(mus), per_stack):
         group = mus[lo:lo + per_stack]
         starts = np.concatenate([
@@ -292,12 +296,9 @@ def _sweep(ensemble: Ensemble, mus, first_index: int, multistarts: int,
         ratios = np.repeat([1.0 / mu for mu in group], multistarts)
         channels, converged = _fixed_point(ensemble.reduced_b, ensemble.probs,
                                            ratios, starts, max_iter)
-        SXC, SBgC = stack_entropies(ensemble, channels)
-        outcomes = list(zip(SXC.tolist(), SBgC.tolist(), channels,
-                            converged.tolist()))
-        sweeps.extend(outcomes[i:i + multistarts]
-                      for i in range(0, len(outcomes), multistarts))
-    return sweeps
+        stacks.append((*stack_entropies(ensemble, channels), channels,
+                       converged))
+    return tuple(np.concatenate(parts) for parts in zip(*stacks))
 
 
 def minimize_profile(ensemble: Ensemble, mu: float, kind: str = "XC", *,
@@ -321,62 +322,67 @@ def minimize_profile(ensemble: Ensemble, mu: float, kind: str = "XC", *,
         channel = ClassicalChannel.identity(ensemble.m)
         return channel, entropic_profile(ensemble, channel)
     weight = float(mu) if kind == "XC" else mu / (1.0 + mu)
-    [outcomes] = _sweep(ensemble, [weight], 0, multistarts, seed, max_iter)
-    best = min(outcomes, key=lambda item: item[1] + weight * item[0])
-    channel = ClassicalChannel(best[2])
+    SXC, SBgC, channels, _ = _sweep(ensemble, [weight], 0, multistarts, seed,
+                                    max_iter)
+    channel = ClassicalChannel(channels[np.argmin(SBgC + weight * SXC)])
     return channel, entropic_profile(ensemble, channel)
 
 
-def _lower_envelope(points):
-    """Lower convex envelope of (x, y, *payload) support points.
+def _lower_envelope(xs: np.ndarray, ys: np.ndarray) -> list:
+    """Indices of the lower convex envelope of the points (xs, ys), by x.
 
-    Points are deduplicated on x (keeping the smallest y) and swept with the
-    monotone-chain rule; collinear interior points are dropped.
+    Points are deduplicated on x (keeping the smallest y, and the first of
+    equal points) and swept with the monotone-chain rule; collinear interior
+    points are dropped.
     """
-    points = sorted(points, key=lambda p: (p[0], p[1]))
+    X, Y = xs.tolist(), ys.tolist()
     merged = []
-    for p in points:
-        if merged and p[0] - merged[-1][0] <= 1e-12:
+    for i in np.lexsort((ys, xs)).tolist():  # stable: ties keep their order
+        if merged and X[i] - X[merged[-1]] <= 1e-12:
             continue  # same abscissa: the earlier point has the smaller y
-        merged.append(p)
+        merged.append(i)
     hull = []
-    for p in merged:
+    for i in merged:
         while len(hull) >= 2:
             a, b = hull[-2], hull[-1]
-            cross = (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
-            if cross <= 1e-12:
-                hull.pop()
-            else:
+            cross = (X[b] - X[a]) * (Y[i] - Y[a]) - (Y[b] - Y[a]) * (X[i] - X[a])
+            if cross > 1e-12:
                 break
-        hull.append(p)
+            hull.pop()
+        hull.append(i)
     return hull
 
 
-def _segment_bound(rec0, rec1) -> float:
+def _certified(xs: np.ndarray, ys: np.ndarray, tags: np.ndarray) -> np.ndarray:
+    """The tags of the points (xs, ys), NaN where some point lies below the
+    line of slope -tag through its point: one points x distinct-tags
+    operation.  A NaN tag stays NaN."""
+    distinct, which = np.unique(tags, return_inverse=True)
+    lowest = (ys[:, None] + xs[:, None] * distinct).min(axis=0)
+    return np.where(ys + tags * xs > lowest[which] + 1e-9, np.nan, tags)
+
+
+def _segment_bound(x0, y0, mu0, x1, y1, mu1) -> float:
     """Upper bound on (chord - true curve) over one envelope segment.
 
-    Each record is (x, y, channel, mu); a point produced at weight mu lies on
-    the global lower-bound line of slope -mu through itself, so the curve sits
-    between the chord and the upper envelope of the two lines.  mu of None
-    means no valid line at that endpoint (a vertical wall), leaving the other
-    line alone to certify the segment.
+    A point produced at weight mu lies on the global lower-bound line of
+    slope -mu through itself, so the curve sits between the chord and the
+    upper envelope of the two end lines.  Over the width w, the left line's
+    slope falls short of the chord's by a and the right line's exceeds it
+    by b.  A NaN mu means no valid line at that end, so a vertical wall:
+    its a or b is infinite, and the bound a*b*w/(a + b) takes its limit,
+    the other end's term alone.
     """
-    x0, y0, _, mu0 = rec0
-    x1, y1, _, mu1 = rec1
     w = x1 - x0
     if w <= 1e-9:
         return 0.0
     s = (y1 - y0) / w
-    a = max(s + mu0, 0.0) if mu0 is not None else None
-    b = max(-(s + mu1), 0.0) if mu1 is not None else None
-    if a is None and b is None:
-        return math.inf
-    if a is None:
-        return b * w
-    if b is None:
-        return a * w
+    a = math.inf if math.isnan(mu0) else max(s + mu0, 0.0)
+    b = math.inf if math.isnan(mu1) else max(-(s + mu1), 0.0)
     if a + b <= 1e-15:
         return 0.0
+    if math.isinf(a + b):
+        return min(a, b) * w
     return a * b * w / (a + b)
 
 
@@ -386,14 +392,13 @@ class TradeoffCurve:
 
     samples are the convex-envelope support vertices as (R, value) pairs in
     increasing R; channels[i] is a channel achieving samples[i].  The curve
-    extends flat at `floor` (= Sbar) for R beyond the last vertex.  Queries
+    extends flat at its last value for R beyond the last vertex.  Queries
     left of the domain return None: those rates are unachievable.
     """
 
     kind: str
     samples: tuple
     domain: tuple
-    floor: float
     channels: tuple
     diagnostics: tuple = ()
 
@@ -425,6 +430,8 @@ class TradeoffCurve:
 
     def value(self, R: float) -> float | None:
         """Curve value at rate R, or None where the rate is unachievable."""
+        if math.isnan(R):
+            raise ValueError(f"rate must be a number, got R={R}")
         if R < self.domain[0] - DOMAIN_TOL:
             return None
         xs, ys = self._xs, self._ys
@@ -463,80 +470,61 @@ def _solve(ensemble: Ensemble, resolution: int, multistarts: int, seed: int,
     _check_starts(multistarts, seed)
     stats = ensemble_stats(ensemble)
 
-    # Outcomes as (S(X:C), S(B|C), channel, mu tag), starting from the exact
-    # analytic endpoints: the constant channel reveals nothing (the mu = 1
-    # solution), the identity channel everything (mu = 0).  collect keeps
-    # every solved point more than SNAP from both in S(X:C), so no solver
-    # point can tie an endpoint and displace it or its tag.
-    points = [(0.0, stats.S, ClassicalChannel.constant(ensemble.m).matrix, 1.0),
-              (stats.H, stats.Sbar, ClassicalChannel.identity(ensemble.m).matrix,
-               0.0)]
+    # The points as parallel arrays of S(X:C), S(B|C), mu tag and channel,
+    # starting from the exact analytic endpoints: the constant channel
+    # reveals nothing (the mu = 1 solution), the identity channel everything
+    # (mu = 0).  A NaN tag marks a point without a line.  Every solved point
+    # more than SNAP from both in S(X:C) is kept, so no solver point can tie
+    # an endpoint and displace it or its tag.
+    xs, ys, tags = np.array([[0.0, stats.H], [stats.S, stats.Sbar], [1.0, 0.0]])
+    channels = np.stack([ClassicalChannel.constant(ensemble.m).matrix,
+                         ClassicalChannel.identity(ensemble.m).matrix])
     total = nonconverged = 0
 
-    def collect(mus, first_index):
-        # All outcomes are achievable points; each is tagged with its mu
-        # until envelopes finds a point below its line.
-        nonlocal total, nonconverged
-        sweeps = _sweep(ensemble, mus, first_index, multistarts, seed,
-                        max_iter)
-        for mu, outcomes in zip(mus, sweeps):
-            for constraint, value, channel, converged in outcomes:
-                total += 1
-                nonconverged += not converged
-                if not SNAP < constraint < stats.H - SNAP:
-                    continue  # an analytic endpoint, to within SNAP
-                points.append((constraint, max(value, stats.Sbar), channel,
-                               mu))
-
-    def envelopes():
-        # A point keeps its tag mu, the certified slope -mu lower-bound line
-        # through it, only while no collected point lies below that line:
-        # local optima lose theirs.  One points x tags array operation.
-        xs, ys = np.array([p[:2] for p in points]).T
-        tags = sorted({mu for _, _, _, mu in points if mu is not None})
-        lowest = dict(zip(tags, (ys[:, None] + xs[:, None] * tags).min(axis=0)))
-        points[:] = [(x, y, c, mu if mu is not None
-                      and y + mu * x <= lowest[mu] + 1e-9 else None)
-                     for x, y, c, mu in points]
-        # RSP points and tags are the shear of these (module docstring).
-        sheared = [(min(max(x + y - stats.Sbar, stats.chi), stats.H), y, c,
-                    mu / (1.0 - mu) if mu is not None and mu < 1.0 else None)
-                   for x, y, c, mu in points]
-        return _lower_envelope(points), _lower_envelope(sheared)
-
-    # The mu <= 1 rungs (module docstring); refinement keys start at
-    # `resolution`, after the keys of the whole symmetric grid.
+    # Pass 0 solves the mu <= 1 rungs (module docstring); each later pass
+    # re-solves the segments whose bound misses REFINE_TARGET, within one
+    # budget of `resolution` multipliers.
     mus = [mu for mu in np.geomspace(MU_MIN, 1.0 / MU_MIN,
                                      int(resolution)).tolist() if mu <= 1.0]
-    collect(mus, 0)
-
-    hulls = envelopes()
     used = {round(math.log(mu), 6) for mu in mus}
-    budget = int(resolution)
-    next_index = int(resolution)
-    for _ in range(REFINE_PASSES):
-        if budget <= 0:
-            break
-        requests = []
-        for hull, to_mu in zip(hulls, (lambda nu: nu,
-                                       lambda nu: nu / (1.0 + nu))):
-            for rec0, rec1 in zip(hull[:-1], hull[1:]):
-                if _segment_bound(rec0, rec1) <= REFINE_TARGET:
+    budget, first_index = int(resolution), 0
+    for _ in range(REFINE_PASSES + 1):
+        SXC, SBgC, solved, converged = _sweep(ensemble, mus, first_index,
+                                              multistarts, seed, max_iter)
+        total += converged.size
+        nonconverged += np.count_nonzero(~converged)
+        keep = (SXC > SNAP) & (SXC < stats.H - SNAP)
+        xs = np.append(xs, SXC[keep])
+        ys = np.append(ys, np.maximum(SBgC[keep], stats.Sbar))
+        tags = _certified(xs, ys,
+                          np.append(tags, np.repeat(mus, multistarts)[keep]))
+        channels = np.concatenate([channels, solved[keep]])
+        # RSP points and tags are the shear of these (module docstring).
+        sides = ((xs, tags, lambda nu: nu),
+                 (np.clip(xs + ys - stats.Sbar, stats.chi, stats.H),
+                  np.divide(tags, 1.0 - tags, out=np.full_like(tags, np.nan),
+                            where=tags < 1.0),
+                  lambda nu: nu / (1.0 + nu)))
+        hulls = [_lower_envelope(x, ys) for x, _, _ in sides]
+        mus = []
+        for (x, t, to_mu), hull in zip(sides, hulls):
+            X, Y, T = x[hull].tolist(), ys[hull].tolist(), t[hull].tolist()
+            for x0, y0, mu0, x1, y1, mu1 in zip(X, Y, T, X[1:], Y[1:], T[1:]):
+                if _segment_bound(x0, y0, mu0, x1, y1, mu1) <= REFINE_TARGET:
                     continue
-                slope = (rec1[1] - rec0[1]) / (rec1[0] - rec0[0])
-                mu_new = min(to_mu(max(-slope, MU_MIN)), 1.0)
+                mu_new = min(to_mu(max((y0 - y1) / (x1 - x0), MU_MIN)), 1.0)
                 key = round(math.log(mu_new), 6)
-                if key in used:
-                    continue
-                used.add(key)
-                requests.append(mu_new)
-        requests = requests[:budget]
-        if not requests:
+                if key not in used:
+                    used.add(key)
+                    mus.append(mu_new)
+        mus = mus[:budget]
+        if not mus:
             break
-        budget -= len(requests)
-        collect(requests, next_index)
-        next_index += len(requests)
-        hulls = envelopes()
+        # Refinement keys run on from `resolution`, after the keys of the
+        # whole symmetric grid; the resolution - budget requests made so
+        # far hold the keys before this pass's.
+        first_index = 2 * int(resolution) - budget
+        budget -= len(mus)
 
     diagnostics = ()
     if nonconverged > NONCONVERGED_DIAGNOSTIC * max(total, 1):
@@ -544,12 +532,12 @@ def _solve(ensemble: Ensemble, resolution: int, multistarts: int, seed: int,
                        f"{max_iter} map evaluations",)
     qct, rsp = (
         TradeoffCurve(kind=kind,
-                      samples=tuple((float(x), float(y)) for x, y, _, _ in hull),
-                      domain=(lo, stats.H), floor=stats.Sbar,
-                      channels=tuple(ClassicalChannel(c) for _, _, c, _ in hull),
+                      samples=tuple(zip(x[hull].tolist(), ys[hull].tolist())),
+                      domain=(lo, stats.H),
+                      channels=tuple(map(ClassicalChannel, channels[hull])),
                       diagnostics=diagnostics)
-        for kind, lo, hull in (("QCT", 0.0, hulls[0]),
-                               ("RSP", stats.chi, hulls[1])))
+        for kind, lo, (x, _, _), hull in zip(("QCT", "RSP"), (0.0, stats.chi),
+                                             sides, hulls))
     return stats, qct, rsp
 
 

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import (Ensemble, EnsembleStats, _entropy, _spectrum_entropy,
-                     ensemble_stats)
+from .states import Ensemble, _entropy, _spectrum_entropy, ensemble_stats
 
 ROW_SUM_TOL = 1e-10
 # Channel outputs with probability mass below this are dropped from the
@@ -123,8 +122,8 @@ def stack_entropies(ensemble: Ensemble, channels: np.ndarray
     return np.maximum(SXC, 0.0), SBgC
 
 
-def entropic_profile(ensemble: Ensemble, channel: ClassicalChannel,
-                     stats: EnsembleStats | None = None) -> EntropicProfile:
+def entropic_profile(ensemble: Ensemble,
+                     channel: ClassicalChannel) -> EntropicProfile:
     """Closed-form entropic profile of an (ensemble, channel) pair.
 
     S(X:C) and S(B|C) come from `stack_entropies`; SXBgC then follows from
@@ -134,8 +133,6 @@ def entropic_profile(ensemble: Ensemble, channel: ClassicalChannel,
     if channel.m != ensemble.m:
         raise ValueError(f"channel has {channel.m} inputs for an "
                          f"ensemble of {ensemble.m} states")
-    if stats is None:
-        stats = ensemble_stats(ensemble)
     SXC, SBgC = (float(v) for v in stack_entropies(ensemble, channel.matrix))
-    SXBgC = max(SBgC - stats.Sbar, 0.0)
+    SXBgC = max(SBgC - ensemble_stats(ensemble).Sbar, 0.0)
     return EntropicProfile(SXC=SXC, SBgC=SBgC, SXBgC=SXBgC, SXBC=SXC + SXBgC)

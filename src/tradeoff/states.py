@@ -4,6 +4,7 @@ All entropies are in bits: logarithms and exponentials are base 2 throughout
 the package.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,6 +86,10 @@ class BipartitePureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
+        for d in (self.dimA, self.dimB):
+            if not isinstance(d, numbers.Integral) or isinstance(d, bool):
+                raise ValueError(f"subsystem dimensions must be integers, "
+                                 f"got {d!r}")
         if self.dimA < 1 or self.dimB < 1:
             raise ValueError("subsystem dimensions must be positive")
         v = np.array(self.amplitudes, dtype=complex).ravel()

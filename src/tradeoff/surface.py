@@ -40,18 +40,14 @@ class RegionLabel(enum.Enum):
     FORBIDDEN = "Forbidden"
 
 
-def _qubit_curve_at(R: float, curves: CurveSet) -> float:
-    # The qubit curve is flat at Sbar beyond R = H; clamp explicitly.
-    return curves.qct.value(min(R, curves.qct.domain[1]))
-
-
 def _cell(R: float, Q: float,
           curves: CurveSet) -> tuple[RegionLabel, float | None]:
     """Region of (R, Q), first match wins, and the optimal ebit rate there."""
-    if R < 0.0 or Q < 0.0:
-        raise ValueError("rates must be nonnegative")
+    if not (R >= 0.0 and Q >= 0.0):
+        raise ValueError(f"rates must be nonnegative, got R={R}, Q={Q}")
     stats = curves.stats
-    q_curve = _qubit_curve_at(R, curves)
+    # The QCT envelope ends at the exact vertex (H, Sbar), and is flat beyond.
+    q_curve = curves.qct.value(R)
     if Q >= q_curve - REGION_EPS:
         return RegionLabel.QCT, 0.0
     if Q >= 0.5 * (q_curve - stats.Sbar) - REGION_EPS:

@@ -53,7 +53,7 @@ def test_criterion_1_conditional_information_identity():
         dense = entropic_profile_dense(e, ch)
         worst_identity = max(worst_identity,
                              abs(dense.SXBgC - (dense.SBgC - stats.Sbar)))
-        fast = entropic_profile(e, ch, stats)
+        fast = entropic_profile(e, ch)
         for name in ("SXC", "SBgC", "SXBgC", "SXBC"):
             worst_match = max(worst_match,
                               abs(getattr(fast, name) - getattr(dense, name)))

@@ -192,7 +192,7 @@ def test_verify_rejects_bad_options_before_solving(option, tmp_path, capsys,
 
 def test_solver_diagnostics_exit_2(tmp_path, capsys, monkeypatch):
     fake = TradeoffCurve(kind="QCT", samples=((0.0, 1.0), (1.0, 0.0)),
-                         domain=(0.0, 1.0), floor=0.0,
+                         domain=(0.0, 1.0),
                          channels=(ClassicalChannel.constant(2),
                                    ClassicalChannel.identity(2)),
                          diagnostics=("synthetic: solver stalled",))

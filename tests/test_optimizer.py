@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -126,7 +128,7 @@ def test_vertex_channels_reproduce_their_rates(zp_curves, zero_plus):
     stats = zp_curves.stats
     for curve, attr in ((zp_curves.qct, "SXC"), (zp_curves.rsp, "SXBC")):
         for (R, value), channel in zip(curve.samples, curve.channels):
-            prof = entropic_profile(zero_plus, channel, stats)
+            prof = entropic_profile(zero_plus, channel)
             constraint = min(max(getattr(prof, attr), curve.domain[0]), stats.H)
             assert abs(constraint - R) <= 1e-2
             assert abs(prof.SBgC - value) <= 1e-2
@@ -194,19 +196,36 @@ def test_critical_rate_matches_oracle_departure(zp_curves, zp_oracle):
 
 def test_curve_constructor_validation():
     with pytest.raises(ValueError):
-        TradeoffCurve(kind="QCT", samples=(), domain=(0.0, 1.0), floor=0.0,
+        TradeoffCurve(kind="QCT", samples=(), domain=(0.0, 1.0),
                       channels=())
     with pytest.raises(ValueError):
         TradeoffCurve(kind="QCT", samples=((0.0, 1.0), (0.0, 0.5)),
-                      domain=(0.0, 1.0), floor=0.0, channels=(None, None))
+                      domain=(0.0, 1.0), channels=(None, None))
     with pytest.raises(ValueError):
         TradeoffCurve(kind="QCT", samples=((0.0, 0.2), (1.0, 0.8)),
-                      domain=(0.0, 1.0), floor=0.0, channels=(None, None))
+                      domain=(0.0, 1.0), channels=(None, None))
     with pytest.raises(ValueError):  # concave kink
         TradeoffCurve(kind="QCT",
                       samples=((0.0, 1.0), (0.5, 0.9), (1.0, 0.0)),
-                      domain=(0.0, 1.0), floor=0.0,
+                      domain=(0.0, 1.0),
                       channels=(None, None, None))
+
+
+@pytest.mark.parametrize("x1, mu0, mu1, bound", [
+    (2.0, 3.0, 0.5, 2.0 * 0.5 * 2.0 / 2.5),  # both lines: a*b*w/(a + b)
+    (2.0, math.nan, 0.5, 0.5 * 2.0),         # no left line: b*w
+    (2.0, 3.0, math.nan, 2.0 * 2.0),         # no right line: a*w
+    (2.0, math.nan, math.nan, math.inf),     # no line at all
+    (2.0, 1.0, 1.0, 0.0),                    # the chord lies on both lines
+    (1e-9, math.nan, math.nan, 0.0),         # slivers are never divided by
+    (0.0, math.nan, math.nan, 0.0),
+])
+def test_segment_bound(x1, mu0, mu1, bound):
+    # The chord from (0, 2) to (2, 0) has slope -1, so the left line of
+    # slope -3 falls short of it by a = 2 and the right line of slope -0.5
+    # exceeds it by b = 0.5, over the width w = 2.
+    assert optimizer._segment_bound(0.0, 2.0, mu0, x1, 0.0, mu1) == (
+        pytest.approx(bound))
 
 
 def test_resolution_validation(zero_plus):
@@ -312,9 +331,9 @@ def test_fixed_point_converges_at_critical_slope(zero_plus):
     # converged within 500 map evaluations before extrapolation.  Now all
     # do, to the objective that 8000 plain updates reach.
     mu, multistarts = 0.62, 16
-    [outcomes] = _sweep(zero_plus, [mu], 0, multistarts, 0, 500)
-    assert all(converged for _, _, _, converged in outcomes)
-    best = min(value + mu * constraint for constraint, value, _, _ in outcomes)
+    SXC, SBgC, _, converged = _sweep(zero_plus, [mu], 0, multistarts, 0, 500)
+    assert converged.all()
+    best = (SBgC + mu * SXC).min()
     channels = _start_points(zero_plus.m, zero_plus.m + 1, multistarts,
                              [0, 0, 0])
     for _ in range(8000):
@@ -344,17 +363,16 @@ def test_surviving_tags_lie_below_every_point(monkeypatch):
     # the identity channel, whose endpoint used to falsify 16 tagged lines
     # by up to 0.156.
     ensemble = builtin_ensemble("uniform-qubit-24")
-    lower_envelope, collected = optimizer._lower_envelope, []
+    certified, collected = optimizer._certified, []
 
-    def recording(points):
-        collected.append(list(points))
-        return lower_envelope(points)
+    def recording(xs, ys, tags):
+        collected.append((xs, ys, certified(xs, ys, tags)))
+        return collected[-1][2]
 
-    monkeypatch.setattr(optimizer, "_lower_envelope", recording)
+    monkeypatch.setattr(optimizer, "_certified", recording)
     compute_curves(ensemble, 40, multistarts=4, seed=0)
-    points = collected[-2]  # the QCT side of the last envelopes() call
-    xs, ys = np.array([point[:2] for point in points]).T
-    lines = [(x, y, mu) for x, y, _, mu in points if mu is not None]
+    xs, ys, tags = collected[-1]  # the QCT points of the last pass
+    lines = [(x, y, mu) for x, y, mu in zip(xs, ys, tags) if not np.isnan(mu)]
     assert len(lines) > 2
     for x, y, mu in lines:
         assert (ys + mu * xs).min() >= y + mu * x - 1e-9
@@ -369,7 +387,7 @@ def test_sweep_stacks_match_one_mu_sweeps(monkeypatch):
     row = ensemble.m * (ensemble.m + 1)
     monkeypatch.setattr(optimizer, "STACK_ELEMENTS", 2 * multistarts * row + 1)
     args = (multistarts, 0, max_iter)
-    singles = [_sweep(ensemble, [mu], first_index + i, *args)[0]
+    singles = [_sweep(ensemble, [mu], first_index + i, *args)
                for i, mu in enumerate(mus)]
 
     shapes = []
@@ -384,12 +402,13 @@ def test_sweep_stacks_match_one_mu_sweeps(monkeypatch):
     assert sum(shape[0] for shape in shapes) == len(mus) * multistarts
     for rows, m, k in shapes:
         assert rows == multistarts or rows * m * k <= optimizer.STACK_ELEMENTS
-    assert len(stacked) == len(singles) == len(mus)
-    for grouped, alone in zip(stacked, singles):
-        assert len(grouped) == len(alone) == multistarts
-        for (c0, v0, ch0, ok0), (c1, v1, ch1, ok1) in zip(grouped, alone):
-            assert (c0, v0, ok0) == (c1, v1, ok1)
-            assert np.array_equal(ch0, ch1)
+    # Each output array (S(X:C), S(B|C), channels, converged flags) holds
+    # the starts of every mu in order, as the one-mu sweeps do.
+    assert len(stacked) == 4 and len(singles) == len(mus)
+    for grouped, alone in zip(stacked, zip(*singles)):
+        assert len(grouped) == len(mus) * multistarts
+        assert all(len(part) == multistarts for part in alone)
+        assert np.array_equal(grouped, np.concatenate(alone))
 
 
 def test_one_solve_serves_both_curves(zero_plus, monkeypatch):

@@ -114,7 +114,7 @@ def test_label_b_information_identity_random():
                             int(rng.integers(1, 3)), int(rng.integers(2, 4)))
         ch = random_channel(rng, e.m, int(rng.integers(1, 5)))
         stats = ensemble_stats(e)
-        prof = entropic_profile(e, ch, stats)
+        prof = entropic_profile(e, ch)
         assert abs(prof.SXBgC - (prof.SBgC - stats.Sbar)) <= 1e-9
 
 
@@ -140,7 +140,7 @@ def test_conditional_entropy_within_bounds():
                             int(rng.integers(2, 4)))
         ch = random_channel(rng, e.m, int(rng.integers(1, 5)))
         stats = ensemble_stats(e)
-        prof = entropic_profile(e, ch, stats)
+        prof = entropic_profile(e, ch)
         assert stats.Sbar - 1e-9 <= prof.SBgC <= stats.S + 1e-9
 
 

@@ -62,6 +62,15 @@ def test_pure_state_validation():
     assert psi.as_matrix().shape == (2, 2)
 
 
+@pytest.mark.parametrize("dimA, dimB", [(1.5, 2), (2, 1.5), (2, 2.0),
+                                        (True, 2)])
+def test_pure_state_dimensions_must_be_integers(dimA, dimB):
+    # Each pair matches its amplitude count, so only the type check fails.
+    count = int(dimA * dimB)
+    with pytest.raises(ValueError, match="integers"):
+        BipartitePureState(dimA, dimB, np.ones(count) / math.sqrt(count))
+
+
 def test_partial_trace_product_state():
     psi = BipartitePureState(2, 2, np.array([1.0, 0.0, 0.0, 0.0]))
     rho_b = partial_trace(psi, keep="B")

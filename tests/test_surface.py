@@ -27,6 +27,27 @@ def test_negative_rates_rejected(zp_curves):
         e_star(0.1, -0.5, zp_curves)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("query, named", [
+    (lambda curves, hull: curves.qct.value(NAN), "R=nan"),
+    (lambda curves, hull: curves.rsp.value(NAN), "R=nan"),
+    (lambda curves, hull: e_star(NAN, 0.5, curves), "R=nan"),
+    (lambda curves, hull: e_star(0.5, NAN, curves), "Q=nan"),
+    (lambda curves, hull: classify_region(NAN, 0.5, curves), "R=nan"),
+    (lambda curves, hull: hull.min_e(NAN, 0.5), "R=nan"),
+    (lambda curves, hull: hull.min_e(0.5, NAN), "Q=nan"),
+    (lambda curves, hull: hull.min_e(INF, 0.5), "R=inf"),
+    (lambda curves, hull: hull.min_e(0.5, -INF), "Q=-inf"),
+], ids=["qct.value", "rsp.value", "e_star-R", "e_star-Q", "classify_region",
+        "min_e-R", "min_e-Q", "min_e-inf", "min_e-neg-inf"])
+def test_non_finite_rates_rejected(query, named, zp_curves, zp_hull):
+    # A NaN rate must not read as unachievable, nor reach the oracle's LP.
+    with pytest.raises(ValueError, match=named):
+        query(zp_curves, zp_hull)
+
+
 def test_orthonormal_has_no_high_entanglement_region(ortho_curves):
     # With Sbar = 0 and Q*(R) = chi - R the two boundaries coincide, so the
     # wedge between them is empty.
