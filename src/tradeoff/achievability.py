@@ -122,7 +122,6 @@ class AchievableHull:
     queried exactly per cell."""
 
     points: tuple
-    chi: float
 
     def __post_init__(self):
         arr = np.array([(p.R, p.Q, p.E, 1.0) for p in self.points])
@@ -192,8 +191,7 @@ def check_options(*, tolerance: float = 0.0) -> None:
 def achievable_hull(curves: CurveSet) -> AchievableHull:
     """The primitive points at the curve vertices, closed under conversions
     of any depth and time-sharing by each query's linear program."""
-    return AchievableHull(points=primitive_points(curves),
-                          chi=curves.stats.chi)
+    return AchievableHull(points=primitive_points(curves))
 
 
 def verify_surface(grid, hull: AchievableHull, *,
@@ -209,6 +207,7 @@ def verify_surface(grid, hull: AchievableHull, *,
     from .surface import RegionLabel  # local import to avoid a cycle
 
     check_options(tolerance=tolerance)
+    chi = grid.curves.stats.chi
 
     per_region = {label.value: {"cells": 0, "max_gap": None, "min_gap": None,
                                 "max_abs_gap": None}
@@ -226,7 +225,7 @@ def verify_surface(grid, hull: AchievableHull, *,
             if np.isinf(grid.E[i, j]):
                 forbidden_cells += 1
                 # Covering a strictly forbidden cell violates causality.
-                if oracle is not None and hull.chi - (R + 2.0 * Q) > 1e-6:
+                if oracle is not None and chi - (R + 2.0 * Q) > 1e-6:
                     covered_forbidden += 1
                     violations.append({"R": R, "Q": Q, "region": label,
                                        "kind": "forbidden_covered",

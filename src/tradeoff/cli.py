@@ -11,6 +11,11 @@ verify   cross-check the surface against the achievability oracle (curve
          which spans every point between them) -> report
 plot     emit a gnuplot script rendering a surface CSV
 
+Each computing command (qct, rsp, surface, verify) makes one
+compute_curves call and reads all it writes from that CurveSet: qct and
+rsp write one of its two curves, and the surface and the oracle are built
+from it.  Its diagnostic notes are printed once, whatever the command.
+
 Exit codes: 0 success; 1 bad input; 2 optimizer diagnostics raised;
 3 verification gaps above tolerance.
 """
@@ -23,8 +28,8 @@ from . import export
 from .achievability import (DEFAULT_TOLERANCE, achievable_hull, check_options,
                             verify_surface)
 from .ensembles import BUILTIN_NAMES, builtin_ensemble, load_ensemble
-from .optimizer import (DEFAULT_MULTISTARTS, DEFAULT_RESOLUTION, qct_curve,
-                        rsp_curve)
+from .optimizer import (DEFAULT_MULTISTARTS, DEFAULT_RESOLUTION,
+                        compute_curves)
 from .states import ensemble_stats
 from .surface import surface_grid
 
@@ -53,38 +58,34 @@ def _dispatch(args: argparse.Namespace) -> int:
             print(f"{name} = {value:.12g}")
         return 0
 
+    curves = compute_curves(ensemble, args.resolution,
+                            multistarts=args.multistarts, seed=args.seed)
+    for note in curves.diagnostics:
+        print(f"diagnostic: {note}", file=sys.stderr)
+    status = 2 if curves.diagnostics else 0
+
     if args.command in ("qct", "rsp"):
-        solver = qct_curve if args.command == "qct" else rsp_curve
-        curve = solver(ensemble, args.resolution,
-                       multistarts=args.multistarts, seed=args.seed)
+        curve = getattr(curves, args.command)
         export.write_curve_csv(curve, args.out)
         print(f"wrote {args.out} ({len(curve.samples)} support points, "
               f"domain [{curve.domain[0]:.6g}, {curve.domain[1]:.6g}])")
-        for note in curve.diagnostics:
-            print(f"diagnostic: {note}", file=sys.stderr)
-        return 2 if curve.diagnostics else 0
+        return status
 
     nR, nQ = args.grid
-    grid = surface_grid(ensemble, nR, nQ, resolution=args.resolution,
-                        multistarts=args.multistarts, seed=args.seed)
-    for note in grid.diagnostics:
-        print(f"diagnostic: {note}", file=sys.stderr)
-
+    grid = surface_grid(ensemble, nR, nQ, curves=curves)
     if args.command == "surface":
         export.write_surface_csv(grid, ensemble, args.out)
         print(f"wrote {args.out} ({nR}x{nQ} cells)")
-        return 2 if grid.diagnostics else 0
+        return status
 
-    hull = achievable_hull(grid.curves)
+    hull = achievable_hull(curves)
     report = verify_surface(grid, hull, tolerance=args.tolerance)
     export.write_verification_report(report, args.out)
     print(f"wrote {args.out}: max |gap| = {report['max_abs_gap']:.3e} over "
           f"{hull.size} points, tolerance {args.tolerance:g}")
     for violation in report["violations"]:
         print(f"violation: {violation}", file=sys.stderr)
-    if grid.diagnostics:
-        return 2
-    return 3 if report["violations"] else 0
+    return status or (3 if report["violations"] else 0)
 
 
 def run(args: argparse.Namespace) -> int:

@@ -69,7 +69,7 @@ def write_surface_csv(grid: SurfaceGrid, ensemble, path) -> Path:
         "chi": stats.chi,
         "H": stats.H,
         "Hc": grid.curves.critical.Hc,
-        "diagnostics": list(grid.diagnostics),
+        "diagnostics": list(grid.curves.diagnostics),
     }
     meta_path = path.with_suffix(".meta.json")
     meta_path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n",

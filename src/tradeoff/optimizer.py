@@ -400,7 +400,6 @@ class TradeoffCurve:
     samples: tuple
     domain: tuple
     channels: tuple
-    diagnostics: tuple = ()
 
     def __post_init__(self):
         xs = np.array([s[0] for s in self.samples], dtype=float)
@@ -434,12 +433,7 @@ class TradeoffCurve:
             raise ValueError(f"rate must be a number, got R={R}")
         if R < self.domain[0] - DOMAIN_TOL:
             return None
-        xs, ys = self._xs, self._ys
-        if R <= xs[0]:
-            return float(ys[0])
-        if R >= xs[-1]:
-            return float(ys[-1])
-        return float(np.interp(R, xs, ys))
+        return float(np.interp(R, self._xs, self._ys))
 
 
 @dataclass(frozen=True)
@@ -452,19 +446,24 @@ class CriticalRate:
 
 @dataclass(frozen=True)
 class CurveSet:
-    """Both trade-off curves of one ensemble plus its entropic summary."""
+    """Both trade-off curves of one solve, the ensemble's entropic summary,
+    the critical rate and the solve's diagnostic notes."""
 
     stats: EnsembleStats
     qct: TradeoffCurve
     rsp: TradeoffCurve
     critical: CriticalRate
+    diagnostics: tuple
 
 
-def _solve(ensemble: Ensemble, resolution: int, multistarts: int, seed: int,
-           max_iter: int
-           ) -> tuple[EnsembleStats, TradeoffCurve, TradeoffCurve]:
-    """The ensemble's stats, and the QCT and RSP curves of one XC ladder and
-    refinement loop."""
+def compute_curves(ensemble: Ensemble, resolution: int = DEFAULT_RESOLUTION, *,
+                   multistarts: int = DEFAULT_MULTISTARTS, seed: int = 0,
+                   workers: int = 1, max_iter: int = DEFAULT_MAX_ITER) -> CurveSet:
+    """Both curves of one XC ladder and refinement loop, with the critical
+    rate, the entropic summary and the solve's diagnostics.
+
+    workers is accepted for old callers and has no effect.
+    """
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
     _check_starts(multistarts, seed)
@@ -526,33 +525,38 @@ def _solve(ensemble: Ensemble, resolution: int, multistarts: int, seed: int,
         first_index = 2 * int(resolution) - budget
         budget -= len(mus)
 
-    diagnostics = ()
-    if nonconverged > NONCONVERGED_DIAGNOSTIC * max(total, 1):
-        diagnostics = (f"{nonconverged}/{total} starts hit the cap of "
-                       f"{max_iter} map evaluations",)
     qct, rsp = (
         TradeoffCurve(kind=kind,
                       samples=tuple(zip(x[hull].tolist(), ys[hull].tolist())),
                       domain=(lo, stats.H),
-                      channels=tuple(map(ClassicalChannel, channels[hull])),
-                      diagnostics=diagnostics)
+                      channels=tuple(map(ClassicalChannel, channels[hull])))
         for kind, lo, (x, _, _), hull in zip(("QCT", "RSP"), (0.0, stats.chi),
                                              sides, hulls))
-    return stats, qct, rsp
+    critical = critical_rate(qct, stats.S)
+    diagnostics = []
+    if nonconverged > NONCONVERGED_DIAGNOSTIC * max(total, 1):
+        diagnostics.append(f"{nonconverged}/{total} starts hit the cap of "
+                           f"{max_iter} map evaluations")
+    if not critical.found:
+        diagnostics.append("critical rate not localized on the qubit curve")
+    return CurveSet(stats=stats, qct=qct, rsp=rsp, critical=critical,
+                    diagnostics=tuple(diagnostics))
 
 
 def qct_curve(ensemble: Ensemble, resolution: int = DEFAULT_RESOLUTION, *,
               multistarts: int = DEFAULT_MULTISTARTS, seed: int = 0,
               max_iter: int = DEFAULT_MAX_ITER) -> TradeoffCurve:
     """Optimal qubit rate versus classical rate, Q*(R), for R in [0, H]."""
-    return _solve(ensemble, resolution, multistarts, seed, max_iter)[1]
+    return compute_curves(ensemble, resolution, multistarts=multistarts,
+                          seed=seed, max_iter=max_iter).qct
 
 
 def rsp_curve(ensemble: Ensemble, resolution: int = DEFAULT_RESOLUTION, *,
               multistarts: int = DEFAULT_MULTISTARTS, seed: int = 0,
               max_iter: int = DEFAULT_MAX_ITER) -> TradeoffCurve:
     """Optimal ebit rate versus classical rate, E*(R), for R in [chi, H]."""
-    return _solve(ensemble, resolution, multistarts, seed, max_iter)[2]
+    return compute_curves(ensemble, resolution, multistarts=multistarts,
+                          seed=seed, max_iter=max_iter).rsp
 
 
 def critical_rate(curve: TradeoffCurve, S: float, *,
@@ -579,14 +583,3 @@ def critical_rate(curve: TradeoffCurve, S: float, *,
     Hc = r1 if growth <= 0.0 else min(r0 + (tol - (r0 + q0 - S)) / growth, r1)
     return CriticalRate(Hc=Hc, found=True)
 
-
-def compute_curves(ensemble: Ensemble, resolution: int = DEFAULT_RESOLUTION, *,
-                   multistarts: int = DEFAULT_MULTISTARTS, seed: int = 0,
-                   workers: int = 1, max_iter: int = DEFAULT_MAX_ITER) -> CurveSet:
-    """Both curves, the critical rate and the entropic summary of an ensemble.
-
-    workers is accepted for old callers and has no effect.
-    """
-    stats, qct, rsp = _solve(ensemble, resolution, multistarts, seed, max_iter)
-    return CurveSet(stats=stats, qct=qct, rsp=rsp,
-                    critical=critical_rate(qct, stats.S))

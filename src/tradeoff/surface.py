@@ -15,6 +15,10 @@ splits into four regions:
 Boundaries are classified in the order above.  A small cushion keeps cells
 that sit exactly on a boundary (where two case conditions agree only up to
 rounding) in the earlier, finite-valued region.
+
+The surface is thus a closed-form function of one CurveSet: a whole grid is
+one array evaluation of the region tests and the two interpolated curves,
+and a single-point query is the same evaluation on one cell.
 """
 
 import enum
@@ -22,8 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .optimizer import (DEFAULT_MULTISTARTS, DEFAULT_RESOLUTION, CurveSet,
-                        compute_curves)
+from .optimizer import CurveSet
 from .states import Ensemble
 
 # Classification cushion: for R below the critical rate the low-entanglement
@@ -40,23 +43,35 @@ class RegionLabel(enum.Enum):
     FORBIDDEN = "Forbidden"
 
 
-def _cell(R: float, Q: float,
-          curves: CurveSet) -> tuple[RegionLabel, float | None]:
-    """Region of (R, Q), first match wins, and the optimal ebit rate there."""
-    if not (R >= 0.0 and Q >= 0.0):
-        raise ValueError(f"rates must be nonnegative, got R={R}, Q={Q}")
+# The labels in classification order, indexed by the region index of _cells.
+_LABELS = np.array(list(RegionLabel), dtype=object)
+
+
+def _cells(R, Q, curves: CurveSet) -> tuple[np.ndarray, np.ndarray]:
+    """Region index into _LABELS, first match wins, and the optimal ebit rate
+    (inf where unachievable) of each cell of the broadcast R and Q."""
     stats = curves.stats
     # The QCT envelope ends at the exact vertex (H, Sbar), and is flat beyond.
-    q_curve = curves.qct.value(R)
-    if Q >= q_curve - REGION_EPS:
-        return RegionLabel.QCT, 0.0
-    if Q >= 0.5 * (q_curve - stats.Sbar) - REGION_EPS:
-        return RegionLabel.LOW_ENTANGLEMENT, max(q_curve - Q, 0.0)
-    if Q >= 0.5 * (stats.chi - R) - REGION_EPS:
-        combined = max(R + 2.0 * Q, stats.chi)
-        return (RegionLabel.HIGH_ENTANGLEMENT,
-                max(curves.rsp.value(combined) - Q, 0.0))
-    return RegionLabel.FORBIDDEN, None
+    q_curve = np.interp(R, curves.qct.rates, curves.qct.values)
+    # R + 2Q >= chi on every achievable cell, inside the RSP domain.
+    e_curve = np.interp(np.maximum(R + 2.0 * Q, stats.chi), curves.rsp.rates,
+                        curves.rsp.values)
+    tests = [Q >= q_curve - REGION_EPS,
+             Q >= 0.5 * (q_curve - stats.Sbar) - REGION_EPS,
+             Q >= 0.5 * (stats.chi - R) - REGION_EPS]
+    region = np.select(tests, [0, 1, 2], default=3)
+    E = np.select(tests, [0.0, np.maximum(q_curve - Q, 0.0),
+                          np.maximum(e_curve - Q, 0.0)], default=np.inf)
+    return region, E
+
+
+def _cell(R: float, Q: float,
+          curves: CurveSet) -> tuple[RegionLabel, float | None]:
+    """Region of one (R, Q) and the optimal ebit rate there, or None."""
+    if not (R >= 0.0 and Q >= 0.0):
+        raise ValueError(f"rates must be nonnegative, got R={R}, Q={Q}")
+    region, E = _cells(R, Q, curves)
+    return _LABELS[region], (None if np.isinf(E) else float(E))
 
 
 def classify_region(R: float, Q: float, curves: CurveSet) -> RegionLabel:
@@ -74,8 +89,8 @@ class SurfaceGrid:
     """E*(R, Q) evaluated on a rectangular grid over [0, H] x [0, S].
 
     E holds np.inf on unachievable cells; region holds the RegionLabel per
-    cell.  boundary_cells lists indices sitting on the achievability line
-    Q = (chi - R)/2, where the reported value is the finite branch.
+    cell.  Cells on the achievability line Q = (chi - R)/2 take the finite
+    branch.
     """
 
     Rs: np.ndarray
@@ -83,43 +98,20 @@ class SurfaceGrid:
     E: np.ndarray
     region: np.ndarray
     curves: CurveSet
-    boundary_cells: tuple
-    diagnostics: tuple
 
 
 def surface_grid(ensemble: Ensemble, nR: int, nQ: int, *,
-                 curves: CurveSet | None = None,
-                 resolution: int = DEFAULT_RESOLUTION,
-                 multistarts: int = DEFAULT_MULTISTARTS,
-                 seed: int = 0) -> SurfaceGrid:
-    """Evaluate the trade-off surface on an nR x nQ grid.
+                 curves: CurveSet) -> SurfaceGrid:
+    """Evaluate the trade-off surface of curves on an nR x nQ grid, in one
+    array pass.
 
-    Curves are computed once (or reused if passed in); grid cells are then
-    independent curve lookups.
+    ensemble is not used: the curves hold all the surface needs.  It stays
+    the first parameter for callers that pass it positionally.
     """
     if nR < 2 or nQ < 2:
         raise ValueError("grid needs at least 2 points per axis")
-    if curves is None:
-        curves = compute_curves(ensemble, resolution, multistarts=multistarts,
-                                seed=seed)
-    stats = curves.stats
-    Rs = np.linspace(0.0, stats.H, nR)
-    Qs = np.linspace(0.0, stats.S, nQ)
-    E = np.zeros((nR, nQ))
-    region = np.empty((nR, nQ), dtype=object)
-    boundary = []
-    for i, R in enumerate(Rs):
-        for j, Q in enumerate(Qs):
-            label, value = _cell(float(R), float(Q), curves)
-            region[i, j] = label
-            E[i, j] = np.inf if value is None else value
-            if abs(Q - 0.5 * (stats.chi - R)) <= REGION_EPS:
-                boundary.append((i, j))
-    # Both curves of one solve carry its notes; each is reported once.
-    diagnostics = list(dict.fromkeys(curves.qct.diagnostics
-                                     + curves.rsp.diagnostics))
-    if not curves.critical.found:
-        diagnostics.append("critical rate not localized on the qubit curve")
-    return SurfaceGrid(Rs=Rs, Qs=Qs, E=E, region=region, curves=curves,
-                       boundary_cells=tuple(boundary),
-                       diagnostics=tuple(diagnostics))
+    Rs = np.linspace(0.0, curves.stats.H, nR)
+    Qs = np.linspace(0.0, curves.stats.S, nQ)
+    region, E = _cells(Rs[:, None], Qs[None, :], curves)
+    return SurfaceGrid(Rs=Rs, Qs=Qs, E=E, region=_LABELS[region],
+                       curves=curves)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -29,7 +30,7 @@ def test_rate_triple_validation():
 
 
 def _one_point_hull(r, q, e):
-    return AchievableHull(points=(RateTriple(r, q, e),), chi=0.0)
+    return AchievableHull(points=(RateTriple(r, q, e),))
 
 
 def test_conversion_examples():
@@ -67,10 +68,10 @@ def test_primitive_point_families(zp_curves, zp_hull):
             assert zp_hull.min_e(p.R + p.Q - stats.Sbar, 0.0) <= p.Q + 1e-9
 
 
-def test_cloud_respects_causality(zp_hull):
-    stats_chi = zp_hull.chi
+def test_cloud_respects_causality(zp_hull, zp_curves):
+    chi = zp_curves.stats.chi
     for p in zp_hull.points:
-        assert stats_chi <= p.R + 2.0 * p.Q + 1e-9
+        assert chi <= p.R + 2.0 * p.Q + 1e-9
 
 
 def test_min_e_anchor_points(zp_hull, zp_curves):
@@ -108,8 +109,8 @@ def test_ebit_points_convert_back_to_qubit_points(zp_hull, zp_curves):
         assert cost is not None and cost <= 2e-2
 
 
-def test_strictly_forbidden_cells_uncovered(zp_hull):
-    chi = zp_hull.chi
+def test_strictly_forbidden_cells_uncovered(zp_hull, zp_curves):
+    chi = zp_curves.stats.chi
     assert zp_hull.min_e(0.0, 0.1 * chi) is None
     assert zp_hull.min_e(0.2 * chi, 0.0) is None
 
@@ -151,8 +152,7 @@ def test_min_e_is_exact_convex_closure(seed):
     rng = np.random.default_rng(seed)
     for n in (1, 2, 3, 5, 7):
         arr = rng.uniform(0.0, 2.0, size=(n, 3))
-        hull = AchievableHull(points=tuple(RateTriple(*p) for p in arr),
-                              chi=0.0)
+        hull = AchievableHull(points=tuple(RateTriple(*p) for p in arr))
         lowest = arr[:, :2].min(axis=0)
         queries = list(rng.uniform(0.0, 2.2, size=(25, 2)))
         queries.append(0.5 * lowest)  # below every point: uncovered
@@ -170,8 +170,7 @@ def test_vertex_primitives_match_sampled_closure(name, request):
     # vertex primitives close to the same set as 128 samples per family.
     curves = request.getfixturevalue(f"{name}_curves")
     vertices = achievable_hull(curves)
-    sampled = AchievableHull(points=sampled_primitive_points(curves, 128),
-                             chi=curves.stats.chi)
+    sampled = AchievableHull(points=sampled_primitive_points(curves, 128))
     assert vertices.size < sampled.size
     stats = curves.stats
     r_max, q_max = stats.H + 0.1, stats.S + 0.1
@@ -208,10 +207,7 @@ def test_verify_surface_flags_formula_errors(ortho, ortho_curves, ortho_hull):
     doctored = grid.E.copy()
     finite = np.isfinite(doctored)
     doctored[finite] += 0.2  # formula now claims too much entanglement
-    fake = type(grid)(Rs=grid.Rs, Qs=grid.Qs, E=doctored, region=grid.region,
-                      curves=grid.curves, boundary_cells=grid.boundary_cells,
-                      diagnostics=grid.diagnostics)
-    report = verify_surface(fake, ortho_hull)
+    report = verify_surface(dataclasses.replace(grid, E=doctored), ortho_hull)
     assert any(v["kind"] == "optimality" for v in report["violations"])
 
 

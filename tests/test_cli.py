@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import shlex
 import subprocess
@@ -10,8 +11,6 @@ import pytest
 from tradeoff import optimizer
 from tradeoff.cli import _grid_type, build_parser, main
 from tradeoff.ensembles import builtin_ensemble, ensemble_to_dict
-from tradeoff.optimizer import TradeoffCurve
-from tradeoff.profiles import ClassicalChannel
 
 FAST = ["--resolution", "10", "--multistarts", "4", "--workers", "1"]
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -180,9 +179,9 @@ def test_verify_rejects_bad_tolerance(tolerance, tmp_path, capsys):
 def test_verify_rejects_bad_options_before_solving(option, tmp_path, capsys,
                                                    monkeypatch):
     def no_solve(*args, **kwargs):
-        raise AssertionError("surface_grid ran before the option check")
+        raise AssertionError("the curves were solved before the option check")
 
-    monkeypatch.setattr("tradeoff.cli.surface_grid", no_solve)
+    monkeypatch.setattr("tradeoff.cli.compute_curves", no_solve)
     out = tmp_path / "report.json"
     code = main(["verify", "--builtin", "bb84", "--out", str(out)] + option)
     assert code == 1
@@ -190,13 +189,10 @@ def test_verify_rejects_bad_options_before_solving(option, tmp_path, capsys,
     assert not out.exists()
 
 
-def test_solver_diagnostics_exit_2(tmp_path, capsys, monkeypatch):
-    fake = TradeoffCurve(kind="QCT", samples=((0.0, 1.0), (1.0, 0.0)),
-                         domain=(0.0, 1.0),
-                         channels=(ClassicalChannel.constant(2),
-                                   ClassicalChannel.identity(2)),
-                         diagnostics=("synthetic: solver stalled",))
-    monkeypatch.setattr("tradeoff.cli.qct_curve", lambda *a, **k: fake)
+def test_solver_diagnostics_exit_2(zp_curves, tmp_path, capsys, monkeypatch):
+    fake = dataclasses.replace(zp_curves,
+                               diagnostics=("synthetic: solver stalled",))
+    monkeypatch.setattr("tradeoff.cli.compute_curves", lambda *a, **k: fake)
     out = tmp_path / "qct.csv"
     code = main(["qct", "--builtin", "zero-plus", "--out", str(out)])
     assert code == 2

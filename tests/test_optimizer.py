@@ -236,9 +236,10 @@ def test_resolution_validation(zero_plus):
 
 
 def test_iteration_cap_reported(zero_plus):
-    curve = qct_curve(zero_plus, resolution=5, multistarts=2, max_iter=1)
-    assert curve.diagnostics
-    assert "map evaluations" in curve.diagnostics[0]
+    curves = compute_curves(zero_plus, resolution=5, multistarts=2,
+                            max_iter=1)
+    assert curves.diagnostics
+    assert "map evaluations" in curves.diagnostics[0]
 
 
 def test_seed_determinism(zero_plus):

@@ -177,11 +177,27 @@ def test_orthonormal_surface_closed_form(ortho_curves, ortho):
 
 def test_boundary_cells_sit_on_causality_line(ortho_curves, ortho):
     grid = surface_grid(ortho, 21, 21, curves=ortho_curves)
-    assert grid.boundary_cells
     chi = ortho_curves.stats.chi
-    for i, j in grid.boundary_cells:
-        assert abs(grid.Qs[j] - 0.5 * (chi - grid.Rs[i])) <= 1e-9
-        assert np.isfinite(grid.E[i, j])
+    on_line = np.abs(grid.Qs[None, :] - 0.5 * (chi - grid.Rs[:, None])) <= 1e-9
+    assert on_line.any()
+    assert np.isfinite(grid.E[on_line]).all()
+
+
+@pytest.mark.parametrize("name, fixture", [("zero-plus", "zp_curves"),
+                                           ("orthonormal-pair", "ortho_curves"),
+                                           ("bb84", None)])
+def test_grid_matches_single_cell_queries(name, fixture, request):
+    # The array pass over the grid and the single-point queries must agree
+    # bit for bit on every cell, inf matching None.
+    ensemble = builtin_ensemble(name)
+    curves = (request.getfixturevalue(fixture) if fixture
+              else compute_curves(ensemble, 8, multistarts=2, seed=0))
+    grid = surface_grid(ensemble, 21, 21, curves=curves)
+    for i, R in enumerate(grid.Rs.tolist()):
+        for j, Q in enumerate(grid.Qs.tolist()):
+            value = e_star(R, Q, curves)
+            assert grid.E[i, j] == (np.inf if value is None else value)
+            assert grid.region[i, j] is classify_region(R, Q, curves)
 
 
 def test_single_product_state_surface_is_zero():
