@@ -24,9 +24,19 @@ rows keeping them nonnegative: when a cover drives one below zero, its
 flows can be changed so that every total is nonnegative and the E total
 does not rise.  If the formula is right, the optimum must match it to within
 discretization error, and nothing in the closure may beat it.
+
+A grid needs far fewer solves than cells.  The reduced costs of a basis do
+not depend on the right-hand side b, so a basis that is optimal for one cell
+is optimal for every cell where B^-1 b >= 0, and a phase-one basis that
+proves one cell uncovered proves it for every such cell whose phase-one
+objective stays positive (parametric right-hand-side analysis; Bertsimas &
+Tsitsiklis, Introduction to Linear Optimization, sections 5.1-5.2).  Each
+solve records its terminal basis, and verify_surface answers every cell it
+can from the recorded bases, solving only where none applies.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,17 +88,23 @@ def primitive_points(curves: CurveSet) -> tuple:
                                  0.5 * (q + sbar), f"coherent@{R:.6g}"))
     for R, e in curves.rsp.samples:
         points.append(RateTriple(R, 0.0, e, f"rsp@{R:.6g}"))
-    return tuple(points)
+    # Exact repeats, such as the coherent QCT end and the RSP end (H, 0,
+    # Sbar), keep the first provenance.
+    unique = {}
+    for p in points:
+        unique.setdefault((p.R, p.Q, p.E), p)
+    return tuple(unique.values())
 
 
 def _simplex(A: np.ndarray, b: np.ndarray, c: np.ndarray,
-             basis: np.ndarray) -> np.ndarray:
+             basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Revised simplex for min c @ x subject to A @ x = b, x >= 0.
 
     Starts from the feasible `basis` (one column index per row, updated in
-    place) and returns the basic values at the optimum.  The entering column
-    has the most negative reduced cost, or the lowest index (Bland's rule)
-    right after a degenerate pivot, so the loop cannot cycle.  The objectives
+    place) and returns the inverse of the optimal basis matrix and the basic
+    values.  The entering column has the most negative reduced cost, or the
+    lowest index (Bland's rule) right after a degenerate pivot, so the loop
+    cannot cycle.  The objectives
     here are bounded below on the feasible set, so some basic value always
     limits an improving step.
     """
@@ -99,7 +115,7 @@ def _simplex(A: np.ndarray, b: np.ndarray, c: np.ndarray,
         reduced = c - (c[basis] @ B_inv) @ A
         entering = np.flatnonzero(reduced < -SIMPLEX_EPS)
         if entering.size == 0:
-            return x_B
+            return B_inv, x_B
         j = entering[0] if bland else entering[reduced[entering].argmin()]
         u = B_inv @ A[:, j]
         rows = np.flatnonzero(u > SIMPLEX_EPS)
@@ -114,12 +130,32 @@ def _simplex(A: np.ndarray, b: np.ndarray, c: np.ndarray,
 CONVERSIONS = {"Teleport": (2.0, -1.0, 1.0),
                "SuperdenseCbits": (-1.0, 0.5, 0.5),
                "QubitsToEbits": (0.0, 1.0, -1.0)}
+# The columns after the points and flows.
+SLACKS = ("R slack", "Q slack", "E surplus", "artificial")
+
+
+def _rhs(R, Q, tol: float) -> np.ndarray:
+    """Right-hand side of the cover rows for one cell, or one column per cell
+    for arrays of rates."""
+    return np.stack(np.broadcast_arrays(R + tol, Q + tol, 0.0, 1.0))
+
+
+class _Basis(NamedTuple):
+    """The terminal basis of one solve: its columns, the inverse of its
+    matrix and its costs.  An optimum prices every cell it is feasible for; a
+    phase-one proof shows every such cell with a positive phase-one objective
+    uncovered."""
+
+    columns: np.ndarray
+    inverse: np.ndarray
+    costs: np.ndarray
+    optimum: bool
 
 
 @dataclass(frozen=True, eq=False)
 class AchievableHull:
     """Primitive points whose closure under conversions and time-sharing is
-    queried exactly per cell."""
+    queried exactly, by one linear program per solved cell."""
 
     points: tuple
 
@@ -133,6 +169,11 @@ class AchievableHull:
         cost = np.concatenate([arr[:, 2], flows[:, 2], np.zeros(3)])
         A.flags.writeable = cost.flags.writeable = False
         object.__setattr__(self, "_lp", (A, cost))
+        names = (p.provenance or f"point {i}"
+                 for i, p in enumerate(self.points))
+        object.__setattr__(self, "_names", (*names, *CONVERSIONS, *SLACKS))
+        # Every solve's terminal basis, in the order solved.
+        object.__setattr__(self, "_bases", [])
 
     @property
     def size(self) -> int:
@@ -154,18 +195,20 @@ class AchievableHull:
         nonnegative.  Phase one starts from the two cover slacks, the E
         surplus and an artificial weight column and drives the artificial
         out; if it cannot, nothing covers the cell and None is returned.
-        Phase two minimizes the E total from there.
+        Phase two minimizes the E total from there.  The terminal basis of
+        either outcome is recorded for the grid answers of verify_surface.
         """
         if not (np.isfinite(R) and np.isfinite(Q)):
             raise ValueError(f"rates must be finite, got R={R}, Q={Q}")
         A, cost = self._lp
         m = A.shape[1] - 1
-        b = np.array([R + tol, Q + tol, 0.0, 1.0])
+        b = _rhs(R, Q, tol)
         basis = np.arange(m - 3, m + 1)
         phase_one = np.zeros(m + 1)
         phase_one[-1] = 1.0
-        x_B = _simplex(A, b, phase_one, basis)
+        B_inv, x_B = _simplex(A, b, phase_one, basis)
         if phase_one[basis] @ x_B > SIMPLEX_EPS:
+            self._record(basis, B_inv, phase_one, optimum=False)
             return None
         artificial = np.flatnonzero(basis == m)
         if artificial.size:
@@ -173,12 +216,57 @@ class AchievableHull:
             # row, which is nonzero because the other columns have rank 4.
             row = np.linalg.inv(A[:, basis])[artificial[0]] @ A[:, :m]
             basis[artificial[0]] = np.abs(row).argmax()
-        x_B = _simplex(A[:, :m], b, cost, basis)
+        B_inv, x_B = _simplex(A[:, :m], b, cost, basis)
+        self._record(basis, B_inv, cost, optimum=True)
         return float(cost[basis] @ x_B)
 
-    def provenance_samples(self, count: int = 8) -> tuple:
-        step = max(len(self.points) // max(count, 1), 1)
-        return tuple(p.provenance for p in self.points[::step][:count])
+    def _record(self, basis, B_inv, cost, *, optimum: bool) -> None:
+        self._bases.append(_Basis(basis.copy(), B_inv, cost[basis], optimum))
+
+    def _grid_min_e(self, R: np.ndarray,
+                    Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """min_e of each cell of the flat R and Q arrays, NaN where uncovered,
+        and the index of the recorded basis that answered it.
+
+        Each recorded basis, in order, answers every unanswered cell where it
+        is primal feasible: an optimum with its cost there, a phase-one
+        proof with "uncovered" while its objective stays positive.  When no
+        recorded basis answers a remaining cell, min_e solves the first of
+        them and records one more.
+        """
+        b = _rhs(R, Q, COVER_TOL)
+        values = np.full(R.size, np.nan)
+        source = np.full(R.size, -1)
+        unanswered = np.arange(R.size)
+        k = 0
+        while unanswered.size:
+            if k == len(self._bases):
+                first, unanswered = unanswered[0], unanswered[1:]
+                e = self.min_e(float(R[first]), float(Q[first]))
+                values[first] = np.nan if e is None else e
+                source[first] = len(self._bases) - 1
+                continue
+            basis = self._bases[k]
+            x = basis.inverse @ b[:, unanswered]
+            objective = basis.costs @ np.maximum(x, 0.0)
+            answered = (x >= -SIMPLEX_EPS).all(axis=0)
+            if basis.optimum:
+                values[unanswered[answered]] = objective[answered]
+            else:
+                answered &= objective > SIMPLEX_EPS
+            source[unanswered[answered]] = k
+            unanswered = unanswered[~answered]
+            k += 1
+        return values, source
+
+    def _describe(self, k: int, R: float, Q: float) -> str:
+        """The cover that recorded basis k gives (R, Q): its nonzero basic
+        weights, flows and slacks, named after their columns."""
+        basis = self._bases[k]
+        x = basis.inverse @ _rhs(R, Q, COVER_TOL)
+        return " + ".join(f"{x[i]:.6g}·{self._names[basis.columns[i]]}"
+                          for i in np.argsort(basis.columns)
+                          if x[i] > SIMPLEX_EPS)
 
 
 def check_options(*, tolerance: float = 0.0) -> None:
@@ -201,59 +289,60 @@ def verify_surface(grid, hull: AchievableHull, *,
     For each finite cell the gap min_e - E is recorded; |gap| <= tolerance is
     required in both directions (the cloud must achieve the formula and must
     not beat it).  Forbidden cells must stay uncovered except exactly on the
-    causality boundary.  Violations are reported, not raised; a tolerance
-    that is negative or not finite is.
+    causality boundary.  Violations are reported, not raised, each with the
+    basis that answered its cell; a tolerance that is negative or not finite
+    is raised.
     """
     from .surface import RegionLabel  # local import to avoid a cycle
 
     check_options(tolerance=tolerance)
     chi = grid.curves.stats.chi
+    R, Q = (a.ravel() for a in np.meshgrid(grid.Rs, grid.Qs, indexing="ij"))
+    E = grid.E.ravel()
+    labels = grid.region.ravel()
+    oracle, source = hull._grid_min_e(R, Q)
 
-    per_region = {label.value: {"cells": 0, "max_gap": None, "min_gap": None,
-                                "max_abs_gap": None}
-                  for label in RegionLabel}
+    covered = ~np.isnan(oracle)
+    forbidden = np.isinf(E)
+    scored = covered & ~forbidden
+    gap = np.where(scored, oracle - E, np.nan)
+    per_region = {}
+    for label in RegionLabel:
+        in_region = labels == label
+        gaps = gap[in_region & scored]
+        entry = {"cells": int(in_region.sum()), "max_gap": None,
+                 "min_gap": None, "max_abs_gap": None}
+        if gaps.size:
+            entry.update(max_gap=float(gaps.max()), min_gap=float(gaps.min()),
+                         max_abs_gap=float(np.abs(gaps).max()))
+        per_region[label.value] = entry
+
+    # Covering a strictly forbidden cell violates causality.
+    kinds = np.select(
+        [forbidden & covered & (chi - (R + 2.0 * Q) > 1e-6),
+         ~forbidden & ~covered, scored & (gap < -tolerance),
+         scored & (gap > tolerance)],
+        ["forbidden_covered", "uncovered", "optimality", "achievability"],
+        default="")
+    detail = {"forbidden_covered": ("min_e", oracle),
+              "uncovered": ("formula", E),
+              "optimality": ("gap", gap), "achievability": ("gap", gap)}
     violations = []
-    worst = 0.0
-    forbidden_cells = covered_forbidden = 0
-    for i, R in enumerate(grid.Rs):
-        for j, Q in enumerate(grid.Qs):
-            R, Q = float(R), float(Q)
-            label = grid.region[i, j].value
-            entry = per_region[label]
-            entry["cells"] += 1
-            oracle = hull.min_e(R, Q)
-            if np.isinf(grid.E[i, j]):
-                forbidden_cells += 1
-                # Covering a strictly forbidden cell violates causality.
-                if oracle is not None and chi - (R + 2.0 * Q) > 1e-6:
-                    covered_forbidden += 1
-                    violations.append({"R": R, "Q": Q, "region": label,
-                                       "kind": "forbidden_covered",
-                                       "min_e": oracle})
-                continue
-            formula = float(grid.E[i, j])
-            if oracle is None:
-                violations.append({"R": R, "Q": Q, "region": label,
-                                   "kind": "uncovered", "formula": formula})
-                continue
-            gap = oracle - formula
-            for key, fn in (("max_gap", max), ("min_gap", min)):
-                entry[key] = gap if entry[key] is None else fn(entry[key], gap)
-            abs_gap = abs(gap)
-            entry["max_abs_gap"] = max(entry["max_abs_gap"] or 0.0, abs_gap)
-            worst = max(worst, abs_gap)
-            if abs_gap > tolerance:
-                kind = "optimality" if gap < 0 else "achievability"
-                violations.append({"R": R, "Q": Q, "region": label,
-                                   "kind": kind, "gap": gap})
+    for i in np.flatnonzero(kinds != ""):
+        kind = str(kinds[i])
+        key, values = detail[kind]
+        violations.append({"R": float(R[i]), "Q": float(Q[i]),
+                           "region": labels[i].value, "kind": kind,
+                           key: float(values[i]),
+                           "basis": hull._describe(source[i], R[i], Q[i])})
     return {
         "tolerance": tolerance,
         "cloud_points": hull.size,
         "mixing": "exact",
         "regions": per_region,
-        "max_abs_gap": worst,
-        "forbidden_cells": forbidden_cells,
-        "forbidden_covered": covered_forbidden,
+        "max_abs_gap": (float(np.abs(gap[scored]).max()) if scored.any()
+                        else 0.0),
+        "forbidden_cells": int(forbidden.sum()),
+        "forbidden_covered": int((kinds == "forbidden_covered").sum()),
         "violations": violations,
-        "provenance_samples": list(hull.provenance_samples()),
     }

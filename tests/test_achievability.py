@@ -17,7 +17,24 @@ from tradeoff.achievability import (
     primitive_points,
     verify_surface,
 )
+from tradeoff.ensembles import builtin_ensemble
+from tradeoff.optimizer import compute_curves
 from tradeoff.surface import surface_grid
+
+
+@pytest.fixture(scope="module")
+def bb84_grid():
+    # The bb84-oracle benchmark workload's settings.
+    bb84 = builtin_ensemble("bb84")
+    curves = compute_curves(bb84, 40, multistarts=8, seed=0)
+    return surface_grid(bb84, 32, 32, curves=curves)
+
+
+@pytest.fixture(scope="module")
+def zp_fast_grid(zero_plus):
+    # The CLI tests' fast solver settings.
+    curves = compute_curves(zero_plus, 10, multistarts=4, seed=0)
+    return surface_grid(zero_plus, 16, 16, curves=curves)
 
 
 def test_rate_triple_validation():
@@ -53,6 +70,11 @@ def test_primitive_point_families(zp_curves, zp_hull):
     for p in points:
         by_family.setdefault(p.provenance.split("@")[0], []).append(p)
     assert set(by_family) == {"qct", "coherent", "rsp"}
+    # The coherent QCT end is the RSP end (H, 0, Sbar), listed once under
+    # its first provenance.
+    assert len({(p.R, p.Q, p.E) for p in points}) == len(points)
+    assert ([p.R for p in by_family["rsp"]]
+            == [R for R, _ in zp_curves.rsp.samples[:-1]])
     for p in by_family["qct"]:
         assert p.E == 0.0 and abs(p.Q - zp_curves.qct.value(p.R)) <= 1e-9
     for p in by_family["coherent"]:
@@ -199,7 +221,6 @@ def test_verify_surface_orthonormal(ortho, ortho_curves, ortho_hull):
     assert report["mixing"] == "exact"
     assert sum(entry["cells"] for entry in report["regions"].values()) == 100
     assert report["cloud_points"] == ortho_hull.size
-    assert report["provenance_samples"]
 
 
 def test_verify_surface_flags_formula_errors(ortho, ortho_curves, ortho_hull):
@@ -209,6 +230,81 @@ def test_verify_surface_flags_formula_errors(ortho, ortho_curves, ortho_hull):
     doctored[finite] += 0.2  # formula now claims too much entanglement
     report = verify_surface(dataclasses.replace(grid, E=doctored), ortho_hull)
     assert any(v["kind"] == "optimality" for v in report["violations"])
+    # Each violation names the cover that answered its cell.
+    names = [p.provenance for p in ortho_hull.points]
+    for violation in report["violations"]:
+        assert any(name in violation["basis"] for name in names), violation
+
+
+def _cells(grid):
+    return [(float(R), float(Q)) for R in grid.Rs for Q in grid.Qs]
+
+
+@pytest.mark.parametrize("name", ["bb84_grid", "zp_fast_grid"])
+def test_grid_answers_match_per_cell_min_e(name, request):
+    grid = request.getfixturevalue(name)
+    R, Q = np.array(_cells(grid)).T
+    values, _ = achievable_hull(grid.curves)._grid_min_e(R, Q)
+    reference = achievable_hull(grid.curves)
+    for (r, q), value in zip(_cells(grid), values):
+        expected = reference.min_e(r, q)
+        assert (expected is None) == np.isnan(value), (r, q)
+        if expected is not None:
+            assert value == pytest.approx(expected, abs=1e-12), (r, q)
+
+
+def test_uncovered_proof_stops_at_the_cover_boundary():
+    # The phase-one basis proving (0.5, 0.5) uncovered stays feasible at the
+    # corner the point just covers, but its objective there is zero, so the
+    # corner takes a solve of its own.
+    hull = _one_point_hull(1.0, 1.0, 0.0)
+    rates = np.array([0.5, 1.0 - COVER_TOL])
+    values, source = hull._grid_min_e(rates, rates)
+    assert np.isnan(values[0]) and values[1] == 0.0
+    assert list(source) == [0, 1]
+
+
+def test_grid_reuses_bases(bb84_grid, monkeypatch):
+    calls = []
+    solve = AchievableHull.min_e
+
+    def counted(self, R, Q, **kwargs):
+        calls.append((R, Q))
+        return solve(self, R, Q, **kwargs)
+
+    monkeypatch.setattr(AchievableHull, "min_e", counted)
+    report = verify_surface(bb84_grid, achievable_hull(bb84_grid.curves))
+    assert report["violations"] == []
+    assert 0 < len(calls) <= 32
+
+
+def test_used_hull_verifies_like_a_fresh_one(zp_fast_grid):
+    doctored = zp_fast_grid.E.copy()
+    doctored[np.isfinite(doctored)] += 0.2
+    grid = dataclasses.replace(zp_fast_grid, E=doctored)
+    used = achievable_hull(grid.curves)
+    rng = np.random.default_rng(3)
+    for R, Q in rng.uniform(0.0, 1.2, size=(40, 2)):
+        used.min_e(float(R), float(Q))
+    fresh = verify_surface(grid, achievable_hull(grid.curves))
+    again = verify_surface(grid, used)
+    assert fresh["violations"]
+    for key in ("forbidden_cells", "forbidden_covered", "cloud_points"):
+        assert again[key] == fresh[key]
+    assert again["max_abs_gap"] == pytest.approx(fresh["max_abs_gap"],
+                                                 abs=1e-12)
+    for label, entry in fresh["regions"].items():
+        for key, value in entry.items():
+            assert again["regions"][label][key] == pytest.approx(
+                value, abs=1e-12), (label, key)
+
+    def kinds(report):
+        return [(v["R"], v["Q"], v["region"], v["kind"])
+                for v in report["violations"]]
+
+    assert kinds(again) == kinds(fresh)
+    for a, b in zip(again["violations"], fresh["violations"]):
+        assert a.get("gap", 0.0) == pytest.approx(b.get("gap", 0.0), abs=1e-12)
 
 
 def test_classical_quantum_information_dimension_bound():
