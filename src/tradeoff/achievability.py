@@ -113,6 +113,10 @@ def _simplex(A: np.ndarray, b: np.ndarray, c: np.ndarray,
         B_inv = np.linalg.inv(A[:, basis])
         x_B = np.maximum(B_inv @ b, 0.0)
         reduced = c - (c[basis] @ B_inv) @ A
+        # Exactly 0 for a basic column, which rounding in an ill-conditioned
+        # basis can push below -SIMPLEX_EPS; it would then enter in place of
+        # itself, forever.
+        reduced[basis] = 0.0
         entering = np.flatnonzero(reduced < -SIMPLEX_EPS)
         if entering.size == 0:
             return B_inv, x_B

@@ -128,14 +128,14 @@ def _add_ensemble_args(parser) -> None:
 
 def _add_solver_args(parser) -> None:
     parser.add_argument("--resolution", type=int, default=DEFAULT_RESOLUTION,
-                        metavar="N", help="multiplier ladder: the mu <= 1 "
-                        "half of N geometric rungs on [1e-3, 1e3], as no "
-                        "qubit-curve slope is steeper than -1 "
-                        "(default %(default)s)")
+                        metavar="N", help="multiplier budget: at most N "
+                        "chord-slope solves, fewer once every curve "
+                        "segment's gap is within 2e-3 (default %(default)s)")
     parser.add_argument("--seed", type=int, default=0, metavar="N",
                         help="base seed for multistart draws (default 0)")
     parser.add_argument("--multistarts", type=int, default=DEFAULT_MULTISTARTS,
-                        metavar="N", help="random restarts per multiplier "
+                        metavar="N", help="starts per multiplier, two of them "
+                        "continued from the segment ends "
                         "(default %(default)s)")
     parser.add_argument("--workers", type=int, default=None, metavar="N",
                         help="accepted for old scripts; has no effect")

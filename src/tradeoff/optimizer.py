@@ -8,39 +8,48 @@ the channel output, under a mutual-information budget:
 
 Each curve is convex and non-increasing in R, so every point is exposed by a
 supporting slope.  As S(X:BC) = S(X:C) + S(B|C) - Sbar, one solve serves
-both: a ladder of weights mu in S(B|C) + mu * S(X:C) gives (S(X:C), S(B|C))
+both: minimizing S(B|C) + mu * S(X:C) over channels gives (S(X:C), S(B|C))
 points whose lower convex envelope is the qubit curve, and the envelope of
-their shear (R, Q) -> (R + Q - Sbar, Q) is the ebit curve.  The shear turns
-a slope -mu line into a slope -mu/(1 - mu) one for mu < 1, and otherwise
-into a vertical or rising one that bounds nothing; it takes (0, S) to
-(chi, S) and fixes (H, Sbar), so the analytic endpoints serve both curves.
-
-The ladder is the mu <= 1 half of an N-point geometric grid (N = the
-resolution) symmetric about 1 on [MU_MIN, 1/MU_MIN] = [1e-3, 1e3]; rung i
-draws its starts from seed key (seed, 0, i).  The half above 1 is never
+their shear (R, Q) -> (R + Q - Sbar, Q) is the ebit curve.  No mu above 1 is
 needed: data processing gives I(B:C) <= I(X:C), i.e. S(X:C) + S(B|C) >= S,
-so the qubit curve is nowhere steeper than -1 and every mu > 1 is minimized
-at the known point (0, S) of the constant channel.
+so the qubit curve is nowhere steeper than -1.
 
-The endpoints (0, S) and (H, Sbar) are exact: a solved outcome with
+The endpoints (0, S) and (H, Sbar) are exact: the constant channel reveals
+nothing and the identity channel everything.  A solved outcome with
 S(X:C) <= SNAP or S(X:C) >= H - SNAP is dropped, as data processing puts it
 within SNAP of an endpoint, by S - S(B|C) <= S(X:C) at the left end and
-S(B|C) - Sbar = I(X:B|C) <= S(X|C) = H - S(X:C) at the right one.
+S(B|C) - Sbar = I(X:B|C) <= H - S(X:C) at the right one.
 
-A geometric ladder undersamples curves whose slope range is narrow, so the
-ladder is pass 0 of a loop of sandwich refinement passes.  The point
-produced at weight mu carries the global lower-bound line of slope -mu
-through itself (scalarization duality), unless some collected point, the
-analytic endpoints included, lies below that line: then the point is a
-local optimum and loses its line.  The gap between each envelope chord and
-the two supporting lines of its endpoints bounds the interpolation error,
-and segments of either envelope whose bound exceeds a small target are
-re-solved at the chord slope (-nu: mu = nu on the qubit curve,
-mu = nu/(1 + nu) on the ebit curve, capped at mu = 1) until the bound
-closes or the budget runs out.  The solve keeps its points as parallel
-arrays of S(X:C), S(B|C), tag and channel, where the tag is the mu of the
-point's line, or NaN once it has none; each envelope is a list of indices
-into these arrays, and both curves are read from them by indexing.
+The solve is the sandwich algorithm (Rennen, van Dam & den Hertog 2011;
+Bokrantz & Forsgren 2013).  It keeps its points as parallel arrays of
+S(X:C), S(B|C) and channel, and a list of solved multipliers mu_k.  Each
+multiplier gives the global lower-bound line y >= h_k - mu_k * x, where
+h_k is the least S(B|C) + mu_k * S(X:C) over all collected points, from one
+points x multipliers product (scalarization duality, trusting the inner
+solve).  The lines mu = 1, h = S and mu = 0, h = Sbar are known without a
+solve.  The shear takes a line with mu < 1 to the line of slope
+-mu/(1 - mu) and intercept (h - mu * Sbar)/(1 - mu), and the mu = 1 line to
+the wall R >= chi, which no segment of the ebit curve crosses.
+
+A segment's gap is the largest excess of its chord over the upper envelope
+of the lines.  The chord minus that envelope is concave, so the maximum is
+at an end of the segment or at a breakpoint of the envelope inside it, and
+is exact.  Each pass requests the chord slopes -nu of all segments, on
+either envelope, whose gap exceeds REFINE_TARGET, largest gap first (mu = nu
+on the qubit curve, mu = nu/(1 + nu) on the ebit curve).  Pass 0 is the one
+segment from (0, S) to (H, Sbar), whose chord is the same line on both
+curves.  Requests are numbered across the solve, request j draws its random
+starts from the seed key (seed, 0, j), and the solve stops when every gap
+is within the target or `resolution` requests are spent; only then does a
+segment still above the target add a diagnostic note.
+
+Two of each request's starts continue from the channels at the ends of its
+segment, mixed 0.98/0.02 with the uniform channel so that every output stays
+alive (continuation, as in deterministic annealing for the information
+bottleneck, Rose 1998).  A request whose own starts lose to another point by
+more than LINE_TOL is beaten: its line still runs through the better point,
+it is re-solved once within the budget with that point's channel as an
+extra start, and the diagnostics name it.
 
 The inner problem is nonconvex in the channel.  It is solved by the
 multiplicative fixed-point iteration familiar from Blahut-Arimoto and
@@ -68,15 +77,13 @@ never clipped to the simplex: the update is multiplicative, so an output
 set to zero would never come back.  A row whose x' has any entry <= 0 takes
 x' = x2 instead.  A start stops at its first map evaluation that moves it
 by less than CONVERGENCE_TOL in sup norm, with that evaluation's image, and
-max_iter counts map evaluations, three per cycle.  Many seeded random
-starts guard against local minima.  The starts of consecutive weights (the
-whole ladder, or one refinement pass) are iterated together as a few
-arrays, each row at its own weight, with its own step length and fallback,
-and each frozen once it converges.  An array holds the starts of as many
-weights as fit in STACK_ELEMENTS channel entries, and always at least one
-weight: small stacks cost numpy call overhead per iteration, so batching
-them saves time, while past the cap the cost is array work and a larger
-stack only adds memory.
+max_iter counts map evaluations, three per cycle.  The starts of one pass
+are iterated together as a few arrays, each row at its own weight, with its
+own step length and fallback, and each frozen once it converges.  An array
+holds the starts of as many consecutive weights as fit in STACK_ELEMENTS
+channel entries, and always at least one weight: small stacks cost numpy
+call overhead per iteration, so batching them saves time, while past the
+cap the cost is array work and a larger stack only adds memory.
 
 For a qubit B register the distortion has a closed form.  With Bloch
 vectors rho = (I + r.sigma)/2, the posterior vector r_j = sum_i p_i p(j|i)
@@ -106,7 +113,6 @@ from .profiles import (ZERO_OUTPUT, ClassicalChannel, EntropicProfile,
                        entropic_profile, stack_entropies)
 from .states import EIGENVALUE_CLAMP, Ensemble, EnsembleStats, ensemble_stats
 
-MU_MIN = 1e-3
 DEFAULT_RESOLUTION = 40
 DEFAULT_MULTISTARTS = 32
 DEFAULT_MAX_ITER = 500
@@ -115,9 +121,11 @@ DOMAIN_TOL = 1e-9
 # Solved points within SNAP of an analytic endpoint in S(X:C) are dropped
 # (module docstring).
 SNAP = 1e-9
-# Sandwich refinement: per-segment interpolation-error target and caps.
+# Sandwich refinement: the per-segment gap target.
 REFINE_TARGET = 2e-3
-REFINE_PASSES = 8
+# A multiplier within LINE_TOL of a solved one is not requested again, and a
+# request whose own starts miss its line's intercept by more is beaten.
+LINE_TOL = 1e-9
 # Fraction of starts allowed to hit the cap of max_iter map evaluations before
 # a sweep is reported as diagnostically suspect.
 NONCONVERGED_DIAGNOSTIC = 0.5
@@ -275,29 +283,30 @@ def _check_starts(multistarts: int, seed: int) -> None:
         raise ValueError(f"seed must be nonnegative, got {seed}")
 
 
-def _sweep(ensemble: Ensemble, mus, first_index: int, multistarts: int,
-           seed: int, max_iter: int) -> tuple:
-    """Minimize S(B|C) + mu * S(X:C) from every start of every mu, in stacks.
+def _sweep(ensemble: Ensemble, mus, starts, max_iter: int) -> tuple:
+    """Minimize S(B|C) + mu * S(X:C) from the starts of every mu, in stacks.
 
-    mus[i] draws its starts from the seed key (seed, 0, first_index + i).
-    The starts of consecutive mus share one stack of at most STACK_ELEMENTS
+    starts[i] is the (count, m, k) array of the starts of mus[i].  The
+    starts of consecutive mus share one stack of at most STACK_ELEMENTS
     channel entries, and always at least one mu.  Returns four arrays with
-    one row per start, the multistarts starts of mus[0] first: S(X:C),
-    S(B|C), the channel matrices and the converged flags.
+    one row per start, in the order of starts: S(X:C), S(B|C), the channel
+    matrices and the converged flags.
     """
-    m, k = ensemble.m, ensemble.m + 1
-    per_stack = max(1, STACK_ELEMENTS // (multistarts * m * k))
-    stacks = []
-    for lo in range(0, len(mus), per_stack):
-        group = mus[lo:lo + per_stack]
-        starts = np.concatenate([
-            _start_points(m, k, multistarts, [seed, 0, first_index + index])
-            for index in range(lo, lo + len(group))])
-        ratios = np.repeat([1.0 / mu for mu in group], multistarts)
+    stacks, lo = [], 0
+    while lo < len(mus):
+        hi, size = lo + 1, starts[lo].size
+        while hi < len(mus) and size + starts[hi].size <= STACK_ELEMENTS:
+            size += starts[hi].size
+            hi += 1
+        group = starts[lo:hi]
+        ratios = np.repeat(1.0 / np.asarray(mus[lo:hi], dtype=float),
+                           [len(s) for s in group])
         channels, converged = _fixed_point(ensemble.reduced_b, ensemble.probs,
-                                           ratios, starts, max_iter)
+                                           ratios, np.concatenate(group),
+                                           max_iter)
         stacks.append((*stack_entropies(ensemble, channels), channels,
                        converged))
+        lo = hi
     return tuple(np.concatenate(parts) for parts in zip(*stacks))
 
 
@@ -322,8 +331,9 @@ def minimize_profile(ensemble: Ensemble, mu: float, kind: str = "XC", *,
         channel = ClassicalChannel.identity(ensemble.m)
         return channel, entropic_profile(ensemble, channel)
     weight = float(mu) if kind == "XC" else mu / (1.0 + mu)
-    SXC, SBgC, channels, _ = _sweep(ensemble, [weight], 0, multistarts, seed,
-                                    max_iter)
+    starts = _start_points(ensemble.m, ensemble.m + 1, multistarts,
+                           [seed, 0, 0])
+    SXC, SBgC, channels, _ = _sweep(ensemble, [weight], [starts], max_iter)
     channel = ClassicalChannel(channels[np.argmin(SBgC + weight * SXC)])
     return channel, entropic_profile(ensemble, channel)
 
@@ -353,37 +363,55 @@ def _lower_envelope(xs: np.ndarray, ys: np.ndarray) -> list:
     return hull
 
 
-def _certified(xs: np.ndarray, ys: np.ndarray, tags: np.ndarray) -> np.ndarray:
-    """The tags of the points (xs, ys), NaN where some point lies below the
-    line of slope -tag through its point: one points x distinct-tags
-    operation.  A NaN tag stays NaN."""
-    distinct, which = np.unique(tags, return_inverse=True)
-    lowest = (ys[:, None] + xs[:, None] * distinct).min(axis=0)
-    return np.where(ys + tags * xs > lowest[which] + 1e-9, np.nan, tags)
+def _segment_gaps(xs: np.ndarray, ys: np.ndarray, slopes: np.ndarray,
+                  intercepts: np.ndarray) -> np.ndarray:
+    """The largest excess of each chord of the vertex chain (xs, ys), with
+    xs increasing, over L(x) = max_k intercepts_k - slopes_k * x.
 
-
-def _segment_bound(x0, y0, mu0, x1, y1, mu1) -> float:
-    """Upper bound on (chord - true curve) over one envelope segment.
-
-    A point produced at weight mu lies on the global lower-bound line of
-    slope -mu through itself, so the curve sits between the chord and the
-    upper envelope of the two end lines.  Over the width w, the left line's
-    slope falls short of the chord's by a and the right line's exceeds it
-    by b.  A NaN mu means no valid line at that end, so a vertical wall:
-    its a or b is infinite, and the bound a*b*w/(a + b) takes its limit,
-    the other end's term alone.
+    The chord minus L is concave on a segment, so its maximum lies at an end
+    of the segment or at a breakpoint of L inside it.  The lines that form L,
+    in order of decreasing slope, are the lower hull of the dual points
+    (-slope, -intercept), and consecutive ones meet at L's breakpoints.
     """
-    w = x1 - x0
-    if w <= 1e-9:
-        return 0.0
-    s = (y1 - y0) / w
-    a = math.inf if math.isnan(mu0) else max(s + mu0, 0.0)
-    b = math.inf if math.isnan(mu1) else max(-(s + mu1), 0.0)
-    if a + b <= 1e-15:
-        return 0.0
-    if math.isinf(a + b):
-        return min(a, b) * w
-    return a * b * w / (a + b)
+    def lower_bound(x):
+        return (intercepts - np.multiply.outer(x, slopes)).max(axis=-1)
+
+    lines = _lower_envelope(-slopes, -intercepts)
+    a, b = slopes[lines], intercepts[lines]
+    breaks = (b[:-1] - b[1:]) / (a[:-1] - a[1:])
+    at_vertex = ys - lower_bound(xs)
+    gaps = np.maximum(at_vertex[:-1], at_vertex[1:])
+    # Segment i takes the breakpoints in (xs[i], xs[i + 1]].
+    seg = np.searchsorted(xs, breaks) - 1
+    inside = (seg >= 0) & (seg < len(xs) - 1)
+    seg, breaks = seg[inside], breaks[inside]
+    chord = ys[seg] + (breaks - xs[seg]) * ((ys[seg + 1] - ys[seg])
+                                            / (xs[seg + 1] - xs[seg]))
+    np.maximum.at(gaps, seg, chord - lower_bound(breaks))
+    return gaps
+
+
+def _sides(xs: np.ndarray, ys: np.ndarray, mus: np.ndarray,
+           stats: EnsembleStats) -> tuple:
+    """The QCT and then the RSP certificate of the points (xs, ys) and the
+    lines of the multipliers mus, each as (abscissae, envelope indices,
+    segment gaps, segment chord multipliers)."""
+    h = (ys[:, None] + np.multiply.outer(xs, mus)).min(axis=0)
+    # The shear takes the slope -mu line to a slope -mu/(1 - mu) one, and
+    # the mu = 1 line to the wall R >= chi, which no segment crosses.
+    shear = mus < 1.0
+    mu, h_mu = mus[shear], h[shear]
+    sides = []
+    for x, slopes, intercepts, to_mu in (
+            (xs, mus, h, lambda nu: nu),
+            (np.clip(xs + (ys - stats.Sbar), stats.chi, stats.H),
+             mu / (1.0 - mu), (h_mu - mu * stats.Sbar) / (1.0 - mu),
+             lambda nu: nu / (1.0 + nu))):
+        hull = np.array(_lower_envelope(x, ys))
+        vx, vy = x[hull], ys[hull]
+        sides.append((x, hull, _segment_gaps(vx, vy, slopes, intercepts),
+                      to_mu((vy[:-1] - vy[1:]) / np.diff(vx))))
+    return tuple(sides)
 
 
 @dataclass(frozen=True, eq=False)
@@ -459,84 +487,104 @@ class CurveSet:
 def compute_curves(ensemble: Ensemble, resolution: int = DEFAULT_RESOLUTION, *,
                    multistarts: int = DEFAULT_MULTISTARTS, seed: int = 0,
                    workers: int = 1, max_iter: int = DEFAULT_MAX_ITER) -> CurveSet:
-    """Both curves of one XC ladder and refinement loop, with the critical
-    rate, the entropic summary and the solve's diagnostics.
+    """Both curves of one sandwich solve of at most `resolution` multiplier
+    requests, with the critical rate, the entropic summary and the solve's
+    diagnostics.
 
-    workers is accepted for old callers and has no effect.
+    Each request runs its two continuation starts and max(multistarts - 2,
+    0) random ones.  workers is accepted for old callers and has no effect.
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
     _check_starts(multistarts, seed)
     stats = ensemble_stats(ensemble)
+    m, k = ensemble.m, ensemble.m + 1
 
-    # The points as parallel arrays of S(X:C), S(B|C), mu tag and channel,
-    # starting from the exact analytic endpoints: the constant channel
-    # reveals nothing (the mu = 1 solution), the identity channel everything
-    # (mu = 0).  A NaN tag marks a point without a line.  Every solved point
-    # more than SNAP from both in S(X:C) is kept, so no solver point can tie
-    # an endpoint and displace it or its tag.
-    xs, ys, tags = np.array([[0.0, stats.H], [stats.S, stats.Sbar], [1.0, 0.0]])
-    channels = np.stack([ClassicalChannel.constant(ensemble.m).matrix,
-                         ClassicalChannel.identity(ensemble.m).matrix])
-    total = nonconverged = 0
-
-    # Pass 0 solves the mu <= 1 rungs (module docstring); each later pass
-    # re-solves the segments whose bound misses REFINE_TARGET, within one
-    # budget of `resolution` multipliers.
-    mus = [mu for mu in np.geomspace(MU_MIN, 1.0 / MU_MIN,
-                                     int(resolution)).tolist() if mu <= 1.0]
-    used = {round(math.log(mu), 6) for mu in mus}
-    budget, first_index = int(resolution), 0
-    for _ in range(REFINE_PASSES + 1):
-        SXC, SBgC, solved, converged = _sweep(ensemble, mus, first_index,
-                                              multistarts, seed, max_iter)
+    # The points as parallel arrays of S(X:C), S(B|C) and channel, starting
+    # from the exact analytic endpoints: the constant channel reveals
+    # nothing, the identity channel everything.  Every solved point more
+    # than SNAP from both in S(X:C) is kept.  mus holds the multiplier of
+    # every line, starting from the analytic mu = 1 and mu = 0.
+    xs, ys = np.array([[0.0, stats.H], [stats.S, stats.Sbar]])
+    channels = np.stack([ClassicalChannel.constant(m).matrix,
+                         ClassicalChannel.identity(m).matrix])
+    mus = np.array([1.0, 0.0])
+    requests = total = nonconverged = 0
+    retries, beaten = [], {}
+    while True:
+        sides = _sides(xs, ys, mus, stats)
+        # Re-solves of beaten multipliers first, then the chord multipliers
+        # of the open segments of either envelope, largest gap first; each
+        # request is a multiplier and the point indices of its warm starts.
+        wanted = sorted((-gap, mu, hull[i:i + 2].tolist())
+                        for _, hull, gaps, chord_mus in sides
+                        for i, (gap, mu) in enumerate(zip(gaps.tolist(),
+                                                          chord_mus.tolist()))
+                        if gap > REFINE_TARGET)
+        fresh, known = [], mus.tolist()
+        for _, mu, ends in wanted:
+            if min(abs(mu - other) for other in known) > LINE_TOL:
+                fresh.append((mu, ends))
+                known.append(mu)
+        batch = (retries + fresh)[:resolution - requests]
+        if not batch:
+            break
+        starts = [np.concatenate([
+            0.98 * channels[ends] + 0.02 / k,
+            _start_points(m, k, max(multistarts - 2, 0),
+                          [seed, 0, requests + j])])
+            for j, (_, ends) in enumerate(batch)]
+        batch_mus = np.array([mu for mu, _ in batch])
+        SXC, SBgC, solved, converged = _sweep(ensemble, batch_mus, starts,
+                                              max_iter)
+        requests += len(batch)
         total += converged.size
         nonconverged += np.count_nonzero(~converged)
+        SBgC = np.maximum(SBgC, stats.Sbar)
         keep = (SXC > SNAP) & (SXC < stats.H - SNAP)
         xs = np.append(xs, SXC[keep])
-        ys = np.append(ys, np.maximum(SBgC[keep], stats.Sbar))
-        tags = _certified(xs, ys,
-                          np.append(tags, np.repeat(mus, multistarts)[keep]))
+        ys = np.append(ys, SBgC[keep])
         channels = np.concatenate([channels, solved[keep]])
-        # RSP points and tags are the shear of these (module docstring).
-        sides = ((xs, tags, lambda nu: nu),
-                 (np.clip(xs + ys - stats.Sbar, stats.chi, stats.H),
-                  np.divide(tags, 1.0 - tags, out=np.full_like(tags, np.nan),
-                            where=tags < 1.0),
-                  lambda nu: nu / (1.0 + nu)))
-        hulls = [_lower_envelope(x, ys) for x, _, _ in sides]
-        mus = []
-        for (x, t, to_mu), hull in zip(sides, hulls):
-            X, Y, T = x[hull].tolist(), ys[hull].tolist(), t[hull].tolist()
-            for x0, y0, mu0, x1, y1, mu1 in zip(X, Y, T, X[1:], Y[1:], T[1:]):
-                if _segment_bound(x0, y0, mu0, x1, y1, mu1) <= REFINE_TARGET:
-                    continue
-                mu_new = min(to_mu(max((y0 - y1) / (x1 - x0), MU_MIN)), 1.0)
-                key = round(math.log(mu_new), 6)
-                if key not in used:
-                    used.add(key)
-                    mus.append(mu_new)
-        mus = mus[:budget]
-        if not mus:
-            break
-        # Refinement keys run on from `resolution`, after the keys of the
-        # whole symmetric grid; the resolution - budget requests made so
-        # far hold the keys before this pass's.
-        first_index = 2 * int(resolution) - budget
-        budget -= len(mus)
+        mus = np.append(mus, batch_mus[len(retries):])
+        # A request whose own starts lose to another point keeps its line
+        # through that point and is re-solved once with it as a start.
+        owner = np.repeat(np.arange(len(batch)), [len(s) for s in starts])
+        own = np.full(len(batch), np.inf)
+        np.minimum.at(own, owner, SBgC + batch_mus[owner] * SXC)
+        values = ys[:, None] + np.multiply.outer(xs, batch_mus)
+        best = values.min(axis=0)
+        retries = []
+        for (mu, ends), loss, winner in zip(batch, (own - best).tolist(),
+                                            values.argmin(axis=0).tolist()):
+            if loss > LINE_TOL:
+                if mu not in beaten:
+                    retries.append((mu, ends + [winner]))
+                beaten[mu] = loss
 
     qct, rsp = (
         TradeoffCurve(kind=kind,
                       samples=tuple(zip(x[hull].tolist(), ys[hull].tolist())),
                       domain=(lo, stats.H),
                       channels=tuple(map(ClassicalChannel, channels[hull])))
-        for kind, lo, (x, _, _), hull in zip(("QCT", "RSP"), (0.0, stats.chi),
-                                             sides, hulls))
+        for kind, lo, (x, hull, _, _) in zip(("QCT", "RSP"), (0.0, stats.chi),
+                                             sides))
     critical = critical_rate(qct, stats.S)
     diagnostics = []
     if nonconverged > NONCONVERGED_DIAGNOSTIC * max(total, 1):
         diagnostics.append(f"{nonconverged}/{total} starts hit the cap of "
                            f"{max_iter} map evaluations")
+    if beaten:
+        diagnostics.append(
+            f"{len(beaten)} multipliers lost to another point's channel, by "
+            f"up to {max(beaten.values()):.2g}, and were re-solved once from "
+            f"it where the budget allowed: mu = "
+            + ", ".join(f"{mu:.6g}" for mu in beaten))
+    gaps = np.concatenate([gaps for _, _, gaps, _ in sides])
+    if (gaps > REFINE_TARGET).any():
+        diagnostics.append(
+            f"{np.count_nonzero(gaps > REFINE_TARGET)} of {gaps.size} curve "
+            f"segments stay above the {REFINE_TARGET:g} gap target after "
+            f"{requests} multipliers (largest gap {gaps.max():.2g})")
     if not critical.found:
         diagnostics.append("critical rate not localized on the qubit curve")
     return CurveSet(stats=stats, qct=qct, rsp=rsp, critical=critical,

@@ -21,9 +21,11 @@ EIGENVALUE_CLAMP = 1e-12
 
 def _entropy(weights, dust: float = 0.0) -> np.ndarray:
     """Entropy in bits along the last axis, with 0 log 0 = 0; weights are
-    clipped to at most 1, and those below dust count as 0."""
+    clipped to at most 1, those below dust count as 0 and those within dust
+    of 1 count as 1, so that a pure spectrum has entropy exactly 0."""
     w = np.minimum(np.asarray(weights, dtype=float), 1.0)
-    logs = np.log2(w, out=np.zeros_like(w), where=(w > 0.0) & (w >= dust))
+    logs = np.log2(w, out=np.zeros_like(w),
+                   where=(w > 0.0) & (w >= dust) & (w <= 1.0 - dust))
     return 0.0 - (w * logs).sum(axis=-1)  # +0.0, not -0.0, when pure
 
 
@@ -66,7 +68,8 @@ def von_neumann_entropy(rho) -> float:
     """Von Neumann entropy -Tr[rho log2 rho] in bits.
 
     Accepts a DensityOperator or a raw matrix; raw input is validated first.
-    Eigenvalues are clamped to [0, 1], with values below 1e-12 treated as 0.
+    Eigenvalues are clamped to [0, 1], with values below 1e-12 treated as 0
+    and values within 1e-12 of 1 as 1.
     """
     if not isinstance(rho, DensityOperator):
         rho = DensityOperator(rho)

@@ -1,4 +1,6 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from helpers import (blahut_arimoto_map, fixed_point_one_start,
                      random_ensemble)
 from tradeoff import optimizer
+from tradeoff.achievability import primitive_points
 from tradeoff.ensembles import builtin_ensemble
 from tradeoff.optimizer import (
     TradeoffCurve,
@@ -31,6 +34,8 @@ FROZEN_QCT = {0.25: 0.4460719628466642, 0.5: 0.2938365879293,
               0.75: 0.1439357476715407}
 FROZEN_RSP = {0.7: 0.4397629726817988, 0.85: 0.2078234995704327}
 FROZEN_HC = 0.013174026769327716
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_mu_zero_answered_analytically(zero_plus):
@@ -213,19 +218,48 @@ def test_curve_constructor_validation():
 
 @pytest.mark.parametrize("x1, mu0, mu1, bound", [
     (2.0, 3.0, 0.5, 2.0 * 0.5 * 2.0 / 2.5),  # both lines: a*b*w/(a + b)
-    (2.0, math.nan, 0.5, 0.5 * 2.0),         # no left line: b*w
-    (2.0, 3.0, math.nan, 2.0 * 2.0),         # no right line: a*w
-    (2.0, math.nan, math.nan, math.inf),     # no line at all
+    (2.0, math.nan, 0.5, 0.5 * 2.0),         # right line only: b*w
+    (2.0, 3.0, math.nan, 2.0 * 2.0),         # left line only: a*w
     (2.0, 1.0, 1.0, 0.0),                    # the chord lies on both lines
-    (1e-9, math.nan, math.nan, 0.0),         # slivers are never divided by
-    (0.0, math.nan, math.nan, 0.0),
 ])
 def test_segment_bound(x1, mu0, mu1, bound):
     # The chord from (0, 2) to (2, 0) has slope -1, so the left line of
-    # slope -3 falls short of it by a = 2 and the right line of slope -0.5
-    # exceeds it by b = 0.5, over the width w = 2.
-    assert optimizer._segment_bound(0.0, 2.0, mu0, x1, 0.0, mu1) == (
-        pytest.approx(bound))
+    # slope -3 through (0, 2) falls short of it by a = 2 and the right line
+    # of slope -0.5 through (2, 0) exceeds it by b = 0.5, over the width
+    # w = 2.  The exact gap over the two lines is a*b*w/(a + b), at the
+    # point where they meet; over one line alone it is at the other end.  A
+    # NaN slope leaves that end's line out.
+    lines = [(mu, y + mu * x) for mu, x, y in ((mu0, 0.0, 2.0), (mu1, x1, 0.0))
+             if not math.isnan(mu)]
+    slopes, intercepts = np.array(lines).T
+    gaps = optimizer._segment_gaps(np.array([0.0, x1]), np.array([2.0, 0.0]),
+                                   slopes, intercepts)
+    assert gaps.tolist() == [pytest.approx(bound)]
+
+
+def test_segment_gaps_match_dense_sample():
+    # On random vertex chains and line sets, the exact gap of each segment
+    # equals the largest chord - L over 4001 evenly spaced points of it, to
+    # within what that spacing can miss of a concave piecewise-linear
+    # function, and is never below it.
+    rng = np.random.default_rng(17)
+    for _ in range(40):
+        xs = np.cumsum(rng.uniform(0.05, 1.0, int(rng.integers(2, 7))))
+        ys = rng.uniform(-1.0, 1.0, xs.size)
+        slopes = rng.uniform(-2.0, 2.0, int(rng.integers(1, 9)))
+        touch = rng.uniform(xs[0], xs[-1], slopes.size)
+        intercepts = (np.interp(touch, xs, ys) + slopes * touch
+                      - rng.uniform(0.0, 0.5, slopes.size))
+        gaps = optimizer._segment_gaps(xs, ys, slopes, intercepts)
+        for i, gap in enumerate(gaps):
+            x = np.linspace(xs[i], xs[i + 1], 4001)
+            chord = np.interp(x, xs[i:i + 2], ys[i:i + 2])
+            dense = (chord - (intercepts - np.multiply.outer(x, slopes))
+                     .max(axis=1)).max()
+            lipschitz = (abs(ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i])
+                         + np.abs(slopes).max())
+            assert dense - 1e-12 <= gap
+            assert gap <= dense + lipschitz * (xs[i + 1] - xs[i]) / 4000
 
 
 def test_resolution_validation(zero_plus):
@@ -332,11 +366,11 @@ def test_fixed_point_converges_at_critical_slope(zero_plus):
     # converged within 500 map evaluations before extrapolation.  Now all
     # do, to the objective that 8000 plain updates reach.
     mu, multistarts = 0.62, 16
-    SXC, SBgC, _, converged = _sweep(zero_plus, [mu], 0, multistarts, 0, 500)
-    assert converged.all()
-    best = (SBgC + mu * SXC).min()
     channels = _start_points(zero_plus.m, zero_plus.m + 1, multistarts,
                              [0, 0, 0])
+    SXC, SBgC, _, converged = _sweep(zero_plus, [mu], [channels], 500)
+    assert converged.all()
+    best = (SBgC + mu * SXC).min()
     for _ in range(8000):
         channels = blahut_arimoto_map(zero_plus.reduced_b, zero_plus.probs,
                                       1.0 / mu, channels)
@@ -357,39 +391,94 @@ def test_zero_plus_starts_all_converge(zero_plus, monkeypatch):
     assert flags and all(flags)
 
 
-def test_surviving_tags_lie_below_every_point(monkeypatch):
-    # A tag mu certifies the slope -mu line through its point only if no
-    # collected point, the analytic endpoints included, lies below that
-    # line.  On uniform-qubit-24 the 4 starts of the low multipliers miss
-    # the identity channel, whose endpoint used to falsify 16 tagged lines
-    # by up to 0.156.
+def _record_certificates(monkeypatch) -> list:
+    """Record every (vertices, values, slopes, intercepts) that the solve
+    passes to _segment_gaps: the QCT and then the RSP certificate of each
+    pass, the final ones last."""
+    segment_gaps, calls = optimizer._segment_gaps, []
+
+    def recording(*args):
+        calls.append((*args, segment_gaps(*args)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(optimizer, "_segment_gaps", recording)
+    return calls
+
+
+def test_lines_lie_below_every_point(monkeypatch):
+    # Each solved multiplier's line runs through the lowest collected point
+    # in its direction, so it lies on or below every point, the analytic
+    # endpoints included, and touches one; on the RSP side, each sheared
+    # line does so for the sheared points.  On uniform-qubit-24 the 4 starts
+    # of the low multipliers miss the identity channel, so its endpoint is
+    # the point that holds their lines down.
     ensemble = builtin_ensemble("uniform-qubit-24")
-    certified, collected = optimizer._certified, []
+    sides, points = optimizer._sides, []
 
-    def recording(xs, ys, tags):
-        collected.append((xs, ys, certified(xs, ys, tags)))
-        return collected[-1][2]
+    def recording(xs, ys, mus, stats):
+        points.append((xs, ys, mus))
+        return sides(xs, ys, mus, stats)
 
-    monkeypatch.setattr(optimizer, "_certified", recording)
-    compute_curves(ensemble, 40, multistarts=4, seed=0)
-    xs, ys, tags = collected[-1]  # the QCT points of the last pass
-    lines = [(x, y, mu) for x, y, mu in zip(xs, ys, tags) if not np.isnan(mu)]
-    assert len(lines) > 2
-    for x, y, mu in lines:
-        assert (ys + mu * xs).min() >= y + mu * x - 1e-9
+    monkeypatch.setattr(optimizer, "_sides", recording)
+    calls = _record_certificates(monkeypatch)
+    stats = compute_curves(ensemble, 40, multistarts=4, seed=0).stats
+    xs, ys, mus = points[-1]
+    assert len(mus) > 2
+    sheared = np.clip(xs + (ys - stats.Sbar), stats.chi, stats.H)
+    for x, (_, _, slopes, intercepts, _) in zip((xs, sheared), calls[-2:]):
+        above = intercepts - np.multiply.outer(x, slopes) - ys[:, None]
+        assert above.max() <= 1e-12
+        assert np.abs(above.max(axis=0)).max() <= 1e-12
+
+
+def test_bb84_gap_is_closed(monkeypatch):
+    # The bb84 curves are straight, and the one solved multiplier, mu = 1/2,
+    # has the chord of either curve's one segment as its line, up to the
+    # rounding of one point's entropies (7e-16 in its intercept), which the
+    # shear multiplies by 1/(1 - mu).  The per-vertex bound of the old
+    # ladder reported gaps of 0.5 and 1.0 here.
+    calls = _record_certificates(monkeypatch)
+    curves = compute_curves(builtin_ensemble("bb84"), 40, multistarts=8,
+                            seed=0)
+    assert len(curves.qct.samples) == len(curves.rsp.samples) == 2
+    (*_, qct_gaps), (*_, rsp_gaps) = calls[-2:]
+    assert qct_gaps.size == rsp_gaps.size == 1
+    assert qct_gaps[0] < 1e-15
+    assert rsp_gaps[0] < 1e-15 / (1.0 - 0.5)
+
+
+def test_pure_ensembles_end_exactly():
+    # Pure states have Sbar exactly 0, so both curves end exactly at
+    # (H, Sbar) and bb84's primitive triples are distinct.
+    for name, multistarts in (("bb84", 8), ("zero-plus", 16)):
+        curves = compute_curves(builtin_ensemble(name), 40,
+                                multistarts=multistarts, seed=0)
+        stats = curves.stats
+        assert stats.Sbar == 0.0
+        assert curves.qct.samples[-1] == (stats.H, stats.Sbar)
+        assert curves.rsp.samples[-1] == (stats.H, stats.Sbar)
+        if name == "bb84":
+            triples = np.array([(p.R, p.Q, p.E)
+                                for p in primitive_points(curves)])
+            apart = np.abs(triples[:, None] - triples[None]).max(axis=-1)
+            np.fill_diagonal(apart, np.inf)
+            assert apart.min() > 1e-12
 
 
 def test_sweep_stacks_match_one_mu_sweeps(monkeypatch):
     # Stacking the starts of consecutive multipliers changes no outcome, and
-    # a stack of several multipliers stays within STACK_ELEMENTS.
+    # a stack of several multipliers stays within STACK_ELEMENTS, also when
+    # one multiplier has an extra start.
     ensemble = builtin_ensemble("uniform-qubit-5")
     mus = np.geomspace(0.05, 20.0, 7).tolist()
     multistarts, first_index, max_iter = 3, 11, 80
-    row = ensemble.m * (ensemble.m + 1)
-    monkeypatch.setattr(optimizer, "STACK_ELEMENTS", 2 * multistarts * row + 1)
-    args = (multistarts, 0, max_iter)
-    singles = [_sweep(ensemble, [mu], first_index + i, *args)
-               for i, mu in enumerate(mus)]
+    m, k = ensemble.m, ensemble.m + 1
+    starts = [_start_points(m, k, multistarts + (i == 4),
+                            [0, 0, first_index + i]) for i in range(len(mus))]
+    monkeypatch.setattr(optimizer, "STACK_ELEMENTS",
+                        2 * multistarts * m * k + 1)
+    singles = [_sweep(ensemble, [mu], [start], max_iter)
+               for mu, start in zip(mus, starts)]
 
     shapes = []
 
@@ -398,41 +487,99 @@ def test_sweep_stacks_match_one_mu_sweeps(monkeypatch):
         return _fixed_point(reduced_b, probs, ratio, channels, max_iter)
 
     monkeypatch.setattr(optimizer, "_fixed_point", recording)
-    stacked = _sweep(ensemble, mus, first_index, *args)
+    stacked = _sweep(ensemble, mus, starts, max_iter)
     assert len(shapes) >= 3
-    assert sum(shape[0] for shape in shapes) == len(mus) * multistarts
+    assert sum(shape[0] for shape in shapes) == sum(map(len, starts))
     for rows, m, k in shapes:
-        assert rows == multistarts or rows * m * k <= optimizer.STACK_ELEMENTS
+        assert (rows in (multistarts, multistarts + 1)
+                or rows * m * k <= optimizer.STACK_ELEMENTS)
     # Each output array (S(X:C), S(B|C), channels, converged flags) holds
     # the starts of every mu in order, as the one-mu sweeps do.
     assert len(stacked) == 4 and len(singles) == len(mus)
     for grouped, alone in zip(stacked, zip(*singles)):
-        assert len(grouped) == len(mus) * multistarts
-        assert all(len(part) == multistarts for part in alone)
+        assert len(grouped) == sum(map(len, starts))
+        assert [len(part) for part in alone] == list(map(len, starts))
         assert np.array_equal(grouped, np.concatenate(alone))
 
 
-def test_one_solve_serves_both_curves(zero_plus, monkeypatch):
-    # compute_curves solves the ladder once, for both curves, and refines
-    # both within one budget of `resolution` multipliers; qct_curve and
-    # rsp_curve return the halves of that same solve.
-    solved = []
+def _record_sweeps(monkeypatch) -> list:
+    """Record the multipliers and starts of every _sweep call."""
+    calls = []
 
-    def recording(ensemble, mus, *args):
-        solved.append(list(mus))
-        return _sweep(ensemble, mus, *args)
+    def recording(ensemble, mus, starts, max_iter):
+        calls.append((list(mus), starts))
+        return _sweep(ensemble, mus, starts, max_iter)
 
     monkeypatch.setattr(optimizer, "_sweep", recording)
+    return calls
+
+
+def test_one_solve_serves_both_curves(zero_plus, monkeypatch):
+    # compute_curves solves once, for both curves, and refines both within
+    # one budget of `resolution` multipliers; qct_curve and rsp_curve return
+    # the halves of that same solve.
+    calls = _record_sweeps(monkeypatch)
     curves = compute_curves(zero_plus, 8, multistarts=2)
-    # The mu <= 1 half of the 8-point grid symmetric about 1.
-    ladder = np.geomspace(optimizer.MU_MIN, 1.0 / optimizer.MU_MIN,
-                          8).tolist()[:4]
-    assert solved[0] == ladder
-    assert sum(mus == ladder for mus in solved) == 1
-    assert sum(len(mus) for mus in solved) <= 4 + 8
-    assert all(mu <= 1.0 for mus in solved for mu in mus)
+    stats = curves.stats
+    # Pass 0 is the one chord from (0, S) to (H, Sbar), the same line on
+    # both curves.
+    assert calls[0][0] == [pytest.approx(stats.chi / stats.H, abs=1e-15)]
+    assert 1 < len(calls) and sum(len(mus) for mus, _ in calls) <= 8
+    assert all(0.0 < mu < 1.0 for mus, _ in calls for mu in mus)
     assert qct_curve(zero_plus, 8, multistarts=2).samples == curves.qct.samples
     assert rsp_curve(zero_plus, 8, multistarts=2).samples == curves.rsp.samples
+
+
+def test_continuation_starts(zero_plus, monkeypatch):
+    # Two of each request's starts are the channels at its segment's ends,
+    # mixed 0.98/0.02 with the uniform channel, so no entry is zero: pass 0
+    # continues from the constant and identity channels.
+    calls = _record_sweeps(monkeypatch)
+    compute_curves(zero_plus, 40, multistarts=4, seed=0)
+    k = zero_plus.m + 1
+    first = calls[0][1][0]
+    for warm, channel in zip(first, (ClassicalChannel.constant(zero_plus.m),
+                                     ClassicalChannel.identity(zero_plus.m))):
+        np.testing.assert_allclose(warm, 0.98 * channel.matrix + 0.02 / k,
+                                   rtol=0, atol=1e-15)
+    for _, starts in calls:
+        for request in starts:
+            assert len(request) == 4
+            assert (request > 0.0).all()
+
+
+def test_request_seed_keys(zero_plus, monkeypatch):
+    # Request j of the solve draws its random starts from (seed, 0, j).
+    keys, start_points = [], optimizer._start_points
+
+    def recording(m, k, count, seed_key):
+        keys.append(list(seed_key))
+        return start_points(m, k, count, seed_key)
+
+    monkeypatch.setattr(optimizer, "_start_points", recording)
+    calls = _record_sweeps(monkeypatch)
+    compute_curves(zero_plus, 40, multistarts=4, seed=5)
+    requests = sum(len(mus) for mus, _ in calls)
+    assert requests > 1
+    assert keys == [[5, 0, j] for j in range(requests)]
+
+
+def test_beaten_solve_is_re_solved(zero_plus, monkeypatch):
+    # With two map evaluations per start, the starts of a multiplier can
+    # lose to a point from another request.  The multiplier is then
+    # re-solved once, within the budget, with that point's channel as an
+    # extra start, and the diagnostics name it.
+    calls = _record_sweeps(monkeypatch)
+    curves = compute_curves(zero_plus, 12, multistarts=4, seed=0, max_iter=2)
+    requests = [(mu, len(starts)) for mus, batch in calls
+                for mu, starts in zip(mus, batch)]
+    assert len(requests) <= 12
+    again = [mu for mu, count in requests if count == 5]
+    notes = [d for d in curves.diagnostics if "lost to another" in d]
+    assert again and len(notes) == 1
+    for mu in again:
+        assert (mu, 4) in requests[:requests.index((mu, 5))]
+        assert f"{mu:.6g}" in notes[0]
 
 
 def _dense_fixed_point(monkeypatch, *args):
@@ -481,3 +628,24 @@ def test_qubit_kernel_matches_dense(case, monkeypatch):
                                                     starts, max_iter)
             np.testing.assert_allclose(qubit, dense, rtol=0, atol=atol)
             assert np.array_equal(qubit_flags, dense_flags)
+
+
+def test_readme_certificate_sentence(monkeypatch):
+    # The README names the runs that close every segment within the gap
+    # target and report no diagnostic; each named run must do so.
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    claim = re.search(r"At resolution 40 and seed 0, ([^.]*) close every "
+                      r"segment of both curves within 2e-3 and report no "
+                      r"diagnostic\.", text)
+    assert claim
+    runs = re.findall(r"([\w-]+) \((\d+) starts\)", claim.group(1))
+    assert sorted(name for name, _ in runs) == ["bb84", "uniform-qubit-24",
+                                                 "zero-plus"]
+    for name, multistarts in runs:
+        with monkeypatch.context() as patch:
+            calls = _record_certificates(patch)
+            curves = compute_curves(builtin_ensemble(name), 40,
+                                    multistarts=int(multistarts), seed=0)
+        assert curves.diagnostics == ()
+        for *_, gaps in calls[-2:]:
+            assert gaps.max() <= optimizer.REFINE_TARGET
