@@ -122,8 +122,8 @@ def _add_ensemble_args(parser) -> None:
     group.add_argument("--ensemble", metavar="PATH",
                        help="ensemble JSON file")
     group.add_argument("--builtin", metavar="NAME",
-                       help=f"one of {', '.join(BUILTIN_NAMES)}, "
-                            "or uniform-qubit-N")
+                       help=f"one of {', '.join(BUILTIN_NAMES[:-1])} "
+                            f"or {BUILTIN_NAMES[-1]}")
 
 
 def _add_solver_args(parser) -> None:

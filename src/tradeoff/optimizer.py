@@ -75,15 +75,33 @@ whose image F(x') is the next cycle's x0 (SQUAREM's step length is
 alpha = -t, and t = 1 gives x' = x2; t is per row, from row norms).  x' is
 never clipped to the simplex: the update is multiplicative, so an output
 set to zero would never come back.  A row whose x' has any entry <= 0 takes
-x' = x2 instead.  A start stops at its first map evaluation that moves it
-by less than CONVERGENCE_TOL in sup norm, with that evaluation's image, and
-max_iter counts map evaluations, three per cycle.  The starts of one pass
-are iterated together as a few arrays, each row at its own weight, with its
-own step length and fallback, and each frozen once it converges.  An array
-holds the starts of as many consecutive weights as fit in STACK_ELEMENTS
-channel entries, and always at least one weight: small stacks cost numpy
-call overhead per iteration, so batching them saves time, while past the
-cap the cost is array work and a larger stack only adds memory.
+x' = x2 instead.
+
+A start stops at its first map evaluation that moves it by less than
+CONVERGENCE_TOL in sup norm, or at its first cycle whose x' has a free value
+L not below the lowest L of its earlier x', with that evaluation's image;
+either way it counts as converged.  With Z_i the normaliser of row i of the
+update, the row max of its base-2 logits plus log2 of the row sum,
+
+    L(x) = -mu * sum_i p_i log2 Z_i
+
+is the least value of the alternating objective over channels with the
+output law and posteriors of x held fixed, so J(F(x)) <= L(x) <= J(x) for
+J = S(B|C) + mu * S(X:C).  L costs no entropy, and along plain updates it
+never rises, so a fallback x' = x2 stops a start only where a whole cycle
+left L unchanged.  A jump that does not lower L has stopped lowering the
+objective: such a start is stuck, even if its channel still drifts in sup
+norm along a nearly flat orbit, as on a near-symmetric ensemble.  max_iter
+counts map evaluations, three per cycle, and only a start that meets
+neither rule within it is capped.
+
+The starts of one pass are iterated together as a few arrays, each row at
+its own weight, with its own step length, fallback and lowest L, and each
+frozen once it converges.  An array holds the starts of as many consecutive
+weights as fit in STACK_ELEMENTS channel entries, and always at least one
+weight: small stacks cost numpy call overhead per iteration, so batching
+them saves time, while past the cap the cost is array work and a larger
+stack only adds memory.
 
 For a qubit B register the distortion has a closed form.  With Bloch
 vectors rho = (I + r.sigma)/2, the posterior vector r_j = sum_i p_i p(j|i)
@@ -103,8 +121,6 @@ profiles.stack_entropies scores all its starts.
 """
 
 import math
-# Never used here; kept only for bench/workloads.py count_pools to patch.
-from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,12 +150,25 @@ NONCONVERGED_DIAGNOSTIC = 0.5
 STACK_ELEMENTS = 1 << 16
 
 
+def __getattr__(name: str):
+    # ProcessPoolExecutor is never used here; bench/workloads.py count_pools
+    # still reads and patches it.  Served on demand, so that no run imports
+    # concurrent.futures and multiprocessing for it.
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    """Base-2 softmax over the last axis, computed in place in logits."""
-    logits -= logits.max(axis=-1, keepdims=True)
+    """Base-2 softmax over the last axis, computed in place in logits.
+    Returns the log2 of each row's normaliser, log2 sum_j 2^logits_j."""
+    top = logits.max(axis=-1, keepdims=True)
+    logits -= top
     np.exp2(logits, out=logits)
-    logits /= logits.sum(axis=-1, keepdims=True)
-    return logits
+    total = logits.sum(axis=-1, keepdims=True)
+    logits /= total
+    return (top + np.log2(total))[..., 0]
 
 
 def _dense_logits(reduced_b: np.ndarray):
@@ -233,9 +262,10 @@ def _fixed_point(reduced_b: np.ndarray, probs: np.ndarray, ratio,
     either one scalar or one per start, of shape (starts,).  Every start
     takes the same cycles as if run alone at its ratio; a start leaves the
     active set at its first map evaluation whose sup-norm change is below
-    CONVERGENCE_TOL, with that evaluation's image.  max_iter counts map
-    evaluations.  Returns the final channels and a per-start flag saying
-    whether the start converged before the cap.
+    CONVERGENCE_TOL, or whose extrapolated point has a free value not below
+    that of every earlier one (module docstring), with that evaluation's
+    image.  max_iter counts map evaluations.  Returns the final channels and
+    a per-start flag saying whether the start converged before the cap.
     """
     logits = (_qubit_logits if reduced_b.shape[-1] == 2
               else _dense_logits)(reduced_b)
@@ -243,12 +273,15 @@ def _fixed_point(reduced_b: np.ndarray, probs: np.ndarray, ratio,
     converged = np.zeros(len(channels), dtype=bool)
     active = np.arange(len(channels))
     weight = np.broadcast_to(np.asarray(ratio, dtype=float), (len(channels),))
+    # The lowest free value L of each start's extrapolated points so far.
+    lowest = np.full(len(channels), np.inf)
     # The current cycle's iterates: x0, then x1 = F(x0), then x2 = F(x1).
     cycle = [channels]
     for _ in range(max_iter):
         if active.size == 0:
             break
-        if len(cycle) == 3:
+        jumped = len(cycle) == 3
+        if jumped:
             point, cycle = _extrapolate(*cycle), []
         else:
             point = cycle[-1]
@@ -257,14 +290,20 @@ def _fixed_point(reduced_b: np.ndarray, probs: np.ndarray, ratio,
         live = q > ZERO_OUTPUT
         log_q = np.log2(q, out=np.full_like(q, -np.inf), where=live)
         # In place, so that a full stack holds few (starts, m, k) arrays.
-        image = _softmax_rows(logits(joint, q, live, log_q, weight))
+        image = logits(joint, q, live, log_q, weight)
+        log_norm = _softmax_rows(image)
         change = np.abs(np.subtract(image, point, out=joint), out=joint)
         done = change.max(axis=(1, 2)) < CONVERGENCE_TOL
+        if jumped:
+            value = -np.multiply(log_norm, probs).sum(axis=1) / weight
+            done |= value >= lowest
+            lowest = value  # every row that goes on has lowered it
         if done.any():
             result[active[done]] = image[done]
             converged[active[done]] = True
             keep = ~done
             active, weight, image = active[keep], weight[keep], image[keep]
+            lowest = lowest[keep]
             cycle = [x[keep] for x in cycle]
         cycle.append(image)
     result[active] = cycle[-1]
@@ -273,7 +312,9 @@ def _fixed_point(reduced_b: np.ndarray, probs: np.ndarray, ratio,
 
 def _start_points(m: int, k: int, count: int, seed_key) -> np.ndarray:
     rng = np.random.default_rng(np.random.SeedSequence(seed_key))
-    return _softmax_rows(rng.normal(0.0, 2.0, size=(count, m, k)))
+    points = rng.normal(0.0, 2.0, size=(count, m, k))
+    _softmax_rows(points)
+    return points
 
 
 def _check_starts(multistarts: int, seed: int) -> None:
@@ -338,12 +379,14 @@ def minimize_profile(ensemble: Ensemble, mu: float, kind: str = "XC", *,
     return channel, entropic_profile(ensemble, channel)
 
 
-def _lower_envelope(xs: np.ndarray, ys: np.ndarray) -> list:
+def _lower_envelope(xs: np.ndarray, ys: np.ndarray,
+                    below: float = 0.0) -> list:
     """Indices of the lower convex envelope of the points (xs, ys), by x.
 
     Points are deduplicated on x (keeping the smallest y, and the first of
     equal points) and swept with the monotone-chain rule; collinear interior
-    points are dropped.
+    points are dropped, and so is every interior vertex that lies within
+    `below` under the chord of its neighbours.
     """
     X, Y = xs.tolist(), ys.tolist()
     merged = []
@@ -355,8 +398,9 @@ def _lower_envelope(xs: np.ndarray, ys: np.ndarray) -> list:
     for i in merged:
         while len(hull) >= 2:
             a, b = hull[-2], hull[-1]
+            # cross / (X[i] - X[a]) is b's depth under the chord from a to i.
             cross = (X[b] - X[a]) * (Y[i] - Y[a]) - (Y[b] - Y[a]) * (X[i] - X[a])
-            if cross > 1e-12:
+            if cross > max(1e-12, below * (X[i] - X[a])):
                 break
             hull.pop()
         hull.append(i)
@@ -407,7 +451,10 @@ def _sides(xs: np.ndarray, ys: np.ndarray, mus: np.ndarray,
             (np.clip(xs + (ys - stats.Sbar), stats.chi, stats.H),
              mu / (1.0 - mu), (h_mu - mu * stats.Sbar) / (1.0 - mu),
              lambda nu: nu / (1.0 + nu))):
-        hull = np.array(_lower_envelope(x, ys))
+        # A vertex within LINE_TOL of its neighbours' chord is a near-twin
+        # of one of them, such as a continuation start that converged back
+        # next to its segment end.
+        hull = np.array(_lower_envelope(x, ys, LINE_TOL))
         vx, vy = x[hull], ys[hull]
         sides.append((x, hull, _segment_gaps(vx, vy, slopes, intercepts),
                       to_mu((vy[:-1] - vy[1:]) / np.diff(vx))))

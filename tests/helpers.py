@@ -216,9 +216,11 @@ def brute_force_two_state(ensemble: Ensemble, step: float = 0.02,
     return ChannelGridOracle(SXC=sxc, SBgC=sbgc, SXBC=sxc + sbgc - sbar)
 
 
-def blahut_arimoto_map(reduced_b: np.ndarray, probs: np.ndarray, ratio,
-                       channels: np.ndarray) -> np.ndarray:
-    """One plain fixed-point update of a (..., m, k) stack of channels.
+def blahut_arimoto_step(reduced_b: np.ndarray, probs: np.ndarray, ratio,
+                        channels: np.ndarray) -> tuple:
+    """One plain fixed-point update of a (..., m, k) stack of channels, and
+    the free value L = -(1/ratio) sum_i p_i log2 Z_i of the channels it
+    updates, with Z_i the normaliser of row i of the update.
 
     ratio is one scalar or one per channel.  Dead outputs (q <= 1e-14) get
     the identity as their mixture and score -inf; eigenvalues are floored at
@@ -236,10 +238,20 @@ def blahut_arimoto_map(reduced_b: np.ndarray, probs: np.ndarray, ratio,
                         vec.conj())
     distortion = -np.einsum("iab,...jba->...ij", reduced_b, log_mix).real
     log_q = np.log2(q, out=np.full_like(q, -np.inf), where=live)
-    ratio = np.asarray(ratio, dtype=float)[..., None, None]
-    scores = log_q[..., None, :] - ratio * distortion
-    updated = np.exp2(scores - scores.max(axis=-1, keepdims=True))
-    return updated / updated.sum(axis=-1, keepdims=True)
+    ratio = np.asarray(ratio, dtype=float)
+    scores = log_q[..., None, :] - ratio[..., None, None] * distortion
+    top = scores.max(axis=-1, keepdims=True)
+    updated = np.exp2(scores - top)
+    total = updated.sum(axis=-1, keepdims=True)
+    log_norm = (top + np.log2(total))[..., 0]
+    value = -np.multiply(log_norm, probs).sum(axis=-1) / ratio
+    return updated / total, value
+
+
+def blahut_arimoto_map(reduced_b: np.ndarray, probs: np.ndarray, ratio,
+                       channels: np.ndarray) -> np.ndarray:
+    """The update of `blahut_arimoto_step` alone."""
+    return blahut_arimoto_step(reduced_b, probs, ratio, channels)[0]
 
 
 def fixed_point_one_start(reduced_b: np.ndarray, probs: np.ndarray,
@@ -253,12 +265,14 @@ def fixed_point_one_start(reduced_b: np.ndarray, probs: np.ndarray,
     x' = x0 + 2 t r + t^2 v with r = x1 - x0, v = x2 - 2 x1 + x0 and
     t = max(|r|/|v|, 1), or to x2 if x' has an entry <= 0, and maps x' to
     the next x0.  The start stops at its first map evaluation whose
-    sup-norm change is below 1e-10, with that evaluation's image; max_iter
-    counts map evaluations.
+    sup-norm change is below 1e-10, or whose point x' has a free value L
+    (`blahut_arimoto_step`) not below that of every earlier x', with that
+    evaluation's image; max_iter counts map evaluations.
     """
-    iterates = [channel]
+    iterates, lowest = [channel], np.inf
     for _ in range(max_iter):
-        if len(iterates) == 3:
+        jumped = len(iterates) == 3
+        if jumped:
             x0, x1, x2 = iterates
             r = x1 - x0
             v = x2 - x1 - r
@@ -270,8 +284,11 @@ def fixed_point_one_start(reduced_b: np.ndarray, probs: np.ndarray,
             iterates = []
         else:
             point = iterates[-1]
-        updated = blahut_arimoto_map(reduced_b, probs, ratio, point)
-        if np.abs(updated - point).max() < 1e-10:
+        updated, value = blahut_arimoto_step(reduced_b, probs, ratio, point)
+        if np.abs(updated - point).max() < 1e-10 or (jumped
+                                                    and value >= lowest):
             return updated, True
+        if jumped:
+            lowest = min(lowest, value)
         iterates.append(updated)
     return iterates[-1], False

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import shlex
 import subprocess
 import sys
@@ -10,7 +11,8 @@ import pytest
 
 from tradeoff import optimizer
 from tradeoff.cli import _grid_type, build_parser, main
-from tradeoff.ensembles import builtin_ensemble, ensemble_to_dict
+from tradeoff.ensembles import (BUILTIN_NAMES, builtin_ensemble,
+                                ensemble_to_dict)
 
 FAST = ["--resolution", "10", "--multistarts", "4", "--workers", "1"]
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -272,3 +274,24 @@ def test_cli_import_loads_no_scipy():
     result = subprocess.run([sys.executable, "-c", code],
                             capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_no_process_pool():
+    # The optimizer serves ProcessPoolExecutor only on demand, so no run
+    # imports the pool machinery.
+    code = ("import sys, tradeoff.cli; "
+            "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') "
+            "if m in sys.modules))")
+    result = subprocess.run([sys.executable, "-c", code],
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"
+    assert optimizer.ProcessPoolExecutor.__name__ == "ProcessPoolExecutor"
+
+
+def test_builtin_help_names_each_builtin_once(capsys):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["qct", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    help_text = re.search(r"--builtin NAME (.*?) --resolution", text).group(1)
+    for name in BUILTIN_NAMES:
+        assert help_text.count(name) == 1

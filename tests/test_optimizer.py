@@ -5,8 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import (blahut_arimoto_map, fixed_point_one_start,
-                     random_ensemble)
+from helpers import (blahut_arimoto_map, blahut_arimoto_step,
+                     fixed_point_one_start, random_ensemble)
 from tradeoff import optimizer
 from tradeoff.achievability import primitive_points
 from tradeoff.ensembles import builtin_ensemble
@@ -378,7 +378,8 @@ def test_fixed_point_converges_at_critical_slope(zero_plus):
     assert best == pytest.approx((SBgC + mu * SXC).min(), abs=1e-9)
 
 
-def test_zero_plus_starts_all_converge(zero_plus, monkeypatch):
+def _record_flags(monkeypatch) -> list:
+    """Record the converged flag of every start the solve runs."""
     flags = []
 
     def recording(*args):
@@ -387,8 +388,73 @@ def test_zero_plus_starts_all_converge(zero_plus, monkeypatch):
         return channels, converged
 
     monkeypatch.setattr(optimizer, "_fixed_point", recording)
+    return flags
+
+
+def test_zero_plus_starts_all_converge(zero_plus, monkeypatch):
+    flags = _record_flags(monkeypatch)
     compute_curves(zero_plus, 40, multistarts=16, seed=0)
     assert flags and all(flags)
+
+
+@pytest.mark.parametrize("name", ["zero-plus", "bb84", "uniform-qubit-24",
+                                  "qutrit-3"])
+def test_free_value_brackets_objective(name):
+    # The free value L(x) = -mu sum_i p_i log2 Z_i of the stopping rule lies
+    # between the objective J = S(B|C) + mu S(X:C) at x and at its image:
+    # J(F(x)) <= L(x) <= J(x), along 30 plain updates from random starts at
+    # four slopes.  The qutrit ensemble takes the dense kernel.
+    ensemble = (random_ensemble(np.random.default_rng(7), 3, 1, 3)
+                if name == "qutrit-3" else builtin_ensemble(name))
+    b, p = ensemble.reduced_b, ensemble.probs
+    for mu in (0.05, 0.3, 0.62, 0.9):
+        channels = _start_points(ensemble.m, ensemble.m + 1, 4, [0, 0, 0])
+        SXC, SBgC = stack_entropies(ensemble, channels)
+        objective = SBgC + mu * SXC
+        for _ in range(30):
+            channels, value = blahut_arimoto_step(b, p, 1.0 / mu, channels)
+            SXC, SBgC = stack_entropies(ensemble, channels)
+            image = SBgC + mu * SXC
+            assert (value <= objective + 1e-10).all()
+            assert (image <= value + 1e-10).all()
+            objective = image
+
+
+def test_uniform_qubit_24_caps_no_start(monkeypatch):
+    # Its starts at mu 0.18-0.33 drift along a nearly flat orbit of the
+    # near-symmetric ensemble and used to run to the cap of 500 map
+    # evaluations (25 of 64); the free-value rule stops each of them.
+    flags = _record_flags(monkeypatch)
+    compute_curves(builtin_ensemble("uniform-qubit-24"), 40, multistarts=4,
+                   seed=0)
+    assert len(flags) == 64 and all(flags)
+
+
+def test_bb84_stops_within_100_map_evaluations(monkeypatch):
+    # On bb84's flat mu = 1/2 face one start used to reach the cap; now
+    # every start stops within 100 map evaluations, so that cap gives the
+    # same curves as the default one.
+    ensemble = builtin_ensemble("bb84")
+    flags = _record_flags(monkeypatch)
+    capped = compute_curves(ensemble, 40, multistarts=8, seed=0, max_iter=100)
+    assert flags and all(flags)
+    curves = compute_curves(ensemble, 40, multistarts=8, seed=0)
+    assert capped.qct.samples == curves.qct.samples
+    assert capped.rsp.samples == curves.rsp.samples
+
+
+@pytest.mark.parametrize("name, multistarts", [("zero-plus", 16),
+                                               ("uniform-qubit-24", 4)])
+def test_no_near_twin_vertices(name, multistarts):
+    # Every interior vertex of either curve lies more than LINE_TOL under
+    # the chord of its neighbours: a continuation start that converges back
+    # next to its segment end adds no vertex.
+    curves = compute_curves(builtin_ensemble(name), 40,
+                            multistarts=multistarts, seed=0)
+    for curve in (curves.qct, curves.rsp):
+        x, y = curve.rates, curve.values
+        chord = y[:-2] + (y[2:] - y[:-2]) * (x[1:-1] - x[:-2]) / (x[2:] - x[:-2])
+        assert (chord - y[1:-1] > optimizer.LINE_TOL).all()
 
 
 def _record_certificates(monkeypatch) -> list:
@@ -649,3 +715,21 @@ def test_readme_certificate_sentence(monkeypatch):
         assert curves.diagnostics == ()
         for *_, gaps in calls[-2:]:
             assert gaps.max() <= optimizer.REFINE_TARGET
+
+
+def test_readme_cap_sentence(monkeypatch):
+    # The README counts the starts that hit the iteration cap at the CLI
+    # defaults; each named run must run that many starts and cap none.
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    claim = re.search(r"At the CLI defaults \(resolution 40, 32 starts, seed "
+                      r"0\) no start hits it on ([^.]*), so", text)
+    assert claim
+    runs = re.findall(r"([\w-]+) \(0/(\d+)\)", claim.group(1))
+    assert sorted(name for name, _ in runs) == ["uniform-qubit-24",
+                                                 "zero-plus"]
+    for name, starts in runs:
+        with monkeypatch.context() as patch:
+            flags = _record_flags(patch)
+            compute_curves(builtin_ensemble(name), optimizer.DEFAULT_RESOLUTION,
+                           multistarts=optimizer.DEFAULT_MULTISTARTS, seed=0)
+        assert len(flags) == int(starts) and all(flags)
