@@ -6,6 +6,7 @@ byte-identical files.
 """
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -51,12 +52,13 @@ def write_surface_csv(grid: SurfaceGrid, ensemble, path) -> Path:
     """Write R,Q,E,region rows plus a metadata JSON next to the CSV."""
     path = Path(path)
     lines = [SURFACE_HEADER]
-    for i, R in enumerate(grid.Rs):
-        for j, Q in enumerate(grid.Qs):
-            e = grid.E[i, j]
-            e_text = "inf" if np.isinf(e) else _fmt(float(e))
-            lines.append(f"{_fmt(float(R))},{_fmt(float(Q))},{e_text},"
-                         f"{grid.region[i, j].value}")
+    Qs = [_fmt(Q) for Q in grid.Qs.tolist()]
+    for R, E_row, region_row in zip(grid.Rs.tolist(), grid.E.tolist(),
+                                    grid.region.tolist()):
+        R = _fmt(R)
+        for Q, e, label in zip(Qs, E_row, region_row):
+            e_text = "inf" if math.isinf(e) else _fmt(e)
+            lines.append(f"{R},{Q},{e_text},{label.value}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     stats = grid.curves.stats
     meta = {

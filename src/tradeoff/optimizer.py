@@ -74,8 +74,10 @@ jumps to
 whose image F(x') is the next cycle's x0 (SQUAREM's step length is
 alpha = -t, and t = 1 gives x' = x2; t is per row, from row norms).  x' is
 never clipped to the simplex: the update is multiplicative, so an output
-set to zero would never come back.  A row whose x' has any entry <= 0 takes
-x' = x2 instead.
+set to zero would never come back.  A row whose x' has any entry <= 0
+steps back toward the plain step instead, as Varadhan & Roland do: it
+halves t, t <- max(t/2, 1), until x' is interior, which takes at most
+ceil(log2 t) halvings, and takes x' = x2 once t reaches 1.
 
 A start stops at its first map evaluation that moves it by less than
 CONVERGENCE_TOL in sup norm, or at its first cycle whose x' has a free value
@@ -96,7 +98,7 @@ counts map evaluations, three per cycle, and only a start that meets
 neither rule within it is capped.
 
 The starts of one pass are iterated together as a few arrays, each row at
-its own weight, with its own step length, fallback and lowest L, and each
+its own weight, with its own step length and halvings and lowest L, and each
 frozen once it converges.  An array holds the starts of as many consecutive
 weights as fit in STACK_ELEMENTS channel entries, and always at least one
 weight: small stacks cost numpy call overhead per iteration, so batching
@@ -110,9 +112,12 @@ gamma_j = (f+ - f-)/(2n),
 
     d(i, j) = -(alpha_j + gamma_j * r_i . r_j),
 
-which costs two small matrix products per iteration.  Any other dimB takes
-the dense path: the posterior mixtures are eigendecomposed and log2 rho_j is
-reassembled in their eigenbasis.  Both kernels floor the eigenvalues (1 +- n)/2
+which costs two small matrix products per iteration: the (4, m) matrix
+of the columns p_i [r_i, 1] times the channel gives q_j r_j and q_j, and
+the rows [r_i, 1] times the columns [w gamma_j r_j, log2 q_j + w alpha_j]
+give the logits.  Any other dimB takes the dense path: the posterior
+mixtures are eigendecomposed and log2 rho_j is reassembled in their
+eigenbasis.  Both kernels floor the eigenvalues (1 +- n)/2
 or lambda at states.EIGENVALUE_CLAMP before the log2, the same dust rule by
 which every entropy in the package drops tiny eigenvalues: a pure
 posterior's zero eigenvalue, which rounding leaves at +-1e-16, then scores
@@ -171,12 +176,17 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
     return (top + np.log2(total))[..., 0]
 
 
-def _dense_logits(reduced_b: np.ndarray):
-    """The update's logits log2 q_j - w * d(i, j), with the distortion
-    d(i, j) = -Tr[rho_i log2 rho_j] from a batched eigendecomposition."""
+def _dense_logits(reduced_b: np.ndarray, probs: np.ndarray):
+    """The update's logits log2 q_j - w * d(i, j) at a stack of channels, with
+    the distortion d(i, j) = -Tr[rho_i log2 rho_j] from a batched
+    eigendecomposition."""
     identity = np.eye(reduced_b.shape[-1])
 
-    def logits(joint, q, live, log_q, weight):
+    def logits(point, weight):
+        joint = probs[:, None] * point
+        q = joint.sum(axis=1)
+        live = q > ZERO_OUTPUT
+        log_q = np.log2(q, out=np.full_like(q, -np.inf), where=live)
         mixtures = np.einsum("sij,iab->sjab", joint, reduced_b)
         # Dead outputs get a harmless mixture; their log_q is -inf anyway.
         mixtures[live] /= q[live, None, None]
@@ -194,9 +204,9 @@ def _dense_logits(reduced_b: np.ndarray):
     return logits
 
 
-def _qubit_logits(reduced_b: np.ndarray):
-    """The update's logits log2 q_j - w * d(i, j) for qubits, with the
-    distortion in Bloch-vector form.
+def _qubit_logits(reduced_b: np.ndarray, probs: np.ndarray):
+    """The update's logits log2 q_j - w * d(i, j) for qubits at a stack of
+    channels, with the distortion in Bloch-vector form.
 
     log2 rho_j = alpha_j I + gamma_j r_j.sigma, and Tr rho_i = 1,
     Tr[rho_i sigma] = r_i give the closed form in the module docstring.
@@ -204,13 +214,20 @@ def _qubit_logits(reduced_b: np.ndarray):
     bloch = np.stack([2.0 * reduced_b[:, 0, 1].real,
                       -2.0 * reduced_b[:, 0, 1].imag,
                       (reduced_b[:, 0, 0] - reduced_b[:, 1, 1]).real], axis=-1)
+    # [r_i, 1] as rows, and p_i [r_i, 1] as columns.
+    augmented = np.concatenate([bloch, np.ones((len(bloch), 1))], axis=1)
+    moment_weights = (probs[:, None] * augmented).T
     half_sum_diff = np.array([[0.5, 0.5], [0.5, -0.5]])
 
-    def logits(joint, q, live, log_q, weight):
-        # Posterior Bloch vectors; dead outputs keep r_j = 0 and log_q -inf.
-        post = np.divide(joint.transpose(0, 2, 1) @ bloch, q[..., None],
-                         out=np.zeros(q.shape + (3,)), where=live[..., None])
-        n = np.sqrt(np.einsum("sjc,sjc->sj", post, post))
+    def logits(point, weight):
+        # q_j r_j on rows 0-2 and q_j on row 3 of each (4, k) block.
+        moments = moment_weights @ point
+        q = moments[:, 3]
+        live = q > ZERO_OUTPUT
+        # |q_j r_j| = q_j n_j; dead outputs keep n_j = 0 and log2 q_j = -inf.
+        length = np.sqrt(np.einsum("scj,scj->sj", moments[:, :3],
+                                   moments[:, :3]))
+        n = np.divide(length, q, out=np.zeros_like(q), where=live)
         # The eigenvalues (1 +- n)/2 on the last axis, then f+- = their
         # floored log2, then w alpha_j = w (f+ + f-)/2 and
         # w gamma_j n_j = w (f+ - f-)/2.
@@ -219,37 +236,50 @@ def _qubit_logits(reduced_b: np.ndarray):
         np.log2(np.maximum(f, EIGENVALUE_CLAMP, out=f), out=f)
         f = f @ half_sum_diff
         f *= weight[:, None, None]
-        # log2 q_j + w alpha_j and w gamma_j as (starts, k) vectors, so that
-        # the (starts, m, k) buffer takes one product and two updates.
-        offset = f[..., 0] + log_q
-        scale = np.divide(f[..., 1], n, out=np.zeros_like(n), where=n > 0)
-        scores = bloch @ post.transpose(0, 2, 1)
-        scores *= scale[:, None, :]
-        scores += offset[:, None, :]
-        return scores
+        # Rows 0-2 become w gamma_j r_j = (w gamma_j n_j / |q_j r_j|) q_j r_j
+        # and row 3 log2 q_j + w alpha_j, so that [r_i, 1] times them is the
+        # (starts, m, k) buffer in one product.
+        moments[:, :3] *= np.divide(f[..., 1], length, out=np.zeros_like(q),
+                                    where=length > 0.0)[:, None, :]
+        np.log2(q, out=q, where=live)
+        q[~live] = -np.inf
+        q += f[..., 0]
+        return augmented @ moments
 
     return logits
 
 
 def _extrapolate(x0: np.ndarray, x1: np.ndarray,
                  x2: np.ndarray) -> np.ndarray:
-    """The SQUAREM point x0 + 2 t r + t^2 v of each row, or x2 where that
-    point leaves the interior of the simplex (module docstring)."""
+    """The SQUAREM point x0 + 2 t r + t^2 v of each row, with t halved toward
+    1 while that point leaves the interior of the simplex, and x2 at t = 1
+    (module docstring)."""
     r = np.subtract(x1, x0)
     v = np.subtract(x2, x1)
     v -= r
     rr = np.einsum("sij,sij->s", r, r)
     vv = np.einsum("sij,sij->s", v, v)
-    # t^2 = max(|r|^2 / |v|^2, 1); |v| = 0 takes t = 1 as well.
+    # t^2 = max(|r|^2 / |v|^2, 1); |v| = 0 takes t = 1 as well.  Halving t
+    # quarters t^2 exactly, and sqrt(t^2 / 4) is exactly sqrt(t^2) / 2.
     t2 = np.maximum(np.divide(rr, vv, out=np.ones_like(rr), where=vv > 0.0),
                     1.0)
-    r *= (2.0 * np.sqrt(t2))[:, None, None]
-    v *= t2[:, None, None]
-    r += x0
-    r += v
-    outside = (r <= 0.0).any(axis=(1, 2))
-    np.copyto(r, x2, where=outside[:, None, None])
-    return r
+    point = np.multiply(r, (2.0 * np.sqrt(t2))[:, None, None])
+    point += x0
+    point += v * t2[:, None, None]
+    rows = np.flatnonzero((point <= 0.0).any(axis=(1, 2)))
+    t2 = t2[rows]
+    while rows.size:
+        t2 = np.maximum(0.25 * t2, 1.0)
+        last = t2 == 1.0
+        point[rows[last]] = x2[rows[last]]
+        rows, t2 = rows[~last], t2[~last]
+        trial = np.multiply(r[rows], (2.0 * np.sqrt(t2))[:, None, None])
+        trial += x0[rows]
+        trial += v[rows] * t2[:, None, None]
+        inside = ~(trial <= 0.0).any(axis=(1, 2))
+        point[rows[inside]] = trial[inside]
+        rows, t2 = rows[~inside], t2[~inside]
+    return point
 
 
 def _fixed_point(reduced_b: np.ndarray, probs: np.ndarray, ratio,
@@ -268,7 +298,7 @@ def _fixed_point(reduced_b: np.ndarray, probs: np.ndarray, ratio,
     a per-start flag saying whether the start converged before the cap.
     """
     logits = (_qubit_logits if reduced_b.shape[-1] == 2
-              else _dense_logits)(reduced_b)
+              else _dense_logits)(reduced_b, probs)
     result = np.empty_like(channels)
     converged = np.zeros(len(channels), dtype=bool)
     active = np.arange(len(channels))
@@ -285,14 +315,10 @@ def _fixed_point(reduced_b: np.ndarray, probs: np.ndarray, ratio,
             point, cycle = _extrapolate(*cycle), []
         else:
             point = cycle[-1]
-        joint = probs[:, None] * point
-        q = joint.sum(axis=1)
-        live = q > ZERO_OUTPUT
-        log_q = np.log2(q, out=np.full_like(q, -np.inf), where=live)
-        # In place, so that a full stack holds few (starts, m, k) arrays.
-        image = logits(joint, q, live, log_q, weight)
+        image = logits(point, weight)
         log_norm = _softmax_rows(image)
-        change = np.abs(np.subtract(image, point, out=joint), out=joint)
+        change = np.subtract(image, point)
+        np.abs(change, out=change)
         done = change.max(axis=(1, 2)) < CONVERGENCE_TOL
         if jumped:
             value = -np.multiply(log_norm, probs).sum(axis=1) / weight

@@ -263,8 +263,9 @@ def fixed_point_one_start(reduced_b: np.ndarray, probs: np.ndarray,
     Reference for the lockstep solver.  From x0 a cycle takes x1 = F(x0) and
     x2 = F(x1), with F the `blahut_arimoto_map`, extrapolates to
     x' = x0 + 2 t r + t^2 v with r = x1 - x0, v = x2 - 2 x1 + x0 and
-    t = max(|r|/|v|, 1), or to x2 if x' has an entry <= 0, and maps x' to
-    the next x0.  The start stops at its first map evaluation whose
+    t = max(|r|/|v|, 1), halving t toward 1 (t <- max(t/2, 1)) while x' has
+    an entry <= 0 and taking x' = x2 once t reaches 1, and maps x' to the
+    next x0.  The start stops at its first map evaluation whose
     sup-norm change is below 1e-10, or whose point x' has a free value L
     (`blahut_arimoto_step`) not below that of every earlier x', with that
     evaluation's image; max_iter counts map evaluations.
@@ -279,8 +280,12 @@ def fixed_point_one_start(reduced_b: np.ndarray, probs: np.ndarray,
             rr, vv = np.einsum("ij,ij->", r, r), np.einsum("ij,ij->", v, v)
             t2 = max(rr / vv if vv > 0.0 else 1.0, 1.0)
             point = x0 + 2.0 * np.sqrt(t2) * r + t2 * v
-            if (point <= 0.0).any():
-                point = x2
+            while (point <= 0.0).any():
+                t2 = max(t2 / 4.0, 1.0)
+                if t2 == 1.0:
+                    point = x2
+                    break
+                point = x0 + 2.0 * np.sqrt(t2) * r + t2 * v
             iterates = []
         else:
             point = iterates[-1]

@@ -74,6 +74,25 @@ def test_writers_are_deterministic(tmp_path, zero_plus, zp_curves):
     assert ca.read_bytes() == cb.read_bytes()
 
 
+def test_surface_csv_bytes_pinned(tmp_path, zero_plus, zp_curves):
+    # The writer formats whole rows of Python floats; the file must match
+    # the one formatted cell by cell from the numpy scalars, on a grid with
+    # every region, unachievable cells included.
+    grid = surface_grid(zero_plus, 33, 33, curves=zp_curves)
+    assert {label.value for label in grid.region.ravel()} == {
+        "QCT", "LowEntanglement", "HighEntanglement", "Forbidden"}
+    lines = [SURFACE_HEADER]
+    for i, R in enumerate(grid.Rs):
+        for j, Q in enumerate(grid.Qs):
+            e = grid.E[i, j]
+            e_text = "inf" if np.isinf(e) else f"{float(e):.12g}"
+            lines.append(f"{float(R):.12g},{float(Q):.12g},{e_text},"
+                         f"{grid.region[i, j].value}")
+    path = tmp_path / "surface.csv"
+    write_surface_csv(grid, zero_plus, path)
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+
+
 def _write(tmp_path, text):
     path = tmp_path / "surface.csv"
     path.write_text(text, encoding="utf-8")

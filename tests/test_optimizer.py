@@ -13,6 +13,7 @@ from tradeoff.ensembles import builtin_ensemble
 from tradeoff.optimizer import (
     TradeoffCurve,
     _fixed_point,
+    _softmax_rows,
     _start_points,
     _sweep,
     compute_curves,
@@ -333,25 +334,48 @@ def test_fixed_point_rows_independent(name, ratio, monkeypatch):
                 assert 0 < converged.sum() < len(starts)
 
 
+def _accepted_steps(x0, x1, x2) -> list:
+    """Each row's SQUAREM step t = max(|r|/|v|, 1), halved toward 1 while
+    x0 + 2 t r + t^2 v has an entry <= 0, and how often it was halved."""
+    steps = []
+    for a, b, c in zip(x0, x1, x2):
+        r, v = b - a, c - 2.0 * b + a
+        norm_r, norm_v, halvings = np.linalg.norm(r), np.linalg.norm(v), 0
+        t = max(norm_r / norm_v, 1.0) if norm_v > 0.0 else 1.0
+        while t > 1.0 and (a + 2.0 * t * r + t ** 2 * v <= 0.0).any():
+            t, halvings = max(t / 2.0, 1.0), halvings + 1
+        steps.append((t, halvings))
+    return steps
+
+
 def test_extrapolation_keeps_to_the_interior():
-    # A row whose extrapolated point has an entry <= 0 takes x2 instead; it
-    # is never clipped, as the multiplicative update would never revive an
-    # output clipped to zero.  Other rows of the stack keep their point.
+    # A row whose full step x0 + 2 t r + t^2 v has an entry <= 0 takes the
+    # largest t / 2^j >= 1 whose point is interior, and x2 only once t
+    # reaches 1.  A point is never clipped, as the multiplicative update
+    # would never revive an output clipped to zero.  Each row halves its own
+    # step: at ratio 2 the stack has full steps and steps halved two or three
+    # times, at ratio 5 steps that halve back to x2.
     ensemble = builtin_ensemble("zero-plus")
-    b, p, ratio = ensemble.reduced_b, ensemble.probs, 2.0
-    x0 = _start_points(ensemble.m, ensemble.m + 1, 8, [0, 0, 0])
+    b, p = ensemble.reduced_b, ensemble.probs
+    ratio = np.repeat([2.0, 5.0], 8)
+    x0 = np.concatenate([_start_points(ensemble.m, ensemble.m + 1, 8,
+                                       [0, 0, 0])] * 2)
     x1, _ = _fixed_point(b, p, ratio, x0, 1)
     x2, _ = _fixed_point(b, p, ratio, x1, 1)
-    r, v = x1 - x0, x2 - 2.0 * x1 + x0
-    alpha = -np.maximum(np.linalg.norm(r, axis=(1, 2))
-                        / np.linalg.norm(v, axis=(1, 2)), 1.0)[:, None, None]
-    formula = x0 - 2.0 * alpha * r + alpha ** 2 * v
-    outside = (formula <= 0.0).any(axis=(1, 2))
-    assert 0 < outside.sum() < len(x0)
     point = optimizer._extrapolate(x0, x1, x2)
-    assert np.array_equal(point[outside], x2[outside])
-    np.testing.assert_allclose(point[~outside], formula[~outside], rtol=0,
-                               atol=1e-12)
+    kinds = set()
+    for row, (t, halvings) in enumerate(_accepted_steps(x0, x1, x2)):
+        if halvings and t == 1.0:
+            kinds.add("x2")
+            assert np.array_equal(point[row], x2[row])
+        else:
+            kinds.add("halved" if halvings else "full")
+            r, v = x1[row] - x0[row], x2[row] - 2.0 * x1[row] + x0[row]
+            assert (point[row] > 0.0).all()
+            np.testing.assert_allclose(point[row],
+                                       x0[row] + 2.0 * t * r + t ** 2 * v,
+                                       rtol=0, atol=1e-12)
+    assert kinds == {"full", "halved", "x2"}
     # The solve's third map evaluation is the image of that point, and no
     # output that is live in x2 is dead in it.
     x3, _ = _fixed_point(b, p, ratio, x0, 3)
@@ -428,6 +452,35 @@ def test_uniform_qubit_24_caps_no_start(monkeypatch):
     compute_curves(builtin_ensemble("uniform-qubit-24"), 40, multistarts=4,
                    seed=0)
     assert len(flags) == 64 and all(flags)
+
+
+def _count_map_evaluations(monkeypatch) -> list:
+    """Count every map evaluation of every stack the solve runs, in a
+    one-element list."""
+    count = [0]
+    for name in ("_qubit_logits", "_dense_logits"):
+        def counting(*args, kernel=getattr(optimizer, name)):
+            logits = kernel(*args)
+
+            def counted(*call_args):
+                count[0] += 1
+                return logits(*call_args)
+            return counted
+        monkeypatch.setattr(optimizer, name, counting)
+    return count
+
+
+@pytest.mark.parametrize("name, multistarts, budget", [
+    ("zero-plus", 16, 150), ("uniform-qubit-24", 4, 400)])
+def test_halved_jumps_save_map_evaluations(name, multistarts, budget,
+                                           monkeypatch):
+    # At resolution 40, seed 0, these solves took 611 and 798 map
+    # evaluations while a jump that left the simplex dropped to x2; halving
+    # its step toward 1 keeps most of the acceleration.
+    count = _count_map_evaluations(monkeypatch)
+    compute_curves(builtin_ensemble(name), 40, multistarts=multistarts,
+                   seed=0)
+    assert 0 < count[0] <= budget
 
 
 def test_bb84_stops_within_100_map_evaluations(monkeypatch):
@@ -676,7 +729,13 @@ KERNEL_CASES = {
 @pytest.mark.parametrize("case", list(KERNEL_CASES))
 def test_qubit_kernel_matches_dense(case, monkeypatch):
     # Mixed posteriors, pure ones (n = 1, orthogonal or not), the maximally
-    # mixed one (n = 0) and the largest built-in ensemble.
+    # mixed one (n = 0) and the largest built-in ensemble.  One map
+    # evaluation of either kernel agrees to 1e-12 at every iterate of the
+    # dense run.  An accepted jump carries the kernels' one-step difference
+    # into the next x0 through t^2 v, so a run whose largest accepted t,
+    # squared, times its largest one-step difference exceeds atol is checked
+    # one step at a time only: uniform-qubit-24 at ratio 5, whose steps
+    # reach t = 40 and whose 60-evaluation runs part by 1.6e-10.
     name, start, ratios, atol = KERNEL_CASES[case]
     ensemble = (random_ensemble(np.random.default_rng(3), 4, 2, 2)
                 if name is None else builtin_ensemble(name))
@@ -687,13 +746,44 @@ def test_qubit_kernel_matches_dense(case, monkeypatch):
     else:
         starts = ClassicalChannel.constant(ensemble.m).matrix[None]
     args = (ensemble.reduced_b, ensemble.probs)
+    extrapolate, amplified = optimizer._extrapolate, []
+
+    def recording_kernel(*kernel_args):
+        logits = optimizer._dense_logits(*kernel_args)
+
+        def recorded(point, weight):
+            points.append(point.copy())
+            return logits(point, weight)
+        return recorded
+
+    def recording_jump(x0, x1, x2):
+        steps.extend(t for t, _ in _accepted_steps(x0, x1, x2))
+        return extrapolate(x0, x1, x2)
+
     for max_iter in (1, 60):
         for ratio in ratios:
             qubit, qubit_flags = _fixed_point(*args, ratio, starts, max_iter)
-            dense, dense_flags = _dense_fixed_point(monkeypatch, *args, ratio,
-                                                    starts, max_iter)
-            np.testing.assert_allclose(qubit, dense, rtol=0, atol=atol)
+            points, steps = [], [1.0]
+            with monkeypatch.context() as patch:
+                patch.setattr(optimizer, "_qubit_logits", recording_kernel)
+                patch.setattr(optimizer, "_extrapolate", recording_jump)
+                dense, dense_flags = _fixed_point(*args, ratio, starts,
+                                                  max_iter)
             assert np.array_equal(qubit_flags, dense_flags)
+            step_gap = 0.0
+            for point in points:
+                weight = np.full(len(point), ratio)
+                images = [kernel(*args)(point, weight) for kernel in
+                          (optimizer._qubit_logits, optimizer._dense_logits)]
+                for image in images:
+                    _softmax_rows(image)
+                np.testing.assert_allclose(*images, rtol=0, atol=1e-12)
+                step_gap = max(step_gap, np.abs(images[0] - images[1]).max())
+            if max(steps) ** 2 * step_gap > atol:
+                amplified.append((max_iter, ratio))
+            else:
+                np.testing.assert_allclose(qubit, dense, rtol=0, atol=atol)
+    assert amplified == ([(60, 5.0)] if case == "uniform-qubit-24" else [])
 
 
 def test_readme_certificate_sentence(monkeypatch):
