@@ -18,6 +18,7 @@ import json
 import math
 import numbers
 import re
+import sys
 
 import numpy as np
 
@@ -87,14 +88,10 @@ BUILTIN_NAMES = ("orthonormal-pair", "bb84", "zero-plus", "single-entangled",
 
 
 def _is_number(value) -> bool:
-    # JSON true/false decode to bool, which Python counts as an integer.
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _amplitude(re_, im_) -> complex:
-    if not (_is_number(re_) and _is_number(im_)):
-        raise TypeError("amplitude parts must be numbers")
-    return complex(re_, im_)
+    # JSON true/false decode to bool, which Python counts as an integer, and
+    # an integer beyond the float range has no float to become.
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and not (type(value) is int and abs(value) > sys.float_info.max))
 
 
 def parse_ensemble(payload: dict) -> Ensemble:
@@ -123,11 +120,14 @@ def parse_ensemble(payload: dict) -> Ensemble:
         if len(entries) != dimA * dimB:
             raise ValueError(f"state {idx} needs {dimA * dimB} amplitudes, "
                              f"got {len(entries)}")
-        try:
-            amp = np.array([_amplitude(*pair) for pair in entries])
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"state {idx} amplitudes must be [re, im] "
-                             f"pairs") from exc
+        if not all(isinstance(pair, (list, tuple)) and len(pair) == 2
+                   and all(map(_is_number, pair)) for pair in entries):
+            raise ValueError(f"state {idx} amplitudes must be [re, im] pairs")
+        amp = np.array([complex(*pair) for pair in entries])
+        top = np.abs(amp.view(float)).max(initial=0.0)  # norm overflow guard
+        if top > 1.0 + LOAD_NORM_TOL:  # no unit vector has such a part
+            raise ValueError(f"state {idx} has an amplitude part of modulus "
+                             f"{top:.9g}, so its norm cannot be near 1")
         norm = float(np.linalg.norm(amp))
         if abs(norm - 1.0) > LOAD_NORM_TOL:
             raise ValueError(f"state {idx} has norm {norm:.9g}, more than "

@@ -10,9 +10,9 @@ Each curve is convex and non-increasing in R, so every point is exposed by a
 supporting slope.  As S(X:BC) = S(X:C) + S(B|C) - Sbar, one solve serves
 both: minimizing S(B|C) + mu * S(X:C) over channels gives (S(X:C), S(B|C))
 points whose lower convex envelope is the qubit curve, and the envelope of
-their shear (R, Q) -> (R + Q - Sbar, Q) is the ebit curve.  No mu above 1 is
-needed: data processing gives I(B:C) <= I(X:C), i.e. S(X:C) + S(B|C) >= S,
-so the qubit curve is nowhere steeper than -1.
+the shear (R, Q) -> (R + Q - Sbar, Q) of its vertices is the ebit curve.
+No mu above 1 is needed: data processing gives I(B:C) <= I(X:C), i.e.
+S(X:C) + S(B|C) >= S, so the qubit curve is nowhere steeper than -1.
 
 The endpoints (0, S) and (H, Sbar) are exact: the constant channel reveals
 nothing and the identity channel everything.  A solved outcome with
@@ -105,24 +105,21 @@ weight: small stacks cost numpy call overhead per iteration, so batching
 them saves time, while past the cap the cost is array work and a larger
 stack only adds memory.
 
-For a qubit B register the distortion has a closed form.  With Bloch
-vectors rho = (I + r.sigma)/2, the posterior vector r_j = sum_i p_i p(j|i)
-r_i / q_j of length n, f+- = log2((1 +- n)/2), alpha_j = (f+ + f-)/2 and
-gamma_j = (f+ - f-)/(2n),
-
-    d(i, j) = -(alpha_j + gamma_j * r_i . r_j),
-
-which costs two small matrix products per iteration: the (4, m) matrix
-of the columns p_i [r_i, 1] times the channel gives q_j r_j and q_j, and
-the rows [r_i, 1] times the columns [w gamma_j r_j, log2 q_j + w alpha_j]
-give the logits.  Any other dimB takes the dense path: the posterior
-mixtures are eigendecomposed and log2 rho_j is reassembled in their
-eigenbasis.  Both kernels floor the eigenvalues (1 +- n)/2
-or lambda at states.EIGENVALUE_CLAMP before the log2, the same dust rule by
-which every entropy in the package drops tiny eigenvalues: a pure
-posterior's zero eigenvalue, which rounding leaves at +-1e-16, then scores
-the same in either kernel.  When a stack is done, one call of
-profiles.stack_entropies scores all its starts.
+The distortion is read through generalized Bloch vectors (Bertlmann &
+Krammer 2008): with the d^2 - 1 Gell-Mann matrices G_a of dimB = d
+(`_bloch_basis`), every state is rho = I/d + r.G/2 with r_a = Tr[rho G_a],
+and -d(i, j) = Tr[log2 rho_j]/d + r_i.c_j/2 with (c_j)_a = Tr[G_a log2 rho_j].
+So the (d^2, m) matrix of the columns p_i [r_i, 1] times the channel gives
+q_j r_j and q_j, a posterior log step turns them into w c_j/2 and
+w Tr[log2 rho_j]/d, and the rows [r_i, 1] times the columns
+[w c_j/2, log2 q_j + w Tr[log2 rho_j]/d] give the logits.  Only the log step
+depends on dimB.  For a qubit it is closed: with n = |r_j| and
+f+- = log2((1 +- n)/2), log2 rho_j = alpha_j I + gamma_j r_j.sigma with
+alpha_j = (f+ + f-)/2 and gamma_j = (f+ - f-)/(2n).  Any other dimB
+eigendecomposes the posteriors rebuilt from the basis and projects log2 rho_j
+back onto it.  Both floor eigenvalues at states.EIGENVALUE_CLAMP, the dust
+rule of every entropy here, so a pure posterior scores the same in both.
+One call of profiles.stack_entropies then scores each finished stack.
 """
 
 import math
@@ -176,74 +173,77 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
     return (top + np.log2(total))[..., 0]
 
 
-def _dense_logits(reduced_b: np.ndarray, probs: np.ndarray):
-    """The update's logits log2 q_j - w * d(i, j) at a stack of channels, with
-    the distortion d(i, j) = -Tr[rho_i log2 rho_j] from a batched
-    eigendecomposition."""
-    identity = np.eye(reduced_b.shape[-1])
-
-    def logits(point, weight):
-        joint = probs[:, None] * point
-        q = joint.sum(axis=1)
-        live = q > ZERO_OUTPUT
-        log_q = np.log2(q, out=np.full_like(q, -np.inf), where=live)
-        mixtures = np.einsum("sij,iab->sjab", joint, reduced_b)
-        # Dead outputs get a harmless mixture; their log_q is -inf anyway.
-        mixtures[live] /= q[live, None, None]
-        mixtures[~live] = identity
-        lam, vec = np.linalg.eigh(mixtures)
-        log_lam = np.log2(np.clip(lam, EIGENVALUE_CLAMP, None))
-        # log2(rho_j) reassembled in the eigenbasis, then the trace with rho_i
-        log_mix = np.einsum("sjak,sjk,sjbk->sjab", vec, log_lam, vec.conj())
-        scores = np.multiply(
-            np.einsum("iab,sjba->sij", reduced_b, log_mix).real,
-            weight[:, None, None])
-        scores += log_q[:, None, :]
-        return scores
-
-    return logits
+def _bloch_basis(d: int) -> np.ndarray:
+    """The rows G_a/2 and I/d, flattened, over the generalized Gell-Mann
+    matrices G_a: |j><k| + |k><j| for j < k, then -i|j><k| + i|k><j|, then
+    sqrt(2/(l(l+1))) (|0><0| + ... + |l-1><l-1| - l|l><l|) for l = 1..d-1,
+    so that d = 2 gives sigma x, y, z.  [r, 1] times the rows is rho, and A
+    times their conjugate transpose is [Tr(G_a A)/2, Tr(A)/d]."""
+    j, k = np.triu_indices(d, 1)
+    unit = np.eye(d * d)  # row a * d + b is |a><b| flattened
+    upper, lower, diagonal = unit[j * d + k], unit[k * d + j], unit[::d + 1]
+    l = np.arange(1.0, d)
+    weights = np.tri(d - 1, d) - l[:, None] * np.eye(d - 1, d, 1)
+    weights *= np.sqrt(2.0 / (l * (l + 1.0)))[:, None]
+    return np.vstack([upper + lower, 1j * (lower - upper), weights @ diagonal,
+                      2.0 / d * diagonal.sum(axis=0)]) / 2.0
 
 
-def _qubit_logits(reduced_b: np.ndarray, probs: np.ndarray):
-    """The update's logits log2 q_j - w * d(i, j) for qubits at a stack of
-    channels, with the distortion in Bloch-vector form.
+def _bloch_log(moments: np.ndarray, live: np.ndarray, weight: np.ndarray,
+               basis: np.ndarray) -> np.ndarray:
+    """The closed-form posterior log step of a qubit, which needs no basis:
+    turns rows 0-2 of moments into w gamma_j r_j and returns w alpha_j."""
+    q, vec = moments[:, -1], moments[:, :-1]
+    # |q_j r_j| = q_j n_j; dead outputs keep n_j = 0.
+    length = np.sqrt(np.einsum("scj,scj->sj", vec, vec))
+    n = np.divide(length, q, out=np.zeros_like(q), where=live)
+    # f+- = floored log2((1 +- n)/2); w alpha_j, w gamma_j n_j = w(f+ +- f-)/2
+    plus, minus = (np.log2(np.maximum(0.5 + sign * n, EIGENVALUE_CLAMP))
+                   for sign in (0.5, -0.5))
+    half = 0.5 * weight[:, None]
+    # w gamma_j r_j = (w gamma_j n_j / |q_j r_j|) q_j r_j.
+    vec *= np.divide((plus - minus) * half, length, out=np.zeros_like(q),
+                     where=length > 0.0)[:, None, :]
+    return (plus + minus) * half
 
-    log2 rho_j = alpha_j I + gamma_j r_j.sigma, and Tr rho_i = 1,
-    Tr[rho_i sigma] = r_i give the closed form in the module docstring.
-    """
-    bloch = np.stack([2.0 * reduced_b[:, 0, 1].real,
-                      -2.0 * reduced_b[:, 0, 1].imag,
-                      (reduced_b[:, 0, 0] - reduced_b[:, 1, 1]).real], axis=-1)
-    # [r_i, 1] as rows, and p_i [r_i, 1] as columns.
-    augmented = np.concatenate([bloch, np.ones((len(bloch), 1))], axis=1)
+
+def _eigh_log(moments: np.ndarray, live: np.ndarray, weight: np.ndarray,
+              basis: np.ndarray) -> np.ndarray:
+    """The posterior log step of any dimB: turns the first d^2 - 1 rows of
+    moments into w c_j/2 and returns w Tr[log2 rho_j]/d."""
+    s, size, k = moments.shape
+    # The rows [r_j, 1], and 0 at a dead output, whose floored log is finite.
+    rows = moments / np.where(live, moments[:, -1], np.inf)[:, None]
+    rho = (rows.swapaxes(1, 2) @ basis).reshape(s, k, -1, math.isqrt(size))
+    lam, vec = np.linalg.eigh(rho)
+    np.log2(np.maximum(lam, EIGENVALUE_CLAMP, out=lam), out=lam)
+    log_rho = (vec * lam[..., None, :]) @ vec.conj().swapaxes(2, 3)
+    columns = (log_rho.reshape(s, k, size) @ basis.conj().T).real
+    columns *= weight[:, None, None]
+    moments[:, :-1] = columns[..., :-1].swapaxes(1, 2)
+    return columns[..., -1]
+
+
+def _logits(reduced_b: np.ndarray, probs: np.ndarray):
+    """The update's logits log2 q_j - w * d(i, j) at a stack of channels."""
+    m, d = len(probs), reduced_b.shape[-1]
+    basis = _bloch_basis(d)
+    # Rows [r_i, 1], r_a = 2 Re Tr[rho_i G_a/2] from the interleaved parts.
+    augmented = np.ones((m, d * d))
+    augmented[:, :-1] = 2.0 * (reduced_b.reshape(m, -1).view(float)
+                               @ basis[:-1].view(float).T)
     moment_weights = (probs[:, None] * augmented).T
-    half_sum_diff = np.array([[0.5, 0.5], [0.5, -0.5]])
+    log_step = _bloch_log if d == 2 else _eigh_log
 
     def logits(point, weight):
-        # q_j r_j on rows 0-2 and q_j on row 3 of each (4, k) block.
+        # Rows q_j r_j and q_j; the last becomes log2 q_j + w Tr[log2 rho_j]/d.
         moments = moment_weights @ point
-        q = moments[:, 3]
+        q = moments[:, -1]
         live = q > ZERO_OUTPUT
-        # |q_j r_j| = q_j n_j; dead outputs keep n_j = 0 and log2 q_j = -inf.
-        length = np.sqrt(np.einsum("scj,scj->sj", moments[:, :3],
-                                   moments[:, :3]))
-        n = np.divide(length, q, out=np.zeros_like(q), where=live)
-        # The eigenvalues (1 +- n)/2 on the last axis, then f+- = their
-        # floored log2, then w alpha_j = w (f+ + f-)/2 and
-        # w gamma_j n_j = w (f+ - f-)/2.
-        f = np.multiply.outer(n, (0.5, -0.5))
-        f += 0.5
-        np.log2(np.maximum(f, EIGENVALUE_CLAMP, out=f), out=f)
-        f = f @ half_sum_diff
-        f *= weight[:, None, None]
-        # Rows 0-2 become w gamma_j r_j = (w gamma_j n_j / |q_j r_j|) q_j r_j
-        # and row 3 log2 q_j + w alpha_j, so that [r_i, 1] times them is the
-        # (starts, m, k) buffer in one product.
-        moments[:, :3] *= np.divide(f[..., 1], length, out=np.zeros_like(q),
-                                    where=length > 0.0)[:, None, :]
+        trace = log_step(moments, live, weight, basis)
         np.log2(q, out=q, where=live)
         q[~live] = -np.inf
-        q += f[..., 0]
+        q += trace
         return augmented @ moments
 
     return logits
@@ -297,8 +297,7 @@ def _fixed_point(reduced_b: np.ndarray, probs: np.ndarray, ratio,
     image.  max_iter counts map evaluations.  Returns the final channels and
     a per-start flag saying whether the start converged before the cap.
     """
-    logits = (_qubit_logits if reduced_b.shape[-1] == 2
-              else _dense_logits)(reduced_b, probs)
+    logits = _logits(reduced_b, probs)
     result = np.empty_like(channels)
     converged = np.zeros(len(channels), dtype=bool)
     active = np.arange(len(channels))
@@ -469,18 +468,18 @@ def _sides(xs: np.ndarray, ys: np.ndarray, mus: np.ndarray,
     h = (ys[:, None] + np.multiply.outer(xs, mus)).min(axis=0)
     # The shear takes the slope -mu line to a slope -mu/(1 - mu) one, and
     # the mu = 1 line to the wall R >= chi, which no segment crosses.
-    shear = mus < 1.0
-    mu, h_mu = mus[shear], h[shear]
+    mu, h_mu = mus[mus < 1.0], h[mus < 1.0]
+    # A vertex within LINE_TOL of its neighbours' chord is a near-twin, such
+    # as a continuation start that converged back next to its segment end.
+    # RSP vertices are chosen among QCT ones, so both drop the same twins.
+    sheared = np.clip(xs + (ys - stats.Sbar), stats.chi, stats.H)
+    qct = np.array(_lower_envelope(xs, ys, LINE_TOL))
+    rsp = qct[_lower_envelope(sheared[qct], ys[qct], LINE_TOL)]
     sides = []
-    for x, slopes, intercepts, to_mu in (
-            (xs, mus, h, lambda nu: nu),
-            (np.clip(xs + (ys - stats.Sbar), stats.chi, stats.H),
-             mu / (1.0 - mu), (h_mu - mu * stats.Sbar) / (1.0 - mu),
+    for x, hull, slopes, intercepts, to_mu in (
+            (xs, qct, mus, h, lambda nu: nu),
+            (sheared, rsp, mu / (1 - mu), (h_mu - mu * stats.Sbar) / (1 - mu),
              lambda nu: nu / (1.0 + nu))):
-        # A vertex within LINE_TOL of its neighbours' chord is a near-twin
-        # of one of them, such as a continuation start that converged back
-        # next to its segment end.
-        hull = np.array(_lower_envelope(x, ys, LINE_TOL))
         vx, vy = x[hull], ys[hull]
         sides.append((x, hull, _segment_gaps(vx, vy, slopes, intercepts),
                       to_mu((vy[:-1] - vy[1:]) / np.diff(vx))))

@@ -66,6 +66,34 @@ def test_nan_probabilities_exit_1(tmp_path, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+def test_huge_amplitude_exits_1(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"dimA": 1, "dimB": 2, "probs": [1.0],
+                                "states": [[[1e308, 0.0], [0.0, 0.0]]]}))
+    assert main(["stats", "--ensemble", str(path)]) == 1
+    assert "state 0 has an amplitude part" in capsys.readouterr().err
+
+
+def test_dim_b_one_end_to_end(tmp_path, capsys):
+    # With dimB = 1 the Gell-Mann basis is empty and every posterior is the
+    # state [1]: B carries nothing, so both curves are flat at 0.
+    path = tmp_path / "dim-b-one.json"
+    path.write_text(json.dumps(
+        {"dimA": 2, "dimB": 1, "probs": [0.5, 0.5],
+         "states": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}))
+    assert main(["stats", "--ensemble", str(path)]) == 0
+    out = capsys.readouterr().out
+    for line in ("S = 0", "Sbar = 0", "chi = 0", "H = 1"):
+        assert line in out.splitlines()
+    for command in ("qct", "rsp"):
+        out_path = tmp_path / f"{command}.csv"
+        assert main([command, "--ensemble", str(path), "--out",
+                     str(out_path)]) == 0
+        assert "diagnostic" not in capsys.readouterr().err
+        rows = out_path.read_text().splitlines()[1:]
+        assert rows and all(float(row.split(",")[1]) == 0.0 for row in rows)
+
+
 @pytest.mark.parametrize("fields", [
     {"probs": 5},
     {"probs": None},

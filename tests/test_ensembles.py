@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -125,6 +126,23 @@ def test_non_finite_and_non_integer_input_rejected(patch, match):
                "states": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}
     with pytest.raises(ValueError, match=match):
         parse_ensemble({**payload, **patch})
+
+
+@pytest.mark.parametrize("pair", [[1e308, 0.0], [1e308, 1e308],
+                                  [10 ** 400, 0]],
+                         ids=["real", "complex", "integer"])
+def test_huge_amplitudes_rejected_without_warning(pair):
+    # The norm of such a vector overflowed with a RuntimeWarning, and an
+    # integer beyond the float range raised OverflowError: under the console
+    # script's error::RuntimeWarning both ended in a traceback.
+    payload = {"dimA": 1, "dimB": 2, "probs": [0.5, 0.5],
+               "states": [[pair, [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="state 0"):
+            parse_ensemble(payload)
+        with pytest.raises(ValueError, match="probs must be numbers"):
+            parse_ensemble({**payload, "probs": [10 ** 400, 0.5]})
 
 
 def test_invalid_json_file(tmp_path):

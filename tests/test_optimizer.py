@@ -295,20 +295,21 @@ def test_fixed_point_rows_independent(name, ratio, monkeypatch):
     # The lockstep solve must give each start exactly what a solve of that
     # start alone gives, whether it converges early, never, or starts from
     # the constant channel whose unused outputs are dead from the first step,
-    # and whether the stack shares one ratio or mixes one per start.  Against
-    # the eigh-based per-start loop of the same extrapolation cycle, the
-    # dense kernel agrees exactly and the Bloch kernel of qubit ensembles to
-    # rounding.  The one exception is a row at the zero-plus critical ratio
-    # once it has extrapolated (from the third map evaluation on): its step
-    # t is several hundred, and t^2 v carries the two kernels' one-ulp
-    # differences to 2e-11 at once and 8e-11 by the 60th evaluation.  Such a
-    # row is checked through the dense kernel only.
+    # and whether the stack shares one ratio or mixes one per start.  The
+    # eigh log step, which qubit stacks take only when patched in, tracks the
+    # eigh-based per-start loop of the same extrapolation cycle by the rule
+    # of `_assert_tracks`.  The qubit closed form agrees with that loop to
+    # rounding too, except for a row at the zero-plus critical ratio once it
+    # has extrapolated (from the third map evaluation on): its step t is
+    # several hundred, and t^2 v carries one-ulp differences to 2e-11 at once
+    # and 8e-11 by the 60th evaluation.
     ensemble = (random_ensemble(np.random.default_rng(7), 3, 1, 3)
                 if name == "qutrit-3" else builtin_ensemble(name))
     b, p = ensemble.reduced_b, ensemble.probs
     starts = _start_points(ensemble.m, ensemble.m + 1, 6, [0, 0, 0])
     starts[2] = ClassicalChannel.constant(ensemble.m).matrix
     mixed = np.resize([ratio, 2.0 * ratio, ratio / 3.0], len(starts))
+    amplified = set()
     for max_iter in (0, 1, 10, 60):
         for ratios in (ratio, mixed):
             channels, converged = _fixed_point(b, p, ratios, starts, max_iter)
@@ -322,16 +323,27 @@ def test_fixed_point_rows_independent(name, ratio, monkeypatch):
                                                         max_iter)
                 assert np.array_equal(channels[row], alone[0])
                 assert converged[row] == alone_flag[0] == loop_flag
-                assert np.array_equal(dense[row], loop)
                 assert dense_flags[row] == loop_flag
-                amplified = (name == "zero-plus" and row_ratio == ratio
-                             and max_iter >= 3)
-                if ensemble.dimB == 2 and not amplified:
+                dense_alone, _, points, t = _recorded_fixed_point(
+                    monkeypatch, (b, p), row_ratio, start[None], max_iter)
+                assert np.array_equal(dense[row], dense_alone[0])
+                if not _assert_tracks(
+                        points, lambda x: _map_image(monkeypatch, (b, p), x,
+                                                     row_ratio, eigh=True),
+                        lambda x: blahut_arimoto_map(b, p, row_ratio, x),
+                        t, dense[row], loop, 1e-12):
+                    amplified.add((max_iter, row_ratio))
+                critical = (name == "zero-plus" and row_ratio == ratio
+                            and max_iter >= 3)
+                if ensemble.dimB == 2 and not critical:
                     np.testing.assert_allclose(channels[row], loop, rtol=0,
                                                atol=1e-12)
             if max_iter == 10 and ratios is ratio:
                 # some starts converged and some hit the cap
                 assert 0 < converged.sum() < len(starts)
+    # Only rows at the zero-plus critical ratio may have gone unchecked.
+    assert amplified <= ({(10, ratio), (60, ratio)} if name == "zero-plus"
+                         else set())
 
 
 def _accepted_steps(x0, x1, x2) -> list:
@@ -427,7 +439,7 @@ def test_free_value_brackets_objective(name):
     # The free value L(x) = -mu sum_i p_i log2 Z_i of the stopping rule lies
     # between the objective J = S(B|C) + mu S(X:C) at x and at its image:
     # J(F(x)) <= L(x) <= J(x), along 30 plain updates from random starts at
-    # four slopes.  The qutrit ensemble takes the dense kernel.
+    # four slopes.  The qutrit ensemble takes the eigh log step.
     ensemble = (random_ensemble(np.random.default_rng(7), 3, 1, 3)
                 if name == "qutrit-3" else builtin_ensemble(name))
     b, p = ensemble.reduced_b, ensemble.probs
@@ -457,16 +469,16 @@ def test_uniform_qubit_24_caps_no_start(monkeypatch):
 def _count_map_evaluations(monkeypatch) -> list:
     """Count every map evaluation of every stack the solve runs, in a
     one-element list."""
-    count = [0]
-    for name in ("_qubit_logits", "_dense_logits"):
-        def counting(*args, kernel=getattr(optimizer, name)):
-            logits = kernel(*args)
+    count, kernel = [0], optimizer._logits
 
-            def counted(*call_args):
-                count[0] += 1
-                return logits(*call_args)
-            return counted
-        monkeypatch.setattr(optimizer, name, counting)
+    def counting(*args):
+        logits = kernel(*args)
+
+        def counted(*call_args):
+            count[0] += 1
+            return logits(*call_args)
+        return counted
+    monkeypatch.setattr(optimizer, "_logits", counting)
     return count
 
 
@@ -702,17 +714,74 @@ def test_beaten_solve_is_re_solved(zero_plus, monkeypatch):
 
 
 def _dense_fixed_point(monkeypatch, *args):
+    """`_fixed_point` with the eigh log step for every dimB."""
     with monkeypatch.context() as patch:
-        patch.setattr(optimizer, "_qubit_logits", optimizer._dense_logits)
+        patch.setattr(optimizer, "_bloch_log", optimizer._eigh_log)
         return _fixed_point(*args)
+
+
+def _recorded_fixed_point(monkeypatch, args, ratio, starts, max_iter):
+    """`_dense_fixed_point` from starts, with the points it maps and the
+    largest step t its jumps accept."""
+    kernel, extrapolate = optimizer._logits, optimizer._extrapolate
+    points, steps = [], [1.0]
+
+    def recording_kernel(*kernel_args):
+        logits = kernel(*kernel_args)
+
+        def recorded(point, weight):
+            points.append(point.copy())
+            return logits(point, weight)
+        return recorded
+
+    def recording_jump(x0, x1, x2):
+        steps.extend(t for t, _ in _accepted_steps(x0, x1, x2))
+        return extrapolate(x0, x1, x2)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(optimizer, "_logits", recording_kernel)
+        patch.setattr(optimizer, "_extrapolate", recording_jump)
+        channels, flags = _dense_fixed_point(monkeypatch, *args, ratio,
+                                             starts, max_iter)
+    return channels, flags, points, max(steps)
+
+
+def _map_image(monkeypatch, args, point, ratio, eigh=False):
+    """One map evaluation of the solver's kernel at a stack of channels, with
+    the eigh log step for every dimB if eigh."""
+    with monkeypatch.context() as patch:
+        if eigh:
+            patch.setattr(optimizer, "_bloch_log", optimizer._eigh_log)
+        image = optimizer._logits(*args)(point, np.full(len(point), ratio))
+    _softmax_rows(image)
+    return image
+
+
+def _assert_tracks(points, image, reference, t, end, reference_end,
+                   atol) -> bool:
+    """Assert that one map evaluation agrees with the reference map to
+    1e-12 at every point of a run, and its end state with the reference
+    run's to atol unless the largest accepted step t, squared, times the
+    largest one-step difference exceeds atol: an accepted jump carries that
+    difference into the next x0 through t^2 v.  Returns whether the end
+    states were compared."""
+    step_gap = 0.0
+    for point in points:
+        ours, theirs = image(point), reference(point)
+        np.testing.assert_allclose(ours, theirs, rtol=0, atol=1e-12)
+        step_gap = max(step_gap, np.abs(ours - theirs).max())
+    if t ** 2 * step_gap > atol:
+        return False
+    np.testing.assert_allclose(end, reference_end, rtol=0, atol=atol)
+    return True
 
 
 RATIOS = (0.5, 1.0 / 0.62, 5.0)
 # case -> (ensemble, start, ratios, atol).  From the identity channel the
-# posteriors are pure: both kernels floor their zero eigenvalue at
+# posteriors are pure: both log steps floor their zero eigenvalue at
 # EIGENVALUE_CLAMP instead of taking log2 of +-1e-16 rounding noise.  From
 # there on bb84 and zero-plus the critical ratio 1/0.62 barely contracts and
-# carries one-ulp kernel differences up to 3e-9 in 60 steps, so that ratio
+# carries their one-ulp differences up to 3e-9 in 60 steps, so that ratio
 # is left to the other cases.
 KERNEL_CASES = {
     "random-mixed": (None, "random", RATIOS, 1e-12),
@@ -728,14 +797,12 @@ KERNEL_CASES = {
 
 @pytest.mark.parametrize("case", list(KERNEL_CASES))
 def test_qubit_kernel_matches_dense(case, monkeypatch):
-    # Mixed posteriors, pure ones (n = 1, orthogonal or not), the maximally
-    # mixed one (n = 0) and the largest built-in ensemble.  One map
-    # evaluation of either kernel agrees to 1e-12 at every iterate of the
-    # dense run.  An accepted jump carries the kernels' one-step difference
-    # into the next x0 through t^2 v, so a run whose largest accepted t,
-    # squared, times its largest one-step difference exceeds atol is checked
-    # one step at a time only: uniform-qubit-24 at ratio 5, whose steps
-    # reach t = 40 and whose 60-evaluation runs part by 1.6e-10.
+    # The closed-form qubit log step against the eigh one, on mixed
+    # posteriors, pure ones (n = 1, orthogonal or not), the maximally mixed
+    # one (n = 0) and the largest built-in ensemble, by the rule of
+    # `_assert_tracks`.  Only uniform-qubit-24 at ratio 5, whose steps reach
+    # t = 40 and whose 60-evaluation runs part by 1.6e-10, is checked one
+    # step at a time.
     name, start, ratios, atol = KERNEL_CASES[case]
     ensemble = (random_ensemble(np.random.default_rng(3), 4, 2, 2)
                 if name is None else builtin_ensemble(name))
@@ -746,44 +813,68 @@ def test_qubit_kernel_matches_dense(case, monkeypatch):
     else:
         starts = ClassicalChannel.constant(ensemble.m).matrix[None]
     args = (ensemble.reduced_b, ensemble.probs)
-    extrapolate, amplified = optimizer._extrapolate, []
-
-    def recording_kernel(*kernel_args):
-        logits = optimizer._dense_logits(*kernel_args)
-
-        def recorded(point, weight):
-            points.append(point.copy())
-            return logits(point, weight)
-        return recorded
-
-    def recording_jump(x0, x1, x2):
-        steps.extend(t for t, _ in _accepted_steps(x0, x1, x2))
-        return extrapolate(x0, x1, x2)
-
+    amplified = []
     for max_iter in (1, 60):
         for ratio in ratios:
             qubit, qubit_flags = _fixed_point(*args, ratio, starts, max_iter)
-            points, steps = [], [1.0]
-            with monkeypatch.context() as patch:
-                patch.setattr(optimizer, "_qubit_logits", recording_kernel)
-                patch.setattr(optimizer, "_extrapolate", recording_jump)
-                dense, dense_flags = _fixed_point(*args, ratio, starts,
-                                                  max_iter)
+            dense, dense_flags, points, t = _recorded_fixed_point(
+                monkeypatch, args, ratio, starts, max_iter)
             assert np.array_equal(qubit_flags, dense_flags)
-            step_gap = 0.0
-            for point in points:
-                weight = np.full(len(point), ratio)
-                images = [kernel(*args)(point, weight) for kernel in
-                          (optimizer._qubit_logits, optimizer._dense_logits)]
-                for image in images:
-                    _softmax_rows(image)
-                np.testing.assert_allclose(*images, rtol=0, atol=1e-12)
-                step_gap = max(step_gap, np.abs(images[0] - images[1]).max())
-            if max(steps) ** 2 * step_gap > atol:
+            if not _assert_tracks(
+                    points, lambda x: _map_image(monkeypatch, args, x, ratio),
+                    lambda x: _map_image(monkeypatch, args, x, ratio,
+                                         eigh=True),
+                    t, qubit, dense, atol):
                 amplified.append((max_iter, ratio))
-            else:
-                np.testing.assert_allclose(qubit, dense, rtol=0, atol=atol)
     assert amplified == ([(60, 5.0)] if case == "uniform-qubit-24" else [])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_gell_mann_kernel(d):
+    # The basis rows are G_a/2 over d^2 - 1 traceless Hermitian matrices
+    # with Tr[G_a G_b] = 2 delta_ab, the Pauli matrices for d = 2, and I/d;
+    # one map evaluation of the kernel agrees with the reference update to
+    # 1e-12.
+    basis = optimizer._bloch_basis(d).reshape(d * d, d, d)
+    gell_mann = 2.0 * basis[:-1]
+    assert np.array_equal(gell_mann, gell_mann.conj().swapaxes(1, 2))
+    np.testing.assert_allclose(np.trace(gell_mann, axis1=1, axis2=2), 0.0,
+                               atol=1e-15)
+    np.testing.assert_allclose(np.einsum("aij,bji->ab", gell_mann, gell_mann),
+                               2.0 * np.eye(d * d - 1), atol=1e-15)
+    np.testing.assert_allclose(basis[-1], np.eye(d) / d, rtol=0, atol=0)
+    if d == 2:
+        assert np.array_equal(gell_mann, [[[0, 1], [1, 0]],
+                                          [[0, -1j], [1j, 0]],
+                                          [[1, 0], [0, -1]]])
+    ensemble = random_ensemble(np.random.default_rng(d), 5, 2, d)
+    b, p = ensemble.reduced_b, ensemble.probs
+    starts = _start_points(ensemble.m, ensemble.m + 1, 4, [0, 0, 0])
+    starts[1] = ClassicalChannel.identity(ensemble.m).matrix
+    starts[2] = ClassicalChannel.constant(ensemble.m).matrix
+    ratios = np.array([0.5, 1.0 / 0.62, 2.0, 5.0])
+    image = optimizer._logits(b, p)(starts, ratios)
+    _softmax_rows(image)
+    np.testing.assert_allclose(image, blahut_arimoto_map(b, p, ratios, starts),
+                               rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name, multistarts", [("zero-plus", 32),
+                                               ("random-ququart", 8)])
+def test_rsp_vertices_are_qct_vertices(name, multistarts):
+    # The RSP envelope is taken over the QCT vertices, so both curves keep
+    # or drop a near-twin alike.  At resolution 40, seed 0, when each
+    # envelope chose its own vertices, zero-plus kept two QCT vertices whose
+    # twins, at the same R to 8 digits, sat on the RSP curve instead, and
+    # this ququart ensemble kept a point 1.4e-9 under its RSP neighbours'
+    # chord that the QCT curve dropped.
+    ensemble = (random_ensemble(np.random.default_rng(3), 6, 2, 4)
+                if name == "random-ququart" else builtin_ensemble(name))
+    curves = compute_curves(ensemble, 40, multistarts=multistarts, seed=0)
+    qct = {value: channel.matrix for (_, value), channel
+           in zip(curves.qct.samples, curves.qct.channels)}
+    for (_, value), channel in zip(curves.rsp.samples, curves.rsp.channels):
+        assert np.array_equal(channel.matrix, qct[value])
 
 
 def test_readme_certificate_sentence(monkeypatch):
