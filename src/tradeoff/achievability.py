@@ -41,6 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .optimizer import CurveSet
+from .surface import RegionLabel
 
 COVER_TOL = 1e-9
 NEGATIVE_CLAMP = 1e-12
@@ -218,7 +219,7 @@ class AchievableHull:
         if artificial.size:
             # Basic at level zero: pivot it out on the largest entry of its
             # row, which is nonzero because the other columns have rank 4.
-            row = np.linalg.inv(A[:, basis])[artificial[0]] @ A[:, :m]
+            row = B_inv[artificial[0]] @ A[:, :m]
             basis[artificial[0]] = np.abs(row).argmax()
         B_inv, x_B = _simplex(A[:, :m], b, cost, basis)
         self._record(basis, B_inv, cost, optimum=True)
@@ -297,8 +298,6 @@ def verify_surface(grid, hull: AchievableHull, *,
     basis that answered its cell; a tolerance that is negative or not finite
     is raised.
     """
-    from .surface import RegionLabel  # local import to avoid a cycle
-
     check_options(tolerance=tolerance)
     chi = grid.curves.stats.chi
     R, Q = (a.ravel() for a in np.meshgrid(grid.Rs, grid.Qs, indexing="ij"))

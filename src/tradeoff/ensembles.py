@@ -18,6 +18,7 @@ import json
 import math
 import numbers
 import re
+import reprlib
 import sys
 
 import numpy as np
@@ -103,16 +104,18 @@ def parse_ensemble(payload: dict) -> Ensemble:
         raise ValueError(f"ensemble file is missing keys: {sorted(missing)}")
     dimA, dimB = payload["dimA"], payload["dimB"]
     if not all(type(d) is int for d in (dimA, dimB)):
-        raise ValueError(f"dimA and dimB must be integers, got {dimA!r} "
-                         f"and {dimB!r}")
+        raise ValueError(f"dimA and dimB must be integers, got "
+                         f"{reprlib.repr(dimA)} and {reprlib.repr(dimB)}")
     probs = payload["probs"]
     raw_states = payload["states"]
     if not (isinstance(probs, list) and isinstance(raw_states, list)):
         raise ValueError("probs and states must be lists")
     if len(probs) != len(raw_states):
         raise ValueError("probs and states must have equal length")
-    if not all(_is_number(p) for p in probs):
-        raise ValueError(f"probs must be numbers, got {probs!r}")
+    bad = next((i for i, p in enumerate(probs) if not _is_number(p)), None)
+    if bad is not None:
+        raise ValueError(f"probs must be numbers, got probs[{bad}] = "
+                         f"{reprlib.repr(probs[bad])}")
     states = []
     for idx, entries in enumerate(raw_states):
         if not isinstance(entries, list):

@@ -99,11 +99,11 @@ neither rule within it is capped.
 
 The starts of one pass are iterated together as a few arrays, each row at
 its own weight, with its own step length and halvings and lowest L, and each
-frozen once it converges.  An array holds the starts of as many consecutive
-weights as fit in STACK_ELEMENTS channel entries, and always at least one
-weight: small stacks cost numpy call overhead per iteration, so batching
-them saves time, while past the cap the cost is array work and a larger
-stack only adds memory.
+frozen once it converges.  Rows never interact, so the pass's starts are cut
+into consecutive arrays of at most STACK_ELEMENTS channel entries, and at
+least one row, whatever weight each row belongs to: small stacks cost numpy
+call overhead per iteration, so batching them saves time, while past the cap
+the cost is array work and a larger stack only adds memory.
 
 The distortion is read through generalized Bloch vectors (Bertlmann &
 Krammer 2008): with the d^2 - 1 Gell-Mann matrices G_a of dimB = d
@@ -119,9 +119,10 @@ alpha_j = (f+ + f-)/2 and gamma_j = (f+ - f-)/(2n).  Any other dimB
 eigendecomposes the posteriors rebuilt from the basis and projects log2 rho_j
 back onto it.  Both floor eigenvalues at states.EIGENVALUE_CLAMP, the dust
 rule of every entropy here, so a pure posterior scores the same in both.
-One call of profiles.stack_entropies then scores each finished stack.
+One call of profiles.stack_entropies then scores every row of the pass.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -147,8 +148,8 @@ LINE_TOL = 1e-9
 # Fraction of starts allowed to hit the cap of max_iter map evaluations before
 # a sweep is reported as diagnostically suspect.
 NONCONVERGED_DIAGNOSTIC = 0.5
-# Most channel entries (starts * m * k) in one lockstep solve of the starts
-# of several multipliers (see the module docstring).
+# Most channel entries (starts * m * k) in one lockstep solve, unless it is
+# of one start (see the module docstring).
 STACK_ELEMENTS = 1 << 16
 
 
@@ -173,6 +174,7 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
     return (top + np.log2(total))[..., 0]
 
 
+@functools.cache
 def _bloch_basis(d: int) -> np.ndarray:
     """The rows G_a/2 and I/d, flattened, over the generalized Gell-Mann
     matrices G_a: |j><k| + |k><j| for j < k, then -i|j><k| + i|k><j|, then
@@ -185,8 +187,10 @@ def _bloch_basis(d: int) -> np.ndarray:
     l = np.arange(1.0, d)
     weights = np.tri(d - 1, d) - l[:, None] * np.eye(d - 1, d, 1)
     weights *= np.sqrt(2.0 / (l * (l + 1.0)))[:, None]
-    return np.vstack([upper + lower, 1j * (lower - upper), weights @ diagonal,
-                      2.0 / d * diagonal.sum(axis=0)]) / 2.0
+    basis = np.vstack([upper + lower, 1j * (lower - upper), weights @ diagonal,
+                       2.0 / d * diagonal.sum(axis=0)]) / 2.0
+    basis.flags.writeable = False
+    return basis
 
 
 def _bloch_log(moments: np.ndarray, live: np.ndarray, weight: np.ndarray,
@@ -263,22 +267,19 @@ def _extrapolate(x0: np.ndarray, x1: np.ndarray,
     # quarters t^2 exactly, and sqrt(t^2 / 4) is exactly sqrt(t^2) / 2.
     t2 = np.maximum(np.divide(rr, vv, out=np.ones_like(rr), where=vv > 0.0),
                     1.0)
-    point = np.multiply(r, (2.0 * np.sqrt(t2))[:, None, None])
-    point += x0
-    point += v * t2[:, None, None]
-    rows = np.flatnonzero((point <= 0.0).any(axis=(1, 2)))
-    t2 = t2[rows]
+    point = np.empty_like(x0)
+    rows = np.arange(len(x0))
     while rows.size:
-        t2 = np.maximum(0.25 * t2, 1.0)
-        last = t2 == 1.0
-        point[rows[last]] = x2[rows[last]]
-        rows, t2 = rows[~last], t2[~last]
         trial = np.multiply(r[rows], (2.0 * np.sqrt(t2))[:, None, None])
         trial += x0[rows]
         trial += v[rows] * t2[:, None, None]
         inside = ~(trial <= 0.0).any(axis=(1, 2))
         point[rows[inside]] = trial[inside]
-        rows, t2 = rows[~inside], t2[~inside]
+        # The other rows halve t, and those whose t reaches 1 take x2.
+        rows, t2 = rows[~inside], np.maximum(0.25 * t2[~inside], 1.0)
+        last = t2 == 1.0
+        point[rows[last]] = x2[rows[last]]
+        rows, t2 = rows[~last], t2[~last]
     return point
 
 
@@ -352,28 +353,22 @@ def _check_starts(multistarts: int, seed: int) -> None:
 def _sweep(ensemble: Ensemble, mus, starts, max_iter: int) -> tuple:
     """Minimize S(B|C) + mu * S(X:C) from the starts of every mu, in stacks.
 
-    starts[i] is the (count, m, k) array of the starts of mus[i].  The
-    starts of consecutive mus share one stack of at most STACK_ELEMENTS
-    channel entries, and always at least one mu.  Returns four arrays with
-    one row per start, in the order of starts: S(X:C), S(B|C), the channel
-    matrices and the converged flags.
+    starts[i] is the (count, m, k) array of the starts of mus[i].  All
+    starts are cut into consecutive stacks of at most STACK_ELEMENTS channel
+    entries, or one start, whatever their mu, and one stack_entropies call
+    scores them.  Returns four arrays with one row per start, in the order
+    of starts: S(X:C), S(B|C), the channel matrices and the converged flags.
     """
-    stacks, lo = [], 0
-    while lo < len(mus):
-        hi, size = lo + 1, starts[lo].size
-        while hi < len(mus) and size + starts[hi].size <= STACK_ELEMENTS:
-            size += starts[hi].size
-            hi += 1
-        group = starts[lo:hi]
-        ratios = np.repeat(1.0 / np.asarray(mus[lo:hi], dtype=float),
-                           [len(s) for s in group])
-        channels, converged = _fixed_point(ensemble.reduced_b, ensemble.probs,
-                                           ratios, np.concatenate(group),
-                                           max_iter)
-        stacks.append((*stack_entropies(ensemble, channels), channels,
-                       converged))
-        lo = hi
-    return tuple(np.concatenate(parts) for parts in zip(*stacks))
+    points = np.concatenate(starts)
+    ratios = np.repeat(1.0 / np.asarray(mus, dtype=float),
+                       [len(s) for s in starts])
+    rows = max(STACK_ELEMENTS // points[0].size, 1)
+    solved = [_fixed_point(ensemble.reduced_b, ensemble.probs,
+                           ratios[lo:lo + rows], points[lo:lo + rows],
+                           max_iter)
+              for lo in range(0, len(points), rows)]
+    channels, converged = (np.concatenate(parts) for parts in zip(*solved))
+    return (*stack_entropies(ensemble, channels), channels, converged)
 
 
 def minimize_profile(ensemble: Ensemble, mu: float, kind: str = "XC", *,
@@ -657,8 +652,6 @@ def compute_curves(ensemble: Ensemble, resolution: int = DEFAULT_RESOLUTION, *,
             f"{np.count_nonzero(gaps > REFINE_TARGET)} of {gaps.size} curve "
             f"segments stay above the {REFINE_TARGET:g} gap target after "
             f"{requests} multipliers (largest gap {gaps.max():.2g})")
-    if not critical.found:
-        diagnostics.append("critical rate not localized on the qubit curve")
     return CurveSet(stats=stats, qct=qct, rsp=rsp, critical=critical,
                     diagnostics=tuple(diagnostics))
 

@@ -152,6 +152,8 @@ class Ensemble:
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "probs", p)
         reduced = np.stack([s.as_matrix().T @ s.as_matrix().conj() for s in states])
+        # Exactly Hermitian: M^T M* is so only to rounding when dimA > 1.
+        reduced = (reduced + reduced.conj().swapaxes(1, 2)) / 2.0
         reduced.flags.writeable = False
         object.__setattr__(self, "_reduced_b", reduced)
 

@@ -114,15 +114,24 @@ def test_wrong_json_types_exit_1(fields, tmp_path, capsys):
     {"probs": ["0.5", "0.5"]},
     {"states": [[[True, False], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]},
     {"states": [[[1.0, 0.0], [0.0, False]], [[0.0, 0.0], [1.0, 0.0]]]},
-], ids=["bool-probs", "string-probs", "bool-amplitude", "bool-imaginary"])
+    {"probs": [5e-5] * 19999 + ["x"],
+     "states": [[[1.0, 0.0], [0.0, 0.0]]] * 20000},
+    {"probs": [10 ** 400, 0.5]},
+    {"dimA": [1] * 20000},
+], ids=["bool-probs", "string-probs", "bool-amplitude", "bool-imaginary",
+        "long-probs", "huge-integer", "long-dim"])
 def test_non_numbers_exit_1(fields, tmp_path, capsys):
-    # JSON true/false must not load as 1/0, nor "0.5" as a probability.
+    # JSON true/false must not load as 1/0, nor "0.5" as a probability.  The
+    # one error line names the first bad entry, abbreviated, instead of
+    # echoing the whole value: a 20 000-entry list printed 100 KB on stderr.
     payload = ensemble_to_dict(builtin_ensemble("zero-plus"))
     payload.update(fields)
     path = tmp_path / "types.json"
     path.write_text(json.dumps(payload))
     assert main(["stats", "--ensemble", str(path)]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(err) < 200
 
 
 def test_usage_errors_exit_1():

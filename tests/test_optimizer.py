@@ -104,12 +104,14 @@ def test_curve_endpoints(zp_curves):
 def test_analytic_endpoints_are_exact(zp_curves, ortho_curves):
     # Solver points within SNAP of an endpoint are dropped, so the exact
     # endpoints (0, S) and (H, Sbar) are the first and last QCT vertices and
-    # no rounding twin sits next to either end of either curve.
+    # no rounding twin sits next to either end of either curve.  So vertex 0
+    # always qualifies for the critical rate, which is always found.
     bb84_curves = compute_curves(builtin_ensemble("bb84"), 40, multistarts=8,
                                  seed=0)
     for curves in (zp_curves, ortho_curves, bb84_curves):
         stats = curves.stats
         assert curves.qct.samples[0] == (0.0, stats.S)
+        assert curves.critical.found
         assert curves.qct.samples[-1] == (stats.H, stats.Sbar)
         last_r, last_e = curves.rsp.samples[-1]
         assert abs(last_r - stats.H) <= 1e-15
@@ -597,38 +599,69 @@ def test_pure_ensembles_end_exactly():
 
 
 def test_sweep_stacks_match_one_mu_sweeps(monkeypatch):
-    # Stacking the starts of consecutive multipliers changes no outcome, and
-    # a stack of several multipliers stays within STACK_ELEMENTS, also when
-    # one multiplier has an extra start.
+    # A sweep cuts the starts of all its multipliers into consecutive stacks
+    # of at most STACK_ELEMENTS entries and scores them with one
+    # stack_entropies call; a stack that mixes multipliers, one of them
+    # with an extra start, changes no outcome.
+    _check_sweep_stacks(monkeypatch, extra=1, cap_rows=2, mixing=2,
+                        holding=1)
+
+
+@pytest.mark.parametrize("extra, cap_rows, mixing, holding",
+                         [(9, 2, 2, 2), (0, 0, 1, 3)],
+                         ids=["over-the-cap", "one-row"])
+def test_sweep_splits_a_multiplier_over_the_cap(extra, cap_rows, mixing,
+                                                holding, monkeypatch):
+    # The starts of one multiplier that exceed the cap are split across
+    # stacks, and a cap below one start leaves one start per stack; neither
+    # changes an outcome.
+    _check_sweep_stacks(monkeypatch, extra, cap_rows, mixing, holding)
+
+
+def _check_sweep_stacks(monkeypatch, extra, cap_rows, mixing, holding):
+    """Sweep 7 multipliers of 3 starts, the fifth with `extra` more, under a
+    cap of cap_rows * 3 starts (one entry where cap_rows is 0).  Every stack
+    holds at most the cap or one start, at most `mixing` multipliers share a
+    stack, the fifth's starts run in `holding` stacks, one stack_entropies
+    call scores the sweep, and every output equals the one-mu sweeps'."""
     ensemble = builtin_ensemble("uniform-qubit-5")
     mus = np.geomspace(0.05, 20.0, 7).tolist()
     multistarts, first_index, max_iter = 3, 11, 80
     m, k = ensemble.m, ensemble.m + 1
-    starts = [_start_points(m, k, multistarts + (i == 4),
+    starts = [_start_points(m, k, multistarts + extra * (i == 4),
                             [0, 0, first_index + i]) for i in range(len(mus))]
-    monkeypatch.setattr(optimizer, "STACK_ELEMENTS",
-                        2 * multistarts * m * k + 1)
     singles = [_sweep(ensemble, [mu], [start], max_iter)
                for mu, start in zip(mus, starts)]
+    cap = cap_rows * multistarts * m * k + 1
+    monkeypatch.setattr(optimizer, "STACK_ELEMENTS", cap)
 
-    shapes = []
+    stacks, scorings = [], []
 
     def recording(reduced_b, probs, ratio, channels, max_iter):
-        shapes.append(channels.shape)
+        stacks.append((channels.shape, np.asarray(ratio).tolist()))
         return _fixed_point(reduced_b, probs, ratio, channels, max_iter)
 
+    def scoring(ensemble, channels):
+        scorings.append(len(channels))
+        return stack_entropies(ensemble, channels)
+
     monkeypatch.setattr(optimizer, "_fixed_point", recording)
+    monkeypatch.setattr(optimizer, "stack_entropies", scoring)
     stacked = _sweep(ensemble, mus, starts, max_iter)
-    assert len(shapes) >= 3
-    assert sum(shape[0] for shape in shapes) == sum(map(len, starts))
-    for rows, m, k in shapes:
-        assert (rows in (multistarts, multistarts + 1)
-                or rows * m * k <= optimizer.STACK_ELEMENTS)
+    total = sum(map(len, starts))
+    assert scorings == [total]
+    assert sum(shape[0] for shape, _ in stacks) == total
+    for (rows, m, k), _ in stacks:
+        assert rows == 1 or rows * m * k <= cap
+    assert len(stacks) == (total if cap_rows == 0
+                           else -(-total // (cap_rows * multistarts)))
+    assert max(len(set(ratios)) for _, ratios in stacks) == mixing
+    assert sum(1.0 / mus[4] in ratios for _, ratios in stacks) == holding
     # Each output array (S(X:C), S(B|C), channels, converged flags) holds
     # the starts of every mu in order, as the one-mu sweeps do.
     assert len(stacked) == 4 and len(singles) == len(mus)
     for grouped, alone in zip(stacked, zip(*singles)):
-        assert len(grouped) == sum(map(len, starts))
+        assert len(grouped) == total
         assert [len(part) for part in alone] == list(map(len, starts))
         assert np.array_equal(grouped, np.concatenate(alone))
 
@@ -834,7 +867,9 @@ def test_gell_mann_kernel(d):
     # The basis rows are G_a/2 over d^2 - 1 traceless Hermitian matrices
     # with Tr[G_a G_b] = 2 delta_ab, the Pauli matrices for d = 2, and I/d;
     # one map evaluation of the kernel agrees with the reference update to
-    # 1e-12.
+    # 1e-12.  The basis is built once per d and is read-only.
+    assert optimizer._bloch_basis(d) is optimizer._bloch_basis(d)
+    assert not optimizer._bloch_basis(d).flags.writeable
     basis = optimizer._bloch_basis(d).reshape(d * d, d, d)
     gell_mann = 2.0 * basis[:-1]
     assert np.array_equal(gell_mann, gell_mann.conj().swapaxes(1, 2))

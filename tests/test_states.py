@@ -167,3 +167,20 @@ def test_reduced_b_matches_partial_trace(seed):
         np.testing.assert_allclose(e.reduced_b[i],
                                    partial_trace(state, keep="B").matrix,
                                    atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_reduced_b_is_exactly_hermitian(seed):
+    # M^T M* is Hermitian only to rounding when dimA > 1, up to 5.6e-17 here;
+    # symmetrized, every reader of the reduced states (one triangle for
+    # eigvalsh, both for the Bloch vectors) sees the same matrix.  For
+    # dimA = 1 the product is already exact, and symmetrizing changes no bit.
+    for dimA in (1, 2, 3, 4):
+        for dimB in (2, 3, 4):
+            e = random_ensemble(np.random.default_rng(seed), 6, dimA, dimB)
+            b = e.reduced_b
+            assert np.array_equal(b, b.conj().swapaxes(1, 2))
+            if dimA == 1:
+                product = np.stack([s.as_matrix().T @ s.as_matrix().conj()
+                                    for s in e.states])
+                assert b.tobytes() == product.tobytes()
