@@ -1,18 +1,23 @@
 """Independent achievability oracle for the trade-off surface.
 
 The surface formula is cross-checked against rate triples (R cbits, Q
-qubits, E ebits) that are achievable by construction: the vertices of the
-two optimized curves and their coherent (superdense-coded) versions.  The
-curves are piecewise linear and the coherent map is affine, so every other
-curve point is a time-share of two vertices, which each query's linear
-program already spans.  Standard resource conversions then trade one
-resource for others.  Each is a fixed direction in (R, Q, E) cost space,
-added per unit of converted resource:
+qubits, E ebits) that are achievable by construction: the coherent
+(superdense-coded) points (R, (Q*(R) - Sbar)/2, (Q*(R) + Sbar)/2) of the
+qubit-curve vertices.  The curve is piecewise linear and the coherent map
+is affine, so every other coherent point is a time-share of two vertices,
+which each query's linear program already spans.  Standard resource
+conversions then trade one resource for others.  Each is a fixed direction
+in (R, Q, E) cost space, added per unit of converted resource:
 
     Teleport:        (2, -1, 1)      a qubit is replaced by two cbits and an ebit
     SuperdenseCbits: (-1, 1/2, 1/2)  a cbit is replaced by half a qubit and
                                      half an ebit
     QubitsToEbits:   (0, 1, -1)      an ebit is replaced by a qubit
+
+QubitsToEbits takes a coherent point to its qubit-curve point (R, Q*(R), 0)
+and Teleport to its cbit-plus-ebit point (R + Q*(R) - Sbar, 0, Q*(R)), which
+lies on the ebit curve past the critical rate.  So the oracle never reads
+the ebit curve, which the surface formula reads.
 
 Partial conversion is time-sharing, so a chain of conversions of any depth
 is a nonnegative flow along these three directions.  Each query solves one
@@ -71,30 +76,14 @@ class RateTriple:
 
 
 def primitive_points(curves: CurveSet) -> tuple:
-    """Directly achievable triples at the vertices of the two curves.
-
-    Three families: qubit-curve vertices (R, Q*(R), 0); their coherent
-    versions (R, (Q*(R) - Sbar)/2, (Q*(R) + Sbar)/2); and ebit-curve
-    vertices (R, 0, E*(R)).  Every point between two vertices of a family is
-    a time-share of them, so the closure needs no other curve point.  A
-    qubit-curve point at or above the critical rate, converted to
-    cbit-plus-ebit form (R + Q*(R) - Sbar, 0, Q*(R)), lies on the ebit
-    curve, which is that curve's shear, so it needs no family.
-    """
+    """The coherent point (R, (Q*(R) - Sbar)/2, (Q*(R) + Sbar)/2) of each
+    qubit-curve vertex.  QubitsToEbits takes it to (R, Q*(R), 0) and
+    Teleport to (R + Q*(R) - Sbar, 0, Q*(R)); every point between two
+    vertices is a time-share of them."""
     sbar = curves.stats.Sbar
-    points = []
-    for R, q in curves.qct.samples:
-        points.append(RateTriple(R, q, 0.0, f"qct@{R:.6g}"))
-        points.append(RateTriple(R, max(0.5 * (q - sbar), 0.0),
-                                 0.5 * (q + sbar), f"coherent@{R:.6g}"))
-    for R, e in curves.rsp.samples:
-        points.append(RateTriple(R, 0.0, e, f"rsp@{R:.6g}"))
-    # Exact repeats, such as the coherent QCT end and the RSP end (H, 0,
-    # Sbar), keep the first provenance.
-    unique = {}
-    for p in points:
-        unique.setdefault((p.R, p.Q, p.E), p)
-    return tuple(unique.values())
+    return tuple(RateTriple(R, max(0.5 * (q - sbar), 0.0), 0.5 * (q + sbar),
+                            f"coherent@{R:.6g}")
+                 for R, q in curves.qct.samples)
 
 
 def _simplex(A: np.ndarray, b: np.ndarray, c: np.ndarray,
@@ -139,10 +128,11 @@ CONVERSIONS = {"Teleport": (2.0, -1.0, 1.0),
 SLACKS = ("R slack", "Q slack", "E surplus", "artificial")
 
 
-def _rhs(R, Q, tol: float) -> np.ndarray:
+def _rhs(R, Q) -> np.ndarray:
     """Right-hand side of the cover rows for one cell, or one column per cell
     for arrays of rates."""
-    return np.stack(np.broadcast_arrays(R + tol, Q + tol, 0.0, 1.0))
+    return np.stack(np.broadcast_arrays(R + COVER_TOL, Q + COVER_TOL, 0.0,
+                                        1.0))
 
 
 class _Basis(NamedTuple):
@@ -163,6 +153,9 @@ class AchievableHull:
     queried exactly, by one linear program per solved cell."""
 
     points: tuple
+    # Mixes are not enumerated: each query solves for its optimal mix.
+    # bench/workloads.py reads this.
+    mix_count = 0
 
     def __post_init__(self):
         arr = np.array([(p.R, p.Q, p.E, 1.0) for p in self.points])
@@ -184,30 +177,24 @@ class AchievableHull:
     def size(self) -> int:
         return len(self.points)
 
-    @property
-    def mix_count(self) -> int:
-        """Time-share mixes stored or enumerated: always 0.
-
-        Mixes are not enumerated; each query solves for its optimal mix.
-        """
-        return 0
-
-    def min_e(self, R: float, Q: float, *, tol: float = COVER_TOL) -> float | None:
+    def min_e(self, R: float, Q: float) -> float | None:
         """Cheapest ebit rate over the closure of the points covering (R, Q).
 
         Weights lam and flows nu cover (R, Q) when the R and Q totals of the
-        mix plus the flows are at most R and Q up to tol, and the E total is
-        nonnegative.  Phase one starts from the two cover slacks, the E
-        surplus and an artificial weight column and drives the artificial
-        out; if it cannot, nothing covers the cell and None is returned.
-        Phase two minimizes the E total from there.  The terminal basis of
-        either outcome is recorded for the grid answers of verify_surface.
+        mix plus the flows are at most R and Q up to COVER_TOL, and the E
+        total is nonnegative.  Phase one starts from the two cover slacks,
+        the E surplus and an artificial weight column and drives the
+        artificial out; if it cannot, nothing covers the cell and None is
+        returned.  Phase two minimizes the E total from there.  The terminal
+        basis of either outcome is recorded for the grid answers of
+        verify_surface.
         """
-        if not (np.isfinite(R) and np.isfinite(Q)):
-            raise ValueError(f"rates must be finite, got R={R}, Q={Q}")
+        if not (np.isfinite(R) and np.isfinite(Q) and R >= 0.0 and Q >= 0.0):
+            raise ValueError(f"rates must be finite and nonnegative, "
+                             f"got R={R}, Q={Q}")
         A, cost = self._lp
         m = A.shape[1] - 1
-        b = _rhs(R, Q, tol)
+        b = _rhs(R, Q)
         basis = np.arange(m - 3, m + 1)
         phase_one = np.zeros(m + 1)
         phase_one[-1] = 1.0
@@ -239,7 +226,7 @@ class AchievableHull:
         recorded basis answers a remaining cell, min_e solves the first of
         them and records one more.
         """
-        b = _rhs(R, Q, COVER_TOL)
+        b = _rhs(R, Q)
         values = np.full(R.size, np.nan)
         source = np.full(R.size, -1)
         unanswered = np.arange(R.size)
@@ -268,7 +255,7 @@ class AchievableHull:
         """The cover that recorded basis k gives (R, Q): its nonzero basic
         weights, flows and slacks, named after their columns."""
         basis = self._bases[k]
-        x = basis.inverse @ _rhs(R, Q, COVER_TOL)
+        x = basis.inverse @ _rhs(R, Q)
         return " + ".join(f"{x[i]:.6g}·{self._names[basis.columns[i]]}"
                           for i in np.argsort(basis.columns)
                           if x[i] > SIMPLEX_EPS)
@@ -282,8 +269,9 @@ def check_options(*, tolerance: float = 0.0) -> None:
 
 
 def achievable_hull(curves: CurveSet) -> AchievableHull:
-    """The primitive points at the curve vertices, closed under conversions
-    of any depth and time-sharing by each query's linear program."""
+    """The coherent vertex points, closed under conversions of any depth
+    and time-sharing by each query's linear program, whose QubitsToEbits and
+    Teleport flows reach the qubit-curve and cbit-plus-ebit points."""
     return AchievableHull(points=primitive_points(curves))
 
 

@@ -6,9 +6,9 @@ stats    print the ensemble's entropic summary (S, Sbar, chi, H)
 qct      classical-channel trade-off curve Q*(R) -> CSV + channel sidecar
 rsp      remote-state-preparation curve E*(R) -> CSV + channel sidecar
 surface  full (R, Q) -> E* grid -> CSV + metadata JSON
-verify   cross-check the surface against the achievability oracle (curve
-         vertices closed under conversions of any depth and time-sharing,
-         which spans every point between them) -> report
+verify   cross-check the surface against the achievability oracle (the
+         coherent qubit-curve vertices, closed under conversions of any
+         depth and time-sharing) -> report
 plot     emit a gnuplot script rendering a surface CSV
 
 Each computing command (qct, rsp, surface, verify) makes one
@@ -29,7 +29,7 @@ from .achievability import (DEFAULT_TOLERANCE, achievable_hull, check_options,
                             verify_surface)
 from .ensembles import BUILTIN_NAMES, builtin_ensemble, load_ensemble
 from .optimizer import (DEFAULT_MULTISTARTS, DEFAULT_RESOLUTION,
-                        compute_curves)
+                        REFINE_TARGET, compute_curves)
 from .states import ensemble_stats
 from .surface import surface_grid
 
@@ -130,7 +130,8 @@ def _add_solver_args(parser) -> None:
     parser.add_argument("--resolution", type=int, default=DEFAULT_RESOLUTION,
                         metavar="N", help="multiplier budget: at most N "
                         "chord-slope solves, fewer once every curve "
-                        "segment's gap is within 2e-3 (default %(default)s)")
+                        f"segment's gap is within {REFINE_TARGET:g} "
+                        "(default %(default)s)")
     parser.add_argument("--seed", type=int, default=0, metavar="N",
                         help="base seed for multistart draws (default 0)")
     parser.add_argument("--multistarts", type=int, default=DEFAULT_MULTISTARTS,
@@ -146,6 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Trade-off curves and the E*(R, Q) surface "
                                  "for ensembles of bipartite pure states.")
     sub = parser.add_subparsers(dest="command", required=True)
+    grid_help = f"grid size (default {'x'.join(map(str, DEFAULT_GRID))})"
 
     p_stats = sub.add_parser("stats", parents=[], help="print S, Sbar, chi, H")
     _add_ensemble_args(p_stats)
@@ -162,20 +164,20 @@ def build_parser() -> argparse.ArgumentParser:
     _add_ensemble_args(p_surface)
     _add_solver_args(p_surface)
     p_surface.add_argument("--grid", type=_grid_type, default=DEFAULT_GRID,
-                           metavar="NRxNQ", help="grid size (default 16x16)")
+                           metavar="NRxNQ", help=grid_help)
     p_surface.add_argument("--out", required=True, metavar="PATH",
                            help="output CSV path")
 
     p_verify = sub.add_parser("verify",
                               help="cross-check the surface against the "
-                                   "achievability oracle: curve vertices "
-                                   "closed under conversions of any depth "
-                                   "and time-sharing, which spans the "
-                                   "curves between vertices")
+                                   "achievability oracle: coherent "
+                                   "qubit-curve vertices closed under "
+                                   "conversions of any depth and "
+                                   "time-sharing")
     _add_ensemble_args(p_verify)
     _add_solver_args(p_verify)
     p_verify.add_argument("--grid", type=_grid_type, default=DEFAULT_GRID,
-                          metavar="NRxNQ", help="grid size (default 16x16)")
+                          metavar="NRxNQ", help=grid_help)
     p_verify.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE,
                           metavar="X", help="max allowed |minE - E*| "
                           f"(default {DEFAULT_TOLERANCE:g})")

@@ -485,10 +485,10 @@ def _sides(xs: np.ndarray, ys: np.ndarray, mus: np.ndarray,
 class TradeoffCurve:
     """Piecewise-linear convex trade-off curve.
 
-    samples are the convex-envelope support vertices as (R, value) pairs in
-    increasing R; channels[i] is a channel achieving samples[i].  The curve
-    extends flat at its last value for R beyond the last vertex.  Queries
-    left of the domain return None: those rates are unachievable.
+    samples are the convex-envelope support vertices as finite (R, value)
+    pairs in increasing R; channels[i] is a channel achieving samples[i],
+    one per sample.  The curve extends flat at its last value for R beyond
+    the last vertex.  Left of the domain, rates are unachievable: None.
     """
 
     kind: str
@@ -501,6 +501,10 @@ class TradeoffCurve:
         ys = np.array([s[1] for s in self.samples], dtype=float)
         if xs.size == 0:
             raise ValueError("curve needs at least one sample")
+        if len(self.channels) != xs.size:
+            raise ValueError("curve needs one channel per sample")
+        if not np.isfinite((xs, ys)).all():
+            raise ValueError("curve samples must be finite")
         if np.any(np.diff(xs) <= 0.0):
             raise ValueError("curve samples must have strictly increasing R")
         if np.any(np.diff(ys) > 1e-6):

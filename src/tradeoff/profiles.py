@@ -34,6 +34,8 @@ class ClassicalChannel:
         m = np.array(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
             raise ValueError(f"channel matrix must be 2-d, got shape {m.shape}")
+        if not np.isfinite(m).all():
+            raise ValueError("channel entries must be finite")
         if m.min() < -1e-12:
             raise ValueError("channel entries must be nonnegative")
         np.clip(m, 0.0, None, out=m)

@@ -64,30 +64,40 @@ def test_conversion_examples():
 
 
 def test_primitive_point_families(zp_curves, zp_hull):
-    stats = zp_curves.stats
+    # One coherent point per qubit-curve vertex generates the closure.
+    sbar = zp_curves.stats.Sbar
     points = primitive_points(zp_curves)
-    by_family = {}
-    for p in points:
-        by_family.setdefault(p.provenance.split("@")[0], []).append(p)
-    assert set(by_family) == {"qct", "coherent", "rsp"}
-    # The coherent QCT end is the RSP end (H, 0, Sbar), listed once under
-    # its first provenance.
-    assert len({(p.R, p.Q, p.E) for p in points}) == len(points)
-    assert ([p.R for p in by_family["rsp"]]
-            == [R for R, _ in zp_curves.rsp.samples[:-1]])
-    for p in by_family["qct"]:
-        assert p.E == 0.0 and abs(p.Q - zp_curves.qct.value(p.R)) <= 1e-9
-    for p in by_family["coherent"]:
-        q = zp_curves.qct.value(p.R)
-        assert abs(p.Q - 0.5 * (q - stats.Sbar)) <= 1e-9
-        assert abs(p.E - 0.5 * (q + stats.Sbar)) <= 1e-9
-    for p in by_family["rsp"]:
-        assert p.Q == 0.0 and p.R >= stats.chi - 1e-9
-    # A qubit-curve point past the critical rate, converted to cbits and
-    # ebits, is covered by the ebit-curve family.
-    for p in by_family["qct"]:
-        if p.R >= zp_curves.critical.Hc:
-            assert zp_hull.min_e(p.R + p.Q - stats.Sbar, 0.0) <= p.Q + 1e-9
+    assert len(points) == len(zp_curves.qct.samples)
+    for p, (R, q) in zip(points, zp_curves.qct.samples):
+        assert p.provenance == f"coherent@{R:.6g}"
+        assert p.R == R
+        assert abs(p.Q - 0.5 * (q - sbar)) <= 1e-9
+        assert abs(p.E - 0.5 * (q + sbar)) <= 1e-9
+    # QubitsToEbits reaches every qubit-curve vertex, and Teleport every
+    # ebit-curve vertex.
+    for R, q in zp_curves.qct.samples:
+        assert zp_hull.min_e(R, q) <= 1e-9
+    for R, e in zp_curves.rsp.samples:
+        assert zp_hull.min_e(R, 0.0) <= e + 1e-9
+
+
+def test_oracle_does_not_read_the_ebit_curve(zp_curves, zp_hull):
+    # Lower the interior ebit-curve vertices by a parabola that is zero at
+    # both ends: subtracting a concave function keeps the curve convex, and
+    # this one is small enough to keep it non-increasing.
+    rsp = zp_curves.rsp
+    lo, hi = rsp.rates[0], rsp.rates[-1]
+    drop = 0.04 * (rsp.rates - lo) * (hi - rsp.rates) / (hi - lo) ** 2
+    lowered = dataclasses.replace(
+        rsp, samples=tuple(zip(rsp.rates.tolist(),
+                               (rsp.values - drop).tolist())))
+    doctored = achievable_hull(dataclasses.replace(zp_curves, rsp=lowered))
+    assert drop[1:-1].min() > 0.0 and drop.max() > 5e-3
+    for R, e in lowered.samples:
+        assert doctored.min_e(R, 0.0) == pytest.approx(zp_hull.min_e(R, 0.0),
+                                                       abs=1e-12)
+    # So verify flags an ebit curve that claims too little entanglement.
+    assert max(doctored.min_e(R, 0.0) - e for R, e in lowered.samples) > 5e-3
 
 
 def test_cloud_respects_causality(zp_hull, zp_curves):

@@ -219,6 +219,23 @@ def test_curve_constructor_validation():
                       channels=(None, None, None))
 
 
+@pytest.mark.parametrize("samples", [((0.0, math.nan),),
+                                     ((0.0, 1.0), (1.0, math.inf)),
+                                     ((0.0, 1.0), (math.nan, 0.5)),
+                                     ((-math.inf, 1.0), (1.0, 0.5))])
+def test_curve_rejects_non_finite_samples(samples):
+    with pytest.raises(ValueError, match="finite"):
+        TradeoffCurve(kind="QCT", samples=samples, domain=(0.0, 1.0),
+                      channels=(None,) * len(samples))
+
+
+@pytest.mark.parametrize("count", [0, 1, 3])
+def test_curve_needs_one_channel_per_sample(count):
+    with pytest.raises(ValueError, match="one channel per sample"):
+        TradeoffCurve(kind="QCT", samples=((0.0, 1.0), (1.0, 0.5)),
+                      domain=(0.0, 1.0), channels=(None,) * count)
+
+
 @pytest.mark.parametrize("x1, mu0, mu1, bound", [
     (2.0, 3.0, 0.5, 2.0 * 0.5 * 2.0 / 2.5),  # both lines: a*b*w/(a + b)
     (2.0, math.nan, 0.5, 0.5 * 2.0),         # right line only: b*w

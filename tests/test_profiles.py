@@ -28,6 +28,14 @@ def test_channel_validation():
     assert (ch.m, ch.k) == (1, 2)
 
 
+@pytest.mark.parametrize("row", [[np.nan, np.nan], [0.5, np.nan],
+                                 [np.inf, 0.0], [1.0, -np.inf]])
+def test_channel_rejects_non_finite_entries(row):
+    # NaN passes both the sign test and the row-sum test on its own.
+    with pytest.raises(ValueError, match="finite"):
+        ClassicalChannel([row])
+
+
 def test_identity_and_constant_constructors():
     ident = ClassicalChannel.identity(3)
     assert ident.k == 4

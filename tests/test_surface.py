@@ -20,11 +20,16 @@ def test_region_examples(zp_curves):
             is RegionLabel.HIGH_ENTANGLEMENT)
 
 
-def test_negative_rates_rejected(zp_curves):
+def test_negative_rates_rejected(zp_curves, zp_hull):
     with pytest.raises(ValueError):
         classify_region(-0.1, 0.5, zp_curves)
     with pytest.raises(ValueError):
         e_star(0.1, -0.5, zp_curves)
+    # Phase one of the oracle would clamp a negative cover slack to zero
+    # and answer as if the rate were 0.
+    for R, Q in ((-0.5, 2.0), (5.0, -0.1)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            zp_hull.min_e(R, Q)
 
 
 NAN, INF = float("nan"), float("inf")
