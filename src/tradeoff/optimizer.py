@@ -103,7 +103,12 @@ frozen once it converges.  Rows never interact, so the pass's starts are cut
 into consecutive arrays of at most STACK_ELEMENTS channel entries, and at
 least one row, whatever weight each row belongs to: small stacks cost numpy
 call overhead per iteration, so batching them saves time, while past the cap
-the cost is array work and a larger stack only adds memory.
+the cost is array work and a larger stack only adds memory.  A cycle holds
+as few stack-sized arrays as its values allow: x1 is dead once the jump is
+formed, so its buffer takes r; every row tries its full step on the whole
+stack, and only the rows that leave the interior are gathered to halve it;
+and a jump point is dead once mapped, so its buffer takes the change of that
+evaluation.  x0 may be the caller's starts and is never written.
 
 The distortion is read through generalized Bloch vectors (Bertlmann &
 Krammer 2008): with the d^2 - 1 Gell-Mann matrices G_a of dimB = d
@@ -124,6 +129,7 @@ One call of profiles.stack_entropies then scores every row of the pass.
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -202,8 +208,9 @@ def _bloch_log(moments: np.ndarray, live: np.ndarray, weight: np.ndarray,
     length = np.sqrt(np.einsum("scj,scj->sj", vec, vec))
     n = np.divide(length, q, out=np.zeros_like(q), where=live)
     # f+- = floored log2((1 +- n)/2); w alpha_j, w gamma_j n_j = w(f+ +- f-)/2
-    plus, minus = (np.log2(np.maximum(0.5 + sign * n, EIGENVALUE_CLAMP))
-                   for sign in (0.5, -0.5))
+    f = np.multiply.outer((0.5, -0.5), n)
+    f += 0.5
+    plus, minus = np.log2(np.maximum(f, EIGENVALUE_CLAMP, out=f), out=f)
     half = 0.5 * weight[:, None]
     # w gamma_j r_j = (w gamma_j n_j / |q_j r_j|) q_j r_j.
     vec *= np.divide((plus - minus) * half, length, out=np.zeros_like(q),
@@ -257,9 +264,10 @@ def _extrapolate(x0: np.ndarray, x1: np.ndarray,
                  x2: np.ndarray) -> np.ndarray:
     """The SQUAREM point x0 + 2 t r + t^2 v of each row, with t halved toward
     1 while that point leaves the interior of the simplex, and x2 at t = 1
-    (module docstring)."""
-    r = np.subtract(x1, x0)
+    (module docstring).  x1 is dead after the jump, so its buffer takes r and
+    its values are lost; x0 and x2 are only read."""
     v = np.subtract(x2, x1)
+    r = np.subtract(x1, x0, out=x1)
     v -= r
     rr = np.einsum("sij,sij->s", r, r)
     vv = np.einsum("sij,sij->s", v, v)
@@ -267,19 +275,27 @@ def _extrapolate(x0: np.ndarray, x1: np.ndarray,
     # quarters t^2 exactly, and sqrt(t^2 / 4) is exactly sqrt(t^2) / 2.
     t2 = np.maximum(np.divide(rr, vv, out=np.ones_like(rr), where=vv > 0.0),
                     1.0)
-    point = np.empty_like(x0)
-    rows = np.arange(len(x0))
+
+    def trial(rows, t2):
+        point = np.multiply(r[rows], (2.0 * np.sqrt(t2))[:, None, None])
+        point += x0[rows]
+        point += v[rows] * t2[:, None, None]
+        return point, (point <= 0.0).any(axis=(1, 2))
+
+    # Every row tries its full step on the whole stack, with no gather; only
+    # the rows that leave the interior are gathered, to halve t until their
+    # point is interior or t is 1.
+    point, outside = trial(..., t2)
+    rows = np.flatnonzero(outside)
+    t2 = t2[rows]
     while rows.size:
-        trial = np.multiply(r[rows], (2.0 * np.sqrt(t2))[:, None, None])
-        trial += x0[rows]
-        trial += v[rows] * t2[:, None, None]
-        inside = ~(trial <= 0.0).any(axis=(1, 2))
-        point[rows[inside]] = trial[inside]
-        # The other rows halve t, and those whose t reaches 1 take x2.
-        rows, t2 = rows[~inside], np.maximum(0.25 * t2[~inside], 1.0)
+        t2 = np.maximum(0.25 * t2, 1.0)
         last = t2 == 1.0
         point[rows[last]] = x2[rows[last]]
         rows, t2 = rows[~last], t2[~last]
+        retry, outside = trial(rows, t2)
+        point[rows[~outside]] = retry[~outside]
+        rows, t2 = rows[outside], t2[outside]
     return point
 
 
@@ -317,9 +333,11 @@ def _fixed_point(reduced_b: np.ndarray, probs: np.ndarray, ratio,
             point = cycle[-1]
         image = logits(point, weight)
         log_norm = _softmax_rows(image)
-        change = np.subtract(image, point)
+        # A jump point is dead once mapped, so its buffer takes the change.
+        change = np.subtract(image, point, out=point if jumped else None)
         np.abs(change, out=change)
         done = change.max(axis=(1, 2)) < CONVERGENCE_TOL
+        del change  # not held through the next jump
         if jumped:
             value = -np.multiply(log_norm, probs).sum(axis=1) / weight
             done |= value >= lowest
@@ -343,11 +361,16 @@ def _start_points(m: int, k: int, count: int, seed_key) -> np.ndarray:
     return points
 
 
-def _check_starts(multistarts: int, seed: int) -> None:
-    if multistarts < 1:
-        raise ValueError("multistarts must be positive")
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
+def _check_integers(**bounds) -> None:
+    """Raise ValueError naming the first argument that is not an integer of
+    at least its bound; bounds maps each name to (value, bound)."""
+    for name, (value, least) in bounds.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if value < least:
+            rule = {0: "nonnegative", 1: "positive"}.get(least,
+                                                         f"at least {least}")
+            raise ValueError(f"{name} must be {rule}, got {value}")
 
 
 def _sweep(ensemble: Ensemble, mus, starts, max_iter: int) -> tuple:
@@ -387,7 +410,8 @@ def minimize_profile(ensemble: Ensemble, mu: float, kind: str = "XC", *,
         raise ValueError(f"kind must be 'XC' or 'XBC', got {kind!r}")
     if not (math.isfinite(mu) and mu >= 0.0):
         raise ValueError(f"mu must be finite and nonnegative, got {mu}")
-    _check_starts(multistarts, seed)
+    _check_integers(multistarts=(multistarts, 1), seed=(seed, 0),
+                    max_iter=(max_iter, 1))
     if mu == 0.0:
         channel = ClassicalChannel.identity(ensemble.m)
         return channel, entropic_profile(ensemble, channel)
@@ -499,6 +523,10 @@ class TradeoffCurve:
     def __post_init__(self):
         xs = np.array([s[0] for s in self.samples], dtype=float)
         ys = np.array([s[1] for s in self.samples], dtype=float)
+        lo, hi = self.domain
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+            raise ValueError(f"curve domain must be finite with lo <= hi, "
+                             f"got {self.domain}")
         if xs.size == 0:
             raise ValueError("curve needs at least one sample")
         if len(self.channels) != xs.size:
@@ -565,9 +593,8 @@ def compute_curves(ensemble: Ensemble, resolution: int = DEFAULT_RESOLUTION, *,
     Each request runs its two continuation starts and max(multistarts - 2,
     0) random ones.  workers is accepted for old callers and has no effect.
     """
-    if resolution < 2:
-        raise ValueError("resolution must be at least 2")
-    _check_starts(multistarts, seed)
+    _check_integers(resolution=(resolution, 2), multistarts=(multistarts, 1),
+                    seed=(seed, 0), max_iter=(max_iter, 1))
     stats = ensemble_stats(ensemble)
     m, k = ensemble.m, ensemble.m + 1
 
@@ -637,7 +664,9 @@ def compute_curves(ensemble: Ensemble, resolution: int = DEFAULT_RESOLUTION, *,
                       samples=tuple(zip(x[hull].tolist(), ys[hull].tolist())),
                       domain=(lo, stats.H),
                       channels=tuple(map(ClassicalChannel, channels[hull])))
-        for kind, lo, (x, hull, _, _) in zip(("QCT", "RSP"), (0.0, stats.chi),
+        # chi exceeds H only by rounding, on an orthonormal ensemble.
+        for kind, lo, (x, hull, _, _) in zip(("QCT", "RSP"),
+                                             (0.0, min(stats.chi, stats.H)),
                                              sides))
     critical = critical_rate(qct, stats.S)
     diagnostics = []

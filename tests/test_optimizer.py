@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -229,6 +230,16 @@ def test_curve_rejects_non_finite_samples(samples):
                       channels=(None,) * len(samples))
 
 
+@pytest.mark.parametrize("domain", [(math.nan, 1.0), (0.0, math.inf),
+                                    (2.0, 1.0)])
+def test_curve_rejects_bad_domain(domain):
+    # With a NaN lower bound every rate would lie inside the domain, and
+    # value(-5.0) would read 1.0 instead of None.
+    with pytest.raises(ValueError, match="domain"):
+        TradeoffCurve(kind="QCT", samples=((0.0, 1.0), (1.0, 0.5)),
+                      domain=domain, channels=(None, None))
+
+
 @pytest.mark.parametrize("count", [0, 1, 3])
 def test_curve_needs_one_channel_per_sample(count):
     with pytest.raises(ValueError, match="one channel per sample"):
@@ -287,6 +298,24 @@ def test_resolution_validation(zero_plus):
         qct_curve(zero_plus, resolution=1)
     with pytest.raises(ValueError):
         qct_curve(zero_plus, multistarts=0)
+
+
+@pytest.mark.parametrize("name, value", [("resolution", 2.5),
+                                         ("multistarts", 2.5),
+                                         ("max_iter", 2.5), ("max_iter", 0),
+                                         ("max_iter", -3), ("seed", 1.5),
+                                         ("multistarts", True)])
+def test_solver_integers_validated(zero_plus, name, value):
+    # A fractional count would fail with a TypeError from inside numpy, and
+    # a cap of no map evaluations would return curves of unsolved starts.
+    settings = {"resolution": 4, "multistarts": 2, "max_iter": 5, "seed": 0,
+                name: value}
+    with pytest.raises(ValueError, match=name):
+        compute_curves(zero_plus, **settings)
+    if name != "resolution":
+        del settings["resolution"]
+        with pytest.raises(ValueError, match=name):
+            minimize_profile(zero_plus, 0.5, **settings)
 
 
 def test_iteration_cap_reported(zero_plus):
@@ -393,7 +422,7 @@ def test_extrapolation_keeps_to_the_interior():
                                        [0, 0, 0])] * 2)
     x1, _ = _fixed_point(b, p, ratio, x0, 1)
     x2, _ = _fixed_point(b, p, ratio, x1, 1)
-    point = optimizer._extrapolate(x0, x1, x2)
+    point = optimizer._extrapolate(x0, x1.copy(), x2)
     kinds = set()
     for row, (t, halvings) in enumerate(_accepted_steps(x0, x1, x2)):
         if halvings and t == 1.0:
@@ -414,6 +443,33 @@ def test_extrapolation_keeps_to_the_interior():
     live2, live3 = ((p[:, None] * x).sum(axis=1) > ZERO_OUTPUT
                     for x in (x2, x3))
     assert not (live2 & ~live3).any()
+
+
+def _fixed_point_peak(ensemble, starts):
+    tracemalloc.start()
+    try:
+        _fixed_point(ensemble.reduced_b, ensemble.probs, 2.0, starts, 60)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_fixed_point_peak_memory():
+    # The part of a lockstep solve's peak that grows with its rows stays
+    # under 8 stack sizes, 7.03 here (numpy 2.4.6): the result, the cycle's
+    # three iterates, v, the jump point and one product.  The jump reuses x1's
+    # buffer for r, tries every row's full step before gathering the rows
+    # that leave, and the change of a mapped jump point goes into its
+    # buffer; without these reuses it holds 11.03.  Doubling the stack with a
+    # copy of each row doubles only what scales with the rows, so the
+    # difference leaves out allocations of fixed size, such as numpy's
+    # broadcasting buffer (about 0.5 of this stack, whatever the rows).
+    ensemble = builtin_ensemble("uniform-qubit-24")
+    starts = _start_points(24, 25, 28, [0, 0, 0])
+    single = _fixed_point_peak(ensemble, starts)
+    double = _fixed_point_peak(ensemble, np.concatenate([starts, starts]))
+    assert double - single < 8 * starts.nbytes
+    assert np.array_equal(starts, _start_points(24, 25, 28, [0, 0, 0]))
 
 
 def test_fixed_point_converges_at_critical_slope(zero_plus):
