@@ -11,10 +11,10 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .ensembles import ensemble_hash
 from .surface import RegionLabel, SurfaceGrid
 
-TOOL_VERSION = "0.1.0"
 SURFACE_HEADER = "R,Q,E,region"
 CURVE_HEADER = "R,value,channel_id"
 _REGION_NAMES = {label.value for label in RegionLabel}
@@ -63,7 +63,7 @@ def write_surface_csv(grid: SurfaceGrid, ensemble, path) -> Path:
     stats = grid.curves.stats
     meta = {
         "ensemble_sha256": ensemble_hash(ensemble),
-        "tool_version": TOOL_VERSION,
+        "tool_version": __version__,
         "grid": {"nR": int(len(grid.Rs)), "nQ": int(len(grid.Qs)),
                  "R_max": float(grid.Rs[-1]), "Q_max": float(grid.Qs[-1])},
         "S": stats.S,

@@ -112,11 +112,12 @@ evaluation.  x0 may be the caller's starts and is never written.
 
 The distortion is read through generalized Bloch vectors (Bertlmann &
 Krammer 2008): with the d^2 - 1 Gell-Mann matrices G_a of dimB = d
-(`_bloch_basis`), every state is rho = I/d + r.G/2 with r_a = Tr[rho G_a],
-and -d(i, j) = Tr[log2 rho_j]/d + r_i.c_j/2 with (c_j)_a = Tr[G_a log2 rho_j].
-So the (d^2, m) matrix of the columns p_i [r_i, 1] times the channel gives
-q_j r_j and q_j, a posterior log step turns them into w c_j/2 and
-w Tr[log2 rho_j]/d, and the rows [r_i, 1] times the columns
+(`states._bloch_basis`), every state is rho = I/d + r.G/2 with
+r_a = Tr[rho G_a], and -d(i, j) = Tr[log2 rho_j]/d + r_i.c_j/2 with
+(c_j)_a = Tr[G_a log2 rho_j].  So the (d^2, m) matrix of the columns
+p_i [r_i, 1] (`states._bloch_rows` gives the rows [r_i, 1]) times the
+channel gives q_j r_j and q_j, a posterior log step turns them into w c_j/2
+and w Tr[log2 rho_j]/d, and the rows [r_i, 1] times the columns
 [w c_j/2, log2 q_j + w Tr[log2 rho_j]/d] give the logits.  Only the log step
 depends on dimB.  For a qubit it is closed: with n = |r_j| and
 f+- = log2((1 +- n)/2), log2 rho_j = alpha_j I + gamma_j r_j.sigma with
@@ -124,10 +125,12 @@ alpha_j = (f+ + f-)/2 and gamma_j = (f+ - f-)/(2n).  Any other dimB
 eigendecomposes the posteriors rebuilt from the basis and projects log2 rho_j
 back onto it.  Both floor eigenvalues at states.EIGENVALUE_CLAMP, the dust
 rule of every entropy here, so a pure posterior scores the same in both.
-One call of profiles.stack_entropies then scores every row of the pass.
+One call of profiles.stack_entropies then scores every row of the pass,
+from the same rows [r_i, 1]: a qubit posterior's entropy is that of the
+spectrum ((1 - n)/2, (1 + n)/2), the one the closed log step takes logs of,
+and any other dimB's comes from eigenvalues.
 """
 
-import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -136,7 +139,8 @@ import numpy as np
 
 from .profiles import (ZERO_OUTPUT, ClassicalChannel, EntropicProfile,
                        entropic_profile, stack_entropies)
-from .states import EIGENVALUE_CLAMP, Ensemble, EnsembleStats, ensemble_stats
+from .states import (EIGENVALUE_CLAMP, Ensemble, EnsembleStats, _bloch_basis,
+                     _bloch_rows, ensemble_stats)
 
 DEFAULT_RESOLUTION = 40
 DEFAULT_MULTISTARTS = 32
@@ -180,25 +184,6 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
     return (top + np.log2(total))[..., 0]
 
 
-@functools.cache
-def _bloch_basis(d: int) -> np.ndarray:
-    """The rows G_a/2 and I/d, flattened, over the generalized Gell-Mann
-    matrices G_a: |j><k| + |k><j| for j < k, then -i|j><k| + i|k><j|, then
-    sqrt(2/(l(l+1))) (|0><0| + ... + |l-1><l-1| - l|l><l|) for l = 1..d-1,
-    so that d = 2 gives sigma x, y, z.  [r, 1] times the rows is rho, and A
-    times their conjugate transpose is [Tr(G_a A)/2, Tr(A)/d]."""
-    j, k = np.triu_indices(d, 1)
-    unit = np.eye(d * d)  # row a * d + b is |a><b| flattened
-    upper, lower, diagonal = unit[j * d + k], unit[k * d + j], unit[::d + 1]
-    l = np.arange(1.0, d)
-    weights = np.tri(d - 1, d) - l[:, None] * np.eye(d - 1, d, 1)
-    weights *= np.sqrt(2.0 / (l * (l + 1.0)))[:, None]
-    basis = np.vstack([upper + lower, 1j * (lower - upper), weights @ diagonal,
-                       2.0 / d * diagonal.sum(axis=0)]) / 2.0
-    basis.flags.writeable = False
-    return basis
-
-
 def _bloch_log(moments: np.ndarray, live: np.ndarray, weight: np.ndarray,
                basis: np.ndarray) -> np.ndarray:
     """The closed-form posterior log step of a qubit, which needs no basis:
@@ -237,12 +222,9 @@ def _eigh_log(moments: np.ndarray, live: np.ndarray, weight: np.ndarray,
 
 def _logits(reduced_b: np.ndarray, probs: np.ndarray):
     """The update's logits log2 q_j - w * d(i, j) at a stack of channels."""
-    m, d = len(probs), reduced_b.shape[-1]
+    d = reduced_b.shape[-1]
     basis = _bloch_basis(d)
-    # Rows [r_i, 1], r_a = 2 Re Tr[rho_i G_a/2] from the interleaved parts.
-    augmented = np.ones((m, d * d))
-    augmented[:, :-1] = 2.0 * (reduced_b.reshape(m, -1).view(float)
-                               @ basis[:-1].view(float).T)
+    augmented = _bloch_rows(reduced_b)
     moment_weights = (probs[:, None] * augmented).T
     log_step = _bloch_log if d == 2 else _eigh_log
 

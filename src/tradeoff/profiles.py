@@ -6,15 +6,17 @@ quantum system B, and the channel output C.  Because X and C are classical
 and the B state conditioned on X = i is fixed, every entropic quantity the
 trade-off optimizer needs reduces to a closed form in the channel matrix and
 the reduced states on B.  That closed form is `stack_entropies`, which
-scores a whole (..., m, k) stack of channel matrices with one batched
-eigvalsh; `entropic_profile` is its validated single-channel form.
+scores a whole (..., m, k) stack of channel matrices at once: one real
+product gives the Bloch vector of every qubit posterior, whose length gives
+its entropy, and any other dimB takes one batched eigvalsh of the posterior
+mixtures.  `entropic_profile` is its validated single-channel form.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .states import Ensemble, _entropy, _spectrum_entropy, ensemble_stats
+from .states import Ensemble, _entropy, _mixture_entropies, ensemble_stats
 
 ROW_SUM_TOL = 1e-10
 # Channel outputs with probability mass below this are dropped from the
@@ -107,9 +109,10 @@ def stack_entropies(ensemble: Ensemble, channels: np.ndarray
     """S(X:C) and S(B|C) of every channel matrix in a (..., m, k) stack.
 
     The conditional entropy of B given output j is the entropy of the
-    posterior-weighted mixture of the reduced states; the label/output mutual
-    information is purely classical.  Outputs of mass at most ZERO_OUTPUT
-    contribute 0.
+    posterior-weighted mixture rho_j of the reduced states; the label/output
+    mutual information is purely classical.  For dimB = 2, rho_j has the
+    Bloch vector r_j with q_j r_j = sum_i joint_ij r_i.  Outputs of mass at
+    most ZERO_OUTPUT contribute 0.
     """
     p = ensemble.probs
     joint = p[:, None] * channels
@@ -117,9 +120,8 @@ def stack_entropies(ensemble: Ensemble, channels: np.ndarray
     SXC = (_entropy(p) + _entropy(q)
            - _entropy(joint.reshape(joint.shape[:-2] + (-1,))))
     live = q > ZERO_OUTPUT
-    mixtures = np.einsum("...ij,iab->...jab", joint, ensemble.reduced_b)
-    mixtures /= np.where(live, q, 1.0)[..., None, None]
-    spectra = _spectrum_entropy(np.linalg.eigvalsh(mixtures))
+    spectra = _mixture_entropies(ensemble.reduced_b, joint,
+                                 np.where(live, q, 1.0))
     SBgC = np.where(live, q * spectra, 0.0).sum(axis=-1)
     return np.maximum(SXC, 0.0), SBgC
 

@@ -4,6 +4,7 @@ All entropies are in bits: logarithms and exponentials are base 2 throughout
 the package.
 """
 
+import functools
 import numbers
 from dataclasses import dataclass
 
@@ -37,6 +38,54 @@ def shannon_entropy(probs) -> float:
 def _spectrum_entropy(eigenvalues) -> np.ndarray:
     """Entropy of each eigenvalue row, clamping numerical dust to zero."""
     return _entropy(eigenvalues, EIGENVALUE_CLAMP)
+
+
+@functools.cache
+def _bloch_basis(d: int) -> np.ndarray:
+    """The rows G_a/2 and I/d, flattened, over the generalized Gell-Mann
+    matrices G_a: |j><k| + |k><j| for j < k, then -i|j><k| + i|k><j|, then
+    sqrt(2/(l(l+1))) (|0><0| + ... + |l-1><l-1| - l|l><l|) for l = 1..d-1,
+    so that d = 2 gives sigma x, y, z.  [r, 1] times the rows is rho, and A
+    times their conjugate transpose is [Tr(G_a A)/2, Tr(A)/d]."""
+    j, k = np.triu_indices(d, 1)
+    unit = np.eye(d * d)  # row a * d + b is |a><b| flattened
+    upper, lower, diagonal = unit[j * d + k], unit[k * d + j], unit[::d + 1]
+    l = np.arange(1.0, d)
+    weights = np.tri(d - 1, d) - l[:, None] * np.eye(d - 1, d, 1)
+    weights *= np.sqrt(2.0 / (l * (l + 1.0)))[:, None]
+    basis = np.vstack([upper + lower, 1j * (lower - upper), weights @ diagonal,
+                       2.0 / d * diagonal.sum(axis=0)]) / 2.0
+    basis.flags.writeable = False
+    return basis
+
+
+def _bloch_rows(reduced_b: np.ndarray) -> np.ndarray:
+    """The rows [r_i, 1] of a (m, d, d) stack of states, shape (m, d^2):
+    rho_i = I/d + r_i.G/2 with r_a = Tr[rho_i G_a] (Bertlmann & Krammer
+    2008)."""
+    m, d = len(reduced_b), reduced_b.shape[-1]
+    # r_a = 2 Re Tr[rho_i G_a/2] from the interleaved parts.
+    rows = np.ones((m, d * d))
+    rows[:, :-1] = 2.0 * (reduced_b.reshape(m, -1).view(float)
+                          @ _bloch_basis(d)[:-1].view(float).T)
+    return rows
+
+
+def _mixture_entropies(reduced_b: np.ndarray, weights: np.ndarray,
+                       mass=1.0) -> np.ndarray:
+    """Entropy of rho_j = sum_i weights[..., i, j] rho_i / mass[..., j] for
+    every column j of a (..., m, k) stack of weights.  A qubit's comes from
+    the length n of its Bloch vector, as rho_j has the spectrum
+    ((1 - n)/2, (1 + n)/2); any other dimB's from eigenvalues."""
+    if reduced_b.shape[-1] == 2:
+        vectors = weights.swapaxes(-1, -2) @ _bloch_rows(reduced_b)[:, :-1]
+        n = np.sqrt(np.einsum("...a,...a->...", vectors, vectors)) / mass
+        spectra = np.stack(((1.0 - n) / 2.0, (1.0 + n) / 2.0), axis=-1)
+    else:
+        mixtures = np.einsum("...ij,iab->...jab", weights, reduced_b)
+        mixtures /= np.asarray(mass)[..., None, None]
+        spectra = np.linalg.eigvalsh(mixtures)
+    return _spectrum_entropy(spectra)
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,9 +242,7 @@ class EnsembleStats:
 
 def ensemble_stats(ensemble: Ensemble) -> EnsembleStats:
     """Compute S, Sbar, chi and H for an ensemble (all in bits)."""
-    average = np.einsum("i,iab->ab", ensemble.probs, ensemble.reduced_b)
-    S = float(_spectrum_entropy(np.linalg.eigvalsh(average)))
-    Sbar = float(ensemble.probs
-                 @ _spectrum_entropy(np.linalg.eigvalsh(ensemble.reduced_b)))
-    return EnsembleStats(S=S, Sbar=Sbar, chi=S - Sbar,
-                         H=shannon_entropy(ensemble.probs))
+    p, reduced = ensemble.probs, ensemble.reduced_b
+    S = float(_mixture_entropies(reduced, p[:, None])[0])
+    Sbar = float(p @ _mixture_entropies(reduced, np.eye(len(p))))
+    return EnsembleStats(S=S, Sbar=Sbar, chi=S - Sbar, H=shannon_entropy(p))

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import tradeoff
 from tradeoff.export import (
     CURVE_HEADER,
     SURFACE_HEADER,
@@ -55,7 +56,8 @@ def test_surface_csv_round_trip(tmp_path, zero_plus, zp_curves):
     assert meta["grid"] == {"nR": 6, "nQ": 6,
                             "R_max": pytest.approx(zp_curves.stats.H),
                             "Q_max": pytest.approx(zp_curves.stats.S)}
-    assert meta["tool_version"]
+    # One version string: the metadata reads the package's.
+    assert meta["tool_version"] == tradeoff.__version__
     assert len(meta["ensemble_sha256"]) == 64
     assert meta["chi"] == pytest.approx(zp_curves.stats.chi)
 

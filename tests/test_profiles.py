@@ -3,8 +3,11 @@ import pytest
 
 from helpers import (entropic_profile_dense, omega_dense, random_channel,
                      random_ensemble)
+from tradeoff.ensembles import builtin_ensemble
+from tradeoff.optimizer import compute_curves
 from tradeoff.profiles import ClassicalChannel, entropic_profile, stack_entropies
 from tradeoff.states import ensemble_stats
+from tradeoff.surface import surface_grid
 
 # Binary symmetric classifier with flip probability 0.1 on the |0>/|+> pair,
 # pinned from a dense-matrix evaluation.
@@ -94,8 +97,11 @@ def test_stack_entropies_match_dense():
     # One call scores a (2, 4, m, k) stack whose rows include the constant
     # and identity channels, an output that is never used and one whose
     # mass is below ZERO_OUTPUT; each row must match the dense reference.
+    # The dimA = 2 qubit ensemble has mixed reduced states, so its posteriors
+    # are mixed even at the identity channel.
     rng = np.random.default_rng(31)
-    for e in (random_ensemble(rng, 3, 2, 3), random_ensemble(rng, 4, 1, 2)):
+    for e in (random_ensemble(rng, 3, 2, 3), random_ensemble(rng, 4, 1, 2),
+              random_ensemble(rng, 4, 2, 2)):
         m, k = e.m, e.m + 1
         unused = np.zeros((m, k))
         unused[:, :-1] = rng.dirichlet(np.ones(k - 1), size=m)
@@ -112,6 +118,28 @@ def test_stack_entropies_match_dense():
             dense = entropic_profile_dense(e, ClassicalChannel(row))
             assert abs(sxc - dense.SXC) <= 1e-9
             assert abs(sbgc - dense.SBgC) <= 1e-9
+
+
+def test_qubit_runs_need_no_eigensolver(monkeypatch):
+    # A qubit's entropies come from Bloch vector lengths, so the stats, the
+    # curves and the surface of a dimB = 2 ensemble never reach LAPACK's
+    # eigensolvers; a qutrit ensemble still does.
+    def eigensolver(*args, **kwargs):
+        raise AssertionError("eigensolver called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigensolver)
+    monkeypatch.setattr(np.linalg, "eigh", eigensolver)
+    rng = np.random.default_rng(8)
+    for e in (builtin_ensemble("zero-plus"), builtin_ensemble("uniform-qubit-5"),
+              random_ensemble(rng, 3, 2, 2)):
+        ensemble_stats(e)
+        curves = compute_curves(e, 6, multistarts=4, seed=0)
+        surface_grid(e, 5, 5, curves=curves)
+    qutrit = random_ensemble(rng, 3, 1, 3)
+    with pytest.raises(AssertionError, match="eigensolver"):
+        ensemble_stats(qutrit)
+    with pytest.raises(AssertionError, match="eigensolver"):
+        stack_entropies(qutrit, ClassicalChannel.identity(3).matrix)
 
 
 def test_label_b_information_identity_random():

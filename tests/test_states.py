@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import (partial_trace_dense, random_density, random_ensemble,
                      random_pure_state)
+from tradeoff.ensembles import builtin_ensemble
 from tradeoff.states import (
     BipartitePureState,
     DensityOperator,
@@ -156,6 +157,29 @@ def test_holevo_between_zero_and_label_entropy():
         assert -1e-9 <= stats.Sbar <= stats.S + 1e-9
         assert stats.S <= np.log2(e.dimB) + 1e-9
         assert abs(stats.chi - (stats.S - stats.Sbar)) <= 1e-10
+
+
+def test_qubit_stats_match_eigenvalue_reference():
+    # For dimB = 2, S and Sbar come from Bloch vector lengths; reduced
+    # states of dimA > 1 are mixed, so both spectra have two live values.
+    rng = np.random.default_rng(77)
+    for dimA in (1, 2, 3):
+        for _ in range(20):
+            e = random_ensemble(rng, int(rng.integers(1, 6)), dimA, 2)
+            stats = ensemble_stats(e)
+            average = np.einsum("i,iab->ab", e.probs, e.reduced_b)
+            S = von_neumann_entropy(average)
+            Sbar = sum(p * von_neumann_entropy(rho)
+                       for p, rho in zip(e.probs, e.reduced_b))
+            assert abs(stats.S - S) <= 1e-12
+            assert abs(stats.Sbar - Sbar) <= 1e-12
+            assert abs(stats.chi - (S - Sbar)) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["bb84", "zero-plus", "uniform-qubit-24"])
+def test_pure_qubit_ensembles_have_zero_sbar(name):
+    # Each |r_i| is 1 only to rounding; the dust rule makes Sbar exactly 0.
+    assert ensemble_stats(builtin_ensemble(name)).Sbar == 0.0
 
 
 @settings(max_examples=50)
