@@ -24,9 +24,12 @@ is a nonnegative flow along these three directions.  Each query solves one
 linear program exactly: minimize the ebit total over weights lam >= 0 on
 the primitive points and flows nu >= 0, subject to sum(lam) = 1, the R and
 Q totals at or under the cell and the E total at or above zero.  A small
-revised simplex on these four rows answers it.  The R and Q totals need no
-rows keeping them nonnegative: when a cover drives one below zero, its
-flows can be changed so that every total is nonnegative and the E total
+revised simplex on these four rows answers it.  It starts from the slack
+basis, whose matrix is its own inverse, and carries B^-1 through both
+phases by each pivot's row operation, so a query inverts no matrix unless
+A_B B^-1 ends more than COVER_TOL from the identity.  The R and Q totals
+need no rows keeping them nonnegative: when a cover drives one below zero,
+its flows can be changed so that every total is nonnegative and the E total
 does not rise.  If the formula is right, the optimum must match it to within
 discretization error, and nothing in the closure may beat it.
 
@@ -46,7 +49,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .optimizer import CurveSet
-from .surface import RegionLabel
+from .surface import RegionLabel, _check_rates
 
 COVER_TOL = 1e-9
 NEGATIVE_CLAMP = 1e-12
@@ -86,22 +89,35 @@ def primitive_points(curves: CurveSet) -> tuple:
                  for R, q in curves.qct.samples)
 
 
-def _simplex(A: np.ndarray, b: np.ndarray, c: np.ndarray,
-             basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _pivot(B_inv: np.ndarray, u: np.ndarray, r: int) -> np.ndarray:
+    """B^-1 once the column that B^-1 maps to u enters at row r: row r over
+    u[r], and each other row i less u[i] times that."""
+    row = B_inv[r] / u[r]
+    B_inv = B_inv - np.outer(u, row)
+    B_inv[r] = row
+    return B_inv
+
+
+def _simplex(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: np.ndarray,
+             B_inv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Revised simplex for min c @ x subject to A @ x = b, x >= 0.
 
     Starts from the feasible `basis` (one column index per row, updated in
-    place) and returns the inverse of the optimal basis matrix and the basic
-    values.  The entering column has the most negative reduced cost, or the
-    lowest index (Bland's rule) right after a degenerate pivot, so the loop
-    cannot cycle.  The objectives
-    here are bounded below on the feasible set, so some basic value always
-    limits an improving step.
+    place) and the inverse B_inv of its matrix, and returns the inverse of
+    the optimal basis matrix and the basic values, those at or below
+    SIMPLEX_EPS as zero.  Each pivot updates B^-1 by its row operation (the
+    product form; Bertsimas & Tsitsiklis, section 3.3).  Once nothing prices
+    out, a B^-1 with A_B B^-1 more than COVER_TOL from the identity is
+    inverted afresh and priced again.  The entering column has the most
+    negative reduced cost, or the lowest index (Bland's rule) right after a
+    degenerate pivot, so the loop cannot cycle.  The objectives here are
+    bounded below on the feasible set, so some basic value always limits an
+    improving step.
     """
-    bland = False
+    bland = fresh = False
     while True:
-        B_inv = np.linalg.inv(A[:, basis])
-        x_B = np.maximum(B_inv @ b, 0.0)
+        x_B = B_inv @ b
+        x_B[x_B <= SIMPLEX_EPS] = 0.0
         reduced = c - (c[basis] @ B_inv) @ A
         # Exactly 0 for a basic column, which rounding in an ill-conditioned
         # basis can push below -SIMPLEX_EPS; it would then enter in place of
@@ -109,14 +125,20 @@ def _simplex(A: np.ndarray, b: np.ndarray, c: np.ndarray,
         reduced[basis] = 0.0
         entering = np.flatnonzero(reduced < -SIMPLEX_EPS)
         if entering.size == 0:
-            return B_inv, x_B
+            residual = np.abs(A[:, basis] @ B_inv - np.eye(len(b))).max()
+            if fresh or residual <= COVER_TOL:
+                return B_inv, x_B
+            B_inv, fresh = np.linalg.inv(A[:, basis]), True
+            continue
         j = entering[0] if bland else entering[reduced[entering].argmin()]
         u = B_inv @ A[:, j]
         rows = np.flatnonzero(u > SIMPLEX_EPS)
         ratios = x_B[rows] / u[rows]
         step = ratios.min()
         ties = rows[ratios <= step + SIMPLEX_EPS]
-        basis[ties[basis[ties].argmin()]] = j
+        r = ties[basis[ties].argmin()]
+        basis[r] = j
+        B_inv, fresh = _pivot(B_inv, u, r), False
         bland = step <= SIMPLEX_EPS
 
 
@@ -189,16 +211,15 @@ class AchievableHull:
         basis of either outcome is recorded for the grid answers of
         verify_surface.
         """
-        if not (np.isfinite(R) and np.isfinite(Q) and R >= 0.0 and Q >= 0.0):
-            raise ValueError(f"rates must be finite and nonnegative, "
-                             f"got R={R}, Q={Q}")
+        _check_rates(R, Q)
         A, cost = self._lp
         m = A.shape[1] - 1
         b = _rhs(R, Q)
         basis = np.arange(m - 3, m + 1)
         phase_one = np.zeros(m + 1)
         phase_one[-1] = 1.0
-        B_inv, x_B = _simplex(A, b, phase_one, basis)
+        # The slack basis diag(1, 1, -1, 1) is its own inverse.
+        B_inv, x_B = _simplex(A, b, phase_one, basis, A[:, basis])
         if phase_one[basis] @ x_B > SIMPLEX_EPS:
             self._record(basis, B_inv, phase_one, optimum=False)
             return None
@@ -206,9 +227,10 @@ class AchievableHull:
         if artificial.size:
             # Basic at level zero: pivot it out on the largest entry of its
             # row, which is nonzero because the other columns have rank 4.
-            row = B_inv[artificial[0]] @ A[:, :m]
-            basis[artificial[0]] = np.abs(row).argmax()
-        B_inv, x_B = _simplex(A[:, :m], b, cost, basis)
+            r = artificial[0]
+            basis[r] = j = np.abs(B_inv[r] @ A[:, :m]).argmax()
+            B_inv = _pivot(B_inv, B_inv @ A[:, j], r)
+        B_inv, x_B = _simplex(A[:, :m], b, cost, basis, B_inv)
         self._record(basis, B_inv, cost, optimum=True)
         return float(cost[basis] @ x_B)
 
@@ -240,7 +262,7 @@ class AchievableHull:
                 continue
             basis = self._bases[k]
             x = basis.inverse @ b[:, unanswered]
-            objective = basis.costs @ np.maximum(x, 0.0)
+            objective = basis.costs @ np.where(x > SIMPLEX_EPS, x, 0.0)
             answered = (x >= -SIMPLEX_EPS).all(axis=0)
             if basis.optimum:
                 values[unanswered[answered]] = objective[answered]

@@ -30,9 +30,22 @@ def _entropy(weights, dust: float = 0.0) -> np.ndarray:
     return 0.0 - (w * logs).sum(axis=-1)  # +0.0, not -0.0, when pure
 
 
+def _check_probabilities(p: np.ndarray) -> None:
+    """Reject p unless it is finite, nonnegative and sums to 1 within
+    PROB_TOL."""
+    if not np.all(np.isfinite(p)):
+        raise ValueError("probabilities must be finite")
+    if (p < 0.0).any():
+        raise ValueError("probabilities must be nonnegative")
+    if abs(p.sum() - 1.0) > PROB_TOL:
+        raise ValueError(f"probabilities must sum to 1, got {p.sum():.12g}")
+
+
 def shannon_entropy(probs) -> float:
     """Shannon entropy of a probability vector, in bits, with 0 log 0 = 0."""
-    return float(_entropy(np.ravel(probs)))
+    p = np.array(probs, dtype=float).ravel()
+    _check_probabilities(p)
+    return float(_entropy(p))
 
 
 def _spectrum_entropy(eigenvalues) -> np.ndarray:
@@ -98,6 +111,8 @@ class DensityOperator:
         m = np.array(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"density matrix must be square, got shape {m.shape}")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("density matrix entries must be finite")
         if np.abs(m - m.conj().T).max() > HERMITICITY_TOL:
             raise ValueError("density matrix must be Hermitian")
         trace = complex(np.trace(m))
@@ -191,12 +206,7 @@ class Ensemble:
         p = np.array(self.probs, dtype=float).ravel()
         if p.size != len(states):
             raise ValueError("need exactly one probability per state")
-        if not np.all(np.isfinite(p)):
-            raise ValueError("probabilities must be finite")
-        if p.min() < 0.0:
-            raise ValueError("probabilities must be nonnegative")
-        if abs(p.sum() - 1.0) > PROB_TOL:
-            raise ValueError(f"probabilities must sum to 1, got {p.sum():.12g}")
+        _check_probabilities(p)
         p.flags.writeable = False
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "probs", p)

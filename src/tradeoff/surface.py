@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .optimizer import CurveSet
+from .optimizer import CurveSet, _check_integers
 from .states import Ensemble
 
 # Classification cushion: for R below the critical rate the low-entanglement
@@ -65,11 +65,18 @@ def _cells(R, Q, curves: CurveSet) -> tuple[np.ndarray, np.ndarray]:
     return region, E
 
 
+def _check_rates(R: float, Q: float) -> None:
+    """Reject a single (R, Q) query unless both rates are finite and
+    nonnegative."""
+    if not (np.isfinite(R) and np.isfinite(Q) and R >= 0.0 and Q >= 0.0):
+        raise ValueError(f"rates must be finite and nonnegative, "
+                         f"got R={R}, Q={Q}")
+
+
 def _cell(R: float, Q: float,
           curves: CurveSet) -> tuple[RegionLabel, float | None]:
     """Region of one (R, Q) and the optimal ebit rate there, or None."""
-    if not (R >= 0.0 and Q >= 0.0):
-        raise ValueError(f"rates must be nonnegative, got R={R}, Q={Q}")
+    _check_rates(R, Q)
     region, E = _cells(R, Q, curves)
     return _LABELS[region], (None if np.isinf(E) else float(E))
 
@@ -108,8 +115,7 @@ def surface_grid(ensemble: Ensemble, nR: int, nQ: int, *,
     ensemble is not used: the curves hold all the surface needs.  It stays
     the first parameter for callers that pass it positionally.
     """
-    if nR < 2 or nQ < 2:
-        raise ValueError("grid needs at least 2 points per axis")
+    _check_integers(nR=(nR, 2), nQ=(nQ, 2))
     Rs = np.linspace(0.0, curves.stats.H, nR)
     Qs = np.linspace(0.0, curves.stats.S, nQ)
     region, E = _cells(Rs[:, None], Qs[None, :], curves)

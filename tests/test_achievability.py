@@ -13,6 +13,8 @@ from tradeoff.achievability import (
     COVER_TOL,
     AchievableHull,
     RateTriple,
+    _rhs,
+    _simplex,
     achievable_hull,
     primitive_points,
     verify_surface,
@@ -272,6 +274,36 @@ def test_uncovered_proof_stops_at_the_cover_boundary():
     values, source = hull._grid_min_e(rates, rates)
     assert np.isnan(values[0]) and values[1] == 0.0
     assert list(source) == [0, 1]
+
+
+def test_drifted_inverse_is_refreshed_once(zp_hull, monkeypatch):
+    # The product-form inverse is checked once nothing prices out: a slack
+    # inverse off by 1e-6 takes one fresh inversion, after which the solve
+    # ends where the exact one does.  (0.2, 0.1) lies below the zero-plus
+    # cover, so its phase-one optimum is positive and unique.
+    A, _ = zp_hull._lp
+    b = _rhs(0.2, 0.1)
+    phase_one = np.zeros(A.shape[1])
+    phase_one[-1] = 1.0
+    slacks = np.arange(A.shape[1] - 4, A.shape[1])
+    exact = slacks.copy()
+    _, x_exact = _simplex(A, b, phase_one, exact, A[:, slacks])
+    assert phase_one[exact] @ x_exact > 0.0
+    assert not np.isin(exact, slacks).all()  # it pivoted
+    calls = []
+    inv = np.linalg.inv
+
+    def counted(M):
+        calls.append(M)
+        return inv(M)
+
+    monkeypatch.setattr(np.linalg, "inv", counted)
+    drifted = slacks.copy()
+    _, x_drifted = _simplex(A, b, phase_one, drifted,
+                            A[:, slacks] + np.full((4, 4), 1e-6))
+    assert len(calls) == 1
+    assert list(drifted) == list(exact)
+    assert x_drifted == pytest.approx(x_exact, abs=1e-12)
 
 
 def test_grid_reuses_bases(bb84_grid, monkeypatch):

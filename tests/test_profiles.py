@@ -3,6 +3,7 @@ import pytest
 
 from helpers import (entropic_profile_dense, omega_dense, random_channel,
                      random_ensemble)
+from tradeoff.achievability import achievable_hull, verify_surface
 from tradeoff.ensembles import builtin_ensemble
 from tradeoff.optimizer import compute_curves
 from tradeoff.profiles import ClassicalChannel, entropic_profile, stack_entropies
@@ -121,24 +122,26 @@ def test_stack_entropies_match_dense():
 
 
 def test_qubit_runs_need_no_eigensolver(monkeypatch):
-    # A qubit's entropies come from Bloch vector lengths, so the stats, the
-    # curves and the surface of a dimB = 2 ensemble never reach LAPACK's
-    # eigensolvers; a qutrit ensemble still does.
-    def eigensolver(*args, **kwargs):
-        raise AssertionError("eigensolver called")
+    # A qubit's entropies come from Bloch vector lengths and the oracle's
+    # simplex carries its basis inverse through row operations, so the
+    # stats, the curves, the surface and the verify pass of a dimB = 2
+    # ensemble never reach LAPACK; a qutrit ensemble still does.
+    def lapack(*args, **kwargs):
+        raise AssertionError("LAPACK called")
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", eigensolver)
-    monkeypatch.setattr(np.linalg, "eigh", eigensolver)
+    for name in ("eigvalsh", "eigh", "inv", "solve"):
+        monkeypatch.setattr(np.linalg, name, lapack)
     rng = np.random.default_rng(8)
     for e in (builtin_ensemble("zero-plus"), builtin_ensemble("uniform-qubit-5"),
               random_ensemble(rng, 3, 2, 2)):
         ensemble_stats(e)
         curves = compute_curves(e, 6, multistarts=4, seed=0)
-        surface_grid(e, 5, 5, curves=curves)
+        grid = surface_grid(e, 5, 5, curves=curves)
+        verify_surface(grid, achievable_hull(curves))
     qutrit = random_ensemble(rng, 3, 1, 3)
-    with pytest.raises(AssertionError, match="eigensolver"):
+    with pytest.raises(AssertionError, match="LAPACK"):
         ensemble_stats(qutrit)
-    with pytest.raises(AssertionError, match="eigensolver"):
+    with pytest.raises(AssertionError, match="LAPACK"):
         stack_entropies(qutrit, ClassicalChannel.identity(3).matrix)
 
 

@@ -25,6 +25,11 @@ def test_shannon_entropy_examples():
     assert shannon_entropy(np.array([0.5, 0.25, 0.25])) == pytest.approx(1.5)
     # A zero entropy is +0.0: -0.0 would print as "-0".
     assert math.copysign(1.0, shannon_entropy([1.0])) == 1.0
+    # Only a probability vector has an entropy; the bare formula would give
+    # these nan, 0.5, 0.0 and 0.0.
+    for bad in ([0.5, np.nan], [0.5, -0.5], [2.0, 3.0], [np.inf, 0.0]):
+        with pytest.raises(ValueError, match="probabilities"):
+            shannon_entropy(bad)
 
 
 @given(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=8))
@@ -48,6 +53,13 @@ def test_density_operator_validation():
         DensityOperator(np.eye(2))  # trace 2
     with pytest.raises(ValueError):
         DensityOperator(np.diag([1.5, -0.5]))  # not PSD
+    # Non-finite entries fail before any arithmetic, which would score a
+    # NaN entry as entropy 0.0 and warn on an inf one.
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            DensityOperator(np.array([[bad, 0.0], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match="finite"):
+            von_neumann_entropy(np.array([[bad, 0.0], [0.0, 1.0]]))
     rho = DensityOperator(np.eye(3) / 3)
     assert rho.dim == 3
     with pytest.raises(ValueError):

@@ -45,8 +45,11 @@ NAN, INF = float("nan"), float("inf")
     (lambda curves, hull: hull.min_e(0.5, NAN), "Q=nan"),
     (lambda curves, hull: hull.min_e(INF, 0.5), "R=inf"),
     (lambda curves, hull: hull.min_e(0.5, -INF), "Q=-inf"),
+    (lambda curves, hull: e_star(INF, 0.1, curves), "R=inf"),
+    (lambda curves, hull: classify_region(0.1, INF, curves), "Q=inf"),
 ], ids=["qct.value", "rsp.value", "e_star-R", "e_star-Q", "classify_region",
-        "min_e-R", "min_e-Q", "min_e-inf", "min_e-neg-inf"])
+        "min_e-R", "min_e-Q", "min_e-inf", "min_e-neg-inf", "e_star-inf",
+        "classify_region-inf"])
 def test_non_finite_rates_rejected(query, named, zp_curves, zp_hull):
     # A NaN rate must not read as unachievable, nor reach the oracle's LP.
     with pytest.raises(ValueError, match=named):
@@ -230,3 +233,8 @@ def test_grid_validation(zero_plus, zp_curves):
         surface_grid(zero_plus, 1, 8, curves=zp_curves)
     with pytest.raises(ValueError):
         surface_grid(zero_plus, 8, 1, curves=zp_curves)
+    # Counts follow compute_curves' rule: 2.5 must not reach np.linspace,
+    # and True is not a count.
+    for nR, nQ in ((2.5, 3), (3, 2.5), (True, 3), (3, np.float64(4.0))):
+        with pytest.raises(ValueError, match="must be an integer"):
+            surface_grid(zero_plus, nR, nQ, curves=zp_curves)
