@@ -39,8 +39,8 @@ is optimal for every cell where B^-1 b >= 0, and a phase-one basis that
 proves one cell uncovered proves it for every such cell whose phase-one
 objective stays positive (parametric right-hand-side analysis; Bertsimas &
 Tsitsiklis, Introduction to Linear Optimization, sections 5.1-5.2).  Each
-solve records its terminal basis, and verify_surface answers every cell it
-can from the recorded bases, solving only where none applies.
+solve leaves its terminal basis, and verify_surface answers every cell it
+can from the bases solved for its grid, solving only where none applies.
 """
 
 from dataclasses import dataclass
@@ -49,7 +49,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .optimizer import CurveSet
-from .surface import RegionLabel, _check_rates
+from .states import _check_reals
+from .surface import RegionLabel
 
 COVER_TOL = 1e-9
 NEGATIVE_CLAMP = 1e-12
@@ -192,8 +193,8 @@ class AchievableHull:
         names = (p.provenance or f"point {i}"
                  for i, p in enumerate(self.points))
         object.__setattr__(self, "_names", (*names, *CONVERSIONS, *SLACKS))
-        # Every solve's terminal basis, in the order solved.
-        object.__setattr__(self, "_bases", [])
+        # The terminal basis of the latest solve, for _grid_min_e to collect.
+        object.__setattr__(self, "_last", None)
 
     @property
     def size(self) -> int:
@@ -208,10 +209,10 @@ class AchievableHull:
         the E surplus and an artificial weight column and drives the
         artificial out; if it cannot, nothing covers the cell and None is
         returned.  Phase two minimizes the E total from there.  The terminal
-        basis of either outcome is recorded for the grid answers of
-        verify_surface.
+        basis of either outcome is kept until the next solve, for the grid
+        answers of verify_surface.
         """
-        _check_rates(R, Q)
+        _check_reals(R=R, Q=Q)
         A, cost = self._lp
         m = A.shape[1] - 1
         b = _rhs(R, Q)
@@ -235,32 +236,36 @@ class AchievableHull:
         return float(cost[basis] @ x_B)
 
     def _record(self, basis, B_inv, cost, *, optimum: bool) -> None:
-        self._bases.append(_Basis(basis.copy(), B_inv, cost[basis], optimum))
+        object.__setattr__(self, "_last",
+                           _Basis(basis.copy(), B_inv, cost[basis], optimum))
 
-    def _grid_min_e(self, R: np.ndarray,
-                    Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _grid_min_e(self, R: np.ndarray, Q: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray, list]:
         """min_e of each cell of the flat R and Q arrays, NaN where uncovered,
-        and the index of the recorded basis that answered it.
+        the index of the basis that answered it and the bases solved here.
 
-        Each recorded basis, in order, answers every unanswered cell where it
+        Each solved basis, in order, answers every unanswered cell where it
         is primal feasible: an optimum with its cost there, a phase-one
         proof with "uncovered" while its objective stays positive.  When no
-        recorded basis answers a remaining cell, min_e solves the first of
-        them and records one more.
+        solved basis answers a remaining cell, min_e solves the first of
+        them and adds one more.  Only the bases solved in this call are read,
+        so the answers depend on the cells alone.
         """
         b = _rhs(R, Q)
         values = np.full(R.size, np.nan)
         source = np.full(R.size, -1)
         unanswered = np.arange(R.size)
+        bases = []
         k = 0
         while unanswered.size:
-            if k == len(self._bases):
+            if k == len(bases):
                 first, unanswered = unanswered[0], unanswered[1:]
                 e = self.min_e(float(R[first]), float(Q[first]))
                 values[first] = np.nan if e is None else e
-                source[first] = len(self._bases) - 1
+                source[first] = k
+                bases.append(self._last)
                 continue
-            basis = self._bases[k]
+            basis = bases[k]
             x = basis.inverse @ b[:, unanswered]
             objective = basis.costs @ np.where(x > SIMPLEX_EPS, x, 0.0)
             answered = (x >= -SIMPLEX_EPS).all(axis=0)
@@ -271,23 +276,15 @@ class AchievableHull:
             source[unanswered[answered]] = k
             unanswered = unanswered[~answered]
             k += 1
-        return values, source
+        return values, source, bases
 
-    def _describe(self, k: int, R: float, Q: float) -> str:
-        """The cover that recorded basis k gives (R, Q): its nonzero basic
-        weights, flows and slacks, named after their columns."""
-        basis = self._bases[k]
+    def _describe(self, basis: _Basis, R: float, Q: float) -> str:
+        """The cover that basis gives (R, Q): its nonzero basic weights, flows
+        and slacks, named after their columns."""
         x = basis.inverse @ _rhs(R, Q)
         return " + ".join(f"{x[i]:.6g}·{self._names[basis.columns[i]]}"
                           for i in np.argsort(basis.columns)
                           if x[i] > SIMPLEX_EPS)
-
-
-def check_options(*, tolerance: float = 0.0) -> None:
-    """Reject a verify tolerance the oracle cannot use."""
-    if not (np.isfinite(tolerance) and tolerance >= 0.0):
-        raise ValueError(f"tolerance must be finite and nonnegative, "
-                         f"got {tolerance}")
 
 
 def achievable_hull(curves: CurveSet) -> AchievableHull:
@@ -305,15 +302,16 @@ def verify_surface(grid, hull: AchievableHull, *,
     required in both directions (the cloud must achieve the formula and must
     not beat it).  Forbidden cells must stay uncovered except exactly on the
     causality boundary.  Violations are reported, not raised, each with the
-    basis that answered its cell; a tolerance that is negative or not finite
-    is raised.
+    basis that answered its cell.  The report depends on the grid, the
+    hull's points and the tolerance alone, not on earlier queries of the
+    hull.  A tolerance that is not a finite, nonnegative number is raised.
     """
-    check_options(tolerance=tolerance)
+    _check_reals(tolerance=tolerance)
     chi = grid.curves.stats.chi
     R, Q = (a.ravel() for a in np.meshgrid(grid.Rs, grid.Qs, indexing="ij"))
     E = grid.E.ravel()
     labels = grid.region.ravel()
-    oracle, source = hull._grid_min_e(R, Q)
+    oracle, source, bases = hull._grid_min_e(R, Q)
 
     covered = ~np.isnan(oracle)
     forbidden = np.isinf(E)
@@ -347,7 +345,8 @@ def verify_surface(grid, hull: AchievableHull, *,
         violations.append({"R": float(R[i]), "Q": float(Q[i]),
                            "region": labels[i].value, "kind": kind,
                            key: float(values[i]),
-                           "basis": hull._describe(source[i], R[i], Q[i])})
+                           "basis": hull._describe(bases[source[i]], R[i],
+                                                   Q[i])})
     return {
         "tolerance": tolerance,
         "cloud_points": hull.size,

@@ -25,12 +25,11 @@ import sys
 from pathlib import Path
 
 from . import export
-from .achievability import (DEFAULT_TOLERANCE, achievable_hull, check_options,
-                            verify_surface)
+from .achievability import DEFAULT_TOLERANCE, achievable_hull, verify_surface
 from .ensembles import BUILTIN_NAMES, builtin_ensemble, load_ensemble
 from .optimizer import (DEFAULT_MULTISTARTS, DEFAULT_RESOLUTION,
                         REFINE_TARGET, compute_curves)
-from .states import ensemble_stats
+from .states import _check_reals, ensemble_stats
 from .surface import surface_grid
 
 DEFAULT_GRID = (16, 16)
@@ -45,7 +44,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
     if args.command == "verify":
         # Bad oracle options fail here, not after the curves are solved.
-        check_options(tolerance=args.tolerance)
+        _check_reals(tolerance=args.tolerance)
 
     ensemble = (load_ensemble(args.ensemble) if args.ensemble is not None
                 else builtin_ensemble(args.builtin))

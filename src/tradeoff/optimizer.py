@@ -93,9 +93,9 @@ J = S(B|C) + mu * S(X:C).  L costs no entropy, and along plain updates it
 never rises, so a fallback x' = x2 stops a start only where a whole cycle
 left L unchanged.  A jump that does not lower L has stopped lowering the
 objective: such a start is stuck, even if its channel still drifts in sup
-norm along a nearly flat orbit, as on a near-symmetric ensemble.  max_iter
-counts map evaluations, three per cycle, and only a start that meets
-neither rule within it is capped.
+norm along a nearly flat orbit, as on a near-symmetric ensemble.  MAX_ITER
+caps the map evaluations of every start, three per cycle, and only a start
+that meets neither rule within it is capped.
 
 The starts of one pass are iterated together as a few arrays, each row at
 its own weight, with its own step length and halvings and lowest L, and each
@@ -132,7 +132,6 @@ and any other dimB's comes from eigenvalues.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,11 +139,12 @@ import numpy as np
 from .profiles import (ZERO_OUTPUT, ClassicalChannel, EntropicProfile,
                        entropic_profile, stack_entropies)
 from .states import (EIGENVALUE_CLAMP, Ensemble, EnsembleStats, _bloch_basis,
-                     _bloch_rows, ensemble_stats)
+                     _bloch_rows, _check_integers, _check_reals,
+                     ensemble_stats)
 
 DEFAULT_RESOLUTION = 40
 DEFAULT_MULTISTARTS = 32
-DEFAULT_MAX_ITER = 500
+MAX_ITER = 500
 CONVERGENCE_TOL = 1e-10
 DOMAIN_TOL = 1e-9
 # Solved points within SNAP of an analytic endpoint in S(X:C) are dropped
@@ -155,12 +155,14 @@ REFINE_TARGET = 2e-3
 # A multiplier within LINE_TOL of a solved one is not requested again, and a
 # request whose own starts miss its line's intercept by more is beaten.
 LINE_TOL = 1e-9
-# Fraction of starts allowed to hit the cap of max_iter map evaluations before
+# Fraction of starts allowed to hit the cap of MAX_ITER map evaluations before
 # a sweep is reported as diagnostically suspect.
 NONCONVERGED_DIAGNOSTIC = 0.5
 # Most channel entries (starts * m * k) in one lockstep solve, unless it is
 # of one start (see the module docstring).
 STACK_ELEMENTS = 1 << 16
+# critical_rate's window on the excess R + Q*(R) - S.
+CRITICAL_TOL = 5e-3
 
 
 def __getattr__(name: str):
@@ -343,18 +345,6 @@ def _start_points(m: int, k: int, count: int, seed_key) -> np.ndarray:
     return points
 
 
-def _check_integers(**bounds) -> None:
-    """Raise ValueError naming the first argument that is not an integer of
-    at least its bound; bounds maps each name to (value, bound)."""
-    for name, (value, least) in bounds.items():
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-        if value < least:
-            rule = {0: "nonnegative", 1: "positive"}.get(least,
-                                                         f"at least {least}")
-            raise ValueError(f"{name} must be {rule}, got {value}")
-
-
 def _sweep(ensemble: Ensemble, mus, starts, max_iter: int) -> tuple:
     """Minimize S(B|C) + mu * S(X:C) from the starts of every mu, in stacks.
 
@@ -378,7 +368,6 @@ def _sweep(ensemble: Ensemble, mus, starts, max_iter: int) -> tuple:
 
 def minimize_profile(ensemble: Ensemble, mu: float, kind: str = "XC", *,
                      multistarts: int = DEFAULT_MULTISTARTS, seed: int = 0,
-                     max_iter: int = DEFAULT_MAX_ITER,
                      ) -> tuple[ClassicalChannel, EntropicProfile]:
     """Minimize SBgC + mu * constraint over channels with m+1 outputs.
 
@@ -390,17 +379,15 @@ def minimize_profile(ensemble: Ensemble, mu: float, kind: str = "XC", *,
     """
     if kind not in ("XC", "XBC"):
         raise ValueError(f"kind must be 'XC' or 'XBC', got {kind!r}")
-    if not (math.isfinite(mu) and mu >= 0.0):
-        raise ValueError(f"mu must be finite and nonnegative, got {mu}")
-    _check_integers(multistarts=(multistarts, 1), seed=(seed, 0),
-                    max_iter=(max_iter, 1))
+    _check_reals(mu=mu)
+    _check_integers(multistarts=(multistarts, 1), seed=(seed, 0))
     if mu == 0.0:
         channel = ClassicalChannel.identity(ensemble.m)
         return channel, entropic_profile(ensemble, channel)
     weight = float(mu) if kind == "XC" else mu / (1.0 + mu)
     starts = _start_points(ensemble.m, ensemble.m + 1, multistarts,
                            [seed, 0, 0])
-    SXC, SBgC, channels, _ = _sweep(ensemble, [weight], [starts], max_iter)
+    SXC, SBgC, channels, _ = _sweep(ensemble, [weight], [starts], MAX_ITER)
     channel = ClassicalChannel(channels[np.argmin(SBgC + weight * SXC)])
     return channel, entropic_profile(ensemble, channel)
 
@@ -567,16 +554,17 @@ class CurveSet:
 
 def compute_curves(ensemble: Ensemble, resolution: int = DEFAULT_RESOLUTION, *,
                    multistarts: int = DEFAULT_MULTISTARTS, seed: int = 0,
-                   workers: int = 1, max_iter: int = DEFAULT_MAX_ITER) -> CurveSet:
+                   workers: int = 1) -> CurveSet:
     """Both curves of one sandwich solve of at most `resolution` multiplier
     requests, with the critical rate, the entropic summary and the solve's
     diagnostics.
 
     Each request runs its two continuation starts and max(multistarts - 2,
-    0) random ones.  workers is accepted for old callers and has no effect.
+    0) random ones, each for at most MAX_ITER map evaluations.  workers is
+    accepted for old callers and has no effect.
     """
     _check_integers(resolution=(resolution, 2), multistarts=(multistarts, 1),
-                    seed=(seed, 0), max_iter=(max_iter, 1))
+                    seed=(seed, 0))
     stats = ensemble_stats(ensemble)
     m, k = ensemble.m, ensemble.m + 1
 
@@ -616,7 +604,7 @@ def compute_curves(ensemble: Ensemble, resolution: int = DEFAULT_RESOLUTION, *,
             for j, (_, ends) in enumerate(batch)]
         batch_mus = np.array([mu for mu, _ in batch])
         SXC, SBgC, solved, converged = _sweep(ensemble, batch_mus, starts,
-                                              max_iter)
+                                              MAX_ITER)
         requests += len(batch)
         total += converged.size
         nonconverged += np.count_nonzero(~converged)
@@ -654,7 +642,7 @@ def compute_curves(ensemble: Ensemble, resolution: int = DEFAULT_RESOLUTION, *,
     diagnostics = []
     if nonconverged > NONCONVERGED_DIAGNOSTIC * max(total, 1):
         diagnostics.append(f"{nonconverged}/{total} starts hit the cap of "
-                           f"{max_iter} map evaluations")
+                           f"{MAX_ITER} map evaluations")
     if beaten:
         diagnostics.append(
             f"{len(beaten)} multipliers lost to another point's channel, by "
@@ -671,36 +659,32 @@ def compute_curves(ensemble: Ensemble, resolution: int = DEFAULT_RESOLUTION, *,
                     diagnostics=tuple(diagnostics))
 
 
-def qct_curve(ensemble: Ensemble, resolution: int = DEFAULT_RESOLUTION, *,
-              multistarts: int = DEFAULT_MULTISTARTS, seed: int = 0,
-              max_iter: int = DEFAULT_MAX_ITER) -> TradeoffCurve:
-    """Optimal qubit rate versus classical rate, Q*(R), for R in [0, H]."""
-    return compute_curves(ensemble, resolution, multistarts=multistarts,
-                          seed=seed, max_iter=max_iter).qct
+def qct_curve(ensemble: Ensemble, *args, **kwargs) -> TradeoffCurve:
+    """Optimal qubit rate versus classical rate, Q*(R), for R in [0, H]: the
+    qct curve of compute_curves, which takes the same arguments."""
+    return compute_curves(ensemble, *args, **kwargs).qct
 
 
-def rsp_curve(ensemble: Ensemble, resolution: int = DEFAULT_RESOLUTION, *,
-              multistarts: int = DEFAULT_MULTISTARTS, seed: int = 0,
-              max_iter: int = DEFAULT_MAX_ITER) -> TradeoffCurve:
-    """Optimal ebit rate versus classical rate, E*(R), for R in [chi, H]."""
-    return compute_curves(ensemble, resolution, multistarts=multistarts,
-                          seed=seed, max_iter=max_iter).rsp
+def rsp_curve(ensemble: Ensemble, *args, **kwargs) -> TradeoffCurve:
+    """Optimal ebit rate versus classical rate, E*(R), for R in [chi, H]: the
+    rsp curve of compute_curves, which takes the same arguments."""
+    return compute_curves(ensemble, *args, **kwargs).rsp
 
 
-def critical_rate(curve: TradeoffCurve, S: float, *,
-                  tol: float = 5e-3) -> CriticalRate:
+def critical_rate(curve: TradeoffCurve, S: float) -> CriticalRate:
     """Largest rate R with R + Q*(R) = S, located on the qubit curve.
 
     Scans the curve vertices for the largest R whose excess R + Q*(R) - S
-    stays within tol.  The excess is linear on the segment that follows, so
-    its crossing of tol there is solved in closed form, clamped to the
-    segment's right end.  A missing plateau (no qualifying vertex) is
-    flagged via found = False.
+    stays within CRITICAL_TOL.  The excess is linear on the segment that
+    follows, so its crossing of CRITICAL_TOL there is solved in closed form,
+    clamped to the segment's right end.  A missing plateau (no qualifying
+    vertex) is flagged via found = False.  S must be finite and nonnegative.
     """
     if curve.kind != "QCT":
         raise ValueError("the critical rate is defined on the QCT curve")
+    _check_reals(S=S)
     qualifying = [i for i, (r, q) in enumerate(curve.samples)
-                  if abs(r + q - S) <= tol]
+                  if abs(r + q - S) <= CRITICAL_TOL]
     if not qualifying:
         return CriticalRate(Hc=0.0, found=False)
     i = qualifying[-1]
@@ -708,6 +692,7 @@ def critical_rate(curve: TradeoffCurve, S: float, *,
         return CriticalRate(Hc=curve.samples[i][0], found=True)
     (r0, q0), (r1, q1) = curve.samples[i], curve.samples[i + 1]
     growth = 1.0 + (q1 - q0) / (r1 - r0)  # d(excess)/dR on the segment
-    Hc = r1 if growth <= 0.0 else min(r0 + (tol - (r0 + q0 - S)) / growth, r1)
+    Hc = r1 if growth <= 0.0 else min(
+        r0 + (CRITICAL_TOL - (r0 + q0 - S)) / growth, r1)
     return CriticalRate(Hc=Hc, found=True)
 

@@ -30,6 +30,28 @@ def _entropy(weights, dust: float = 0.0) -> np.ndarray:
     return 0.0 - (w * logs).sum(axis=-1)  # +0.0, not -0.0, when pure
 
 
+def _check_integers(**bounds) -> None:
+    """Raise ValueError naming the first argument that is not an integer of
+    at least its bound; bounds maps each name to (value, bound)."""
+    for name, (value, least) in bounds.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if value < least:
+            rule = {0: "nonnegative", 1: "positive"}.get(least,
+                                                         f"at least {least}")
+            raise ValueError(f"{name} must be {rule}, got {value}")
+
+
+def _check_reals(**values) -> None:
+    """Raise ValueError naming the first argument that is not a finite,
+    nonnegative real number; a bool is not one."""
+    for name, value in values.items():
+        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                or not (np.isfinite(value) and value >= 0.0)):
+            raise ValueError(f"{name} must be finite and nonnegative, "
+                             f"got {name}={value}")
+
+
 def _check_probabilities(p: np.ndarray) -> None:
     """Reject p unless it is finite, nonnegative and sums to 1 within
     PROB_TOL."""

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .optimizer import CurveSet, _check_integers
-from .states import Ensemble
+from .optimizer import CurveSet
+from .states import Ensemble, _check_integers, _check_reals
 
 # Classification cushion: for R below the critical rate the low-entanglement
 # and forbidden boundaries coincide exactly, and a one-ulp difference between
@@ -65,18 +65,10 @@ def _cells(R, Q, curves: CurveSet) -> tuple[np.ndarray, np.ndarray]:
     return region, E
 
 
-def _check_rates(R: float, Q: float) -> None:
-    """Reject a single (R, Q) query unless both rates are finite and
-    nonnegative."""
-    if not (np.isfinite(R) and np.isfinite(Q) and R >= 0.0 and Q >= 0.0):
-        raise ValueError(f"rates must be finite and nonnegative, "
-                         f"got R={R}, Q={Q}")
-
-
 def _cell(R: float, Q: float,
           curves: CurveSet) -> tuple[RegionLabel, float | None]:
     """Region of one (R, Q) and the optimal ebit rate there, or None."""
-    _check_rates(R, Q)
+    _check_reals(R=R, Q=Q)
     region, E = _cells(R, Q, curves)
     return _LABELS[region], (None if np.isinf(E) else float(E))
 

@@ -62,6 +62,8 @@ def test_minimize_profile_validation(zero_plus):
         minimize_profile(zero_plus, -0.5)
     with pytest.raises(ValueError):
         minimize_profile(zero_plus, float("nan"))
+    with pytest.raises(ValueError, match="mu=True"):
+        minimize_profile(zero_plus, True)
     with pytest.raises(ValueError):
         minimize_profile(zero_plus, 1.0, kind="XB")
     with pytest.raises(ValueError):
@@ -190,6 +192,13 @@ def test_critical_rate_requires_qct(zp_curves):
         critical_rate(zp_curves.rsp, zp_curves.stats.S)
 
 
+@pytest.mark.parametrize("S", [math.nan, math.inf, -0.5, True])
+def test_critical_rate_rejects_bad_entropy(zp_curves, S):
+    # A NaN S used to match no vertex and read as a missing plateau.
+    with pytest.raises(ValueError, match="S="):
+        critical_rate(zp_curves.qct, S)
+
+
 def test_critical_rate_matches_oracle_departure(zp_curves, zp_oracle):
     # Cross-check against the brute-force grid: Hc must sit within 5e-2 of
     # the rate where the oracle curve departs the slope -1 line Q = S - R.
@@ -301,15 +310,11 @@ def test_resolution_validation(zero_plus):
 
 
 @pytest.mark.parametrize("name, value", [("resolution", 2.5),
-                                         ("multistarts", 2.5),
-                                         ("max_iter", 2.5), ("max_iter", 0),
-                                         ("max_iter", -3), ("seed", 1.5),
+                                         ("multistarts", 2.5), ("seed", 1.5),
                                          ("multistarts", True)])
 def test_solver_integers_validated(zero_plus, name, value):
-    # A fractional count would fail with a TypeError from inside numpy, and
-    # a cap of no map evaluations would return curves of unsolved starts.
-    settings = {"resolution": 4, "multistarts": 2, "max_iter": 5, "seed": 0,
-                name: value}
+    # A fractional count would fail with a TypeError from inside numpy.
+    settings = {"resolution": 4, "multistarts": 2, "seed": 0, name: value}
     with pytest.raises(ValueError, match=name):
         compute_curves(zero_plus, **settings)
     if name != "resolution":
@@ -318,9 +323,9 @@ def test_solver_integers_validated(zero_plus, name, value):
             minimize_profile(zero_plus, 0.5, **settings)
 
 
-def test_iteration_cap_reported(zero_plus):
-    curves = compute_curves(zero_plus, resolution=5, multistarts=2,
-                            max_iter=1)
+def test_iteration_cap_reported(zero_plus, monkeypatch):
+    monkeypatch.setattr(optimizer, "MAX_ITER", 1)
+    curves = compute_curves(zero_plus, resolution=5, multistarts=2)
     assert curves.diagnostics
     assert "map evaluations" in curves.diagnostics[0]
 
@@ -576,7 +581,9 @@ def test_bb84_stops_within_100_map_evaluations(monkeypatch):
     # same curves as the default one.
     ensemble = builtin_ensemble("bb84")
     flags = _record_flags(monkeypatch)
-    capped = compute_curves(ensemble, 40, multistarts=8, seed=0, max_iter=100)
+    with monkeypatch.context() as patch:
+        patch.setattr(optimizer, "MAX_ITER", 100)
+        capped = compute_curves(ensemble, 40, multistarts=8, seed=0)
     assert flags and all(flags)
     curves = compute_curves(ensemble, 40, multistarts=8, seed=0)
     assert capped.qct.samples == curves.qct.samples
@@ -807,7 +814,8 @@ def test_beaten_solve_is_re_solved(zero_plus, monkeypatch):
     # re-solved once, within the budget, with that point's channel as an
     # extra start, and the diagnostics name it.
     calls = _record_sweeps(monkeypatch)
-    curves = compute_curves(zero_plus, 12, multistarts=4, seed=0, max_iter=2)
+    monkeypatch.setattr(optimizer, "MAX_ITER", 2)
+    curves = compute_curves(zero_plus, 12, multistarts=4, seed=0)
     requests = [(mu, len(starts)) for mus, batch in calls
                 for mu, starts in zip(mus, batch)]
     assert len(requests) <= 12

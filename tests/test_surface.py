@@ -47,11 +47,16 @@ NAN, INF = float("nan"), float("inf")
     (lambda curves, hull: hull.min_e(0.5, -INF), "Q=-inf"),
     (lambda curves, hull: e_star(INF, 0.1, curves), "R=inf"),
     (lambda curves, hull: classify_region(0.1, INF, curves), "Q=inf"),
+    (lambda curves, hull: e_star(True, 0.5, curves), "R=True"),
+    (lambda curves, hull: classify_region(True, 0.5, curves), "R=True"),
+    (lambda curves, hull: hull.min_e(True, 0.5), "R=True"),
 ], ids=["qct.value", "rsp.value", "e_star-R", "e_star-Q", "classify_region",
         "min_e-R", "min_e-Q", "min_e-inf", "min_e-neg-inf", "e_star-inf",
-        "classify_region-inf"])
+        "classify_region-inf", "e_star-bool", "classify_region-bool",
+        "min_e-bool"])
 def test_non_finite_rates_rejected(query, named, zp_curves, zp_hull):
-    # A NaN rate must not read as unachievable, nor reach the oracle's LP.
+    # A NaN rate must not read as unachievable, nor reach the oracle's LP,
+    # and a bool is not a rate.
     with pytest.raises(ValueError, match=named):
         query(zp_curves, zp_hull)
 
