@@ -62,7 +62,8 @@ SIMPLEX_EPS = 1e-12
 
 @dataclass(frozen=True)
 class RateTriple:
-    """One achievable (cbit, qubit, ebit) rate point with its derivation."""
+    """One achievable (cbit, qubit, ebit) rate point with its derivation;
+    each rate is a finite real, and one down to -NEGATIVE_CLAMP is 0."""
 
     R: float
     Q: float
@@ -70,13 +71,10 @@ class RateTriple:
     provenance: str = ""
 
     def __post_init__(self):
-        for name in ("R", "Q", "E"):
-            v = float(getattr(self, name))
-            if not np.isfinite(v):
-                raise ValueError(f"{name} must be finite, got {v}")
-            if v < -NEGATIVE_CLAMP:
-                raise ValueError(f"{name} must be nonnegative, got {v}")
-            object.__setattr__(self, name, max(v, 0.0))
+        rates = {"R": self.R, "Q": self.Q, "E": self.E}
+        _check_reals(least=-NEGATIVE_CLAMP, **rates)
+        for name, v in rates.items():
+            object.__setattr__(self, name, max(float(v), 0.0))
 
 
 def primitive_points(curves: CurveSet) -> tuple:

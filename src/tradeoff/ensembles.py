@@ -16,14 +16,13 @@ are kept bit-exact so that save/load round trips preserve the ensemble hash.
 import hashlib
 import json
 import math
-import numbers
 import re
 import reprlib
-import sys
 
 import numpy as np
 
-from .states import BipartitePureState, Ensemble
+from .states import (BipartitePureState, Ensemble, _check_integers,
+                     _is_number)
 
 LOAD_NORM_TOL = 1e-6
 _UNIFORM_QUBIT = re.compile(r"^uniform-qubit-(\d+)$")
@@ -45,8 +44,7 @@ def _qubit_ensemble(kets) -> Ensemble:
 
 def fibonacci_qubit_states(n: int) -> list:
     """n qubit states whose Bloch vectors form a Fibonacci sphere lattice."""
-    if n < 1:
-        raise ValueError("need at least one state")
+    _check_integers(n=(n, 1))
     golden_angle = math.pi * (3.0 - math.sqrt(5.0))
     states = []
     for i in range(n):
@@ -88,13 +86,6 @@ BUILTIN_NAMES = ("orthonormal-pair", "bb84", "zero-plus", "single-entangled",
                  "uniform-qubit-N")
 
 
-def _is_number(value) -> bool:
-    # JSON true/false decode to bool, which Python counts as an integer, and
-    # an integer beyond the float range has no float to become.
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and not (type(value) is int and abs(value) > sys.float_info.max))
-
-
 def parse_ensemble(payload: dict) -> Ensemble:
     """Build an Ensemble from a decoded JSON object, validating the schema."""
     if not isinstance(payload, dict):
@@ -103,9 +94,7 @@ def parse_ensemble(payload: dict) -> Ensemble:
     if missing:
         raise ValueError(f"ensemble file is missing keys: {sorted(missing)}")
     dimA, dimB = payload["dimA"], payload["dimB"]
-    if not all(type(d) is int for d in (dimA, dimB)):
-        raise ValueError(f"dimA and dimB must be integers, got "
-                         f"{reprlib.repr(dimA)} and {reprlib.repr(dimB)}")
+    _check_integers(dimA=(dimA, 1), dimB=(dimB, 1))
     probs = payload["probs"]
     raw_states = payload["states"]
     if not (isinstance(probs, list) and isinstance(raw_states, list)):
@@ -121,8 +110,8 @@ def parse_ensemble(payload: dict) -> Ensemble:
         if not isinstance(entries, list):
             raise ValueError(f"state {idx} must be a list of [re, im] pairs")
         if len(entries) != dimA * dimB:
-            raise ValueError(f"state {idx} needs {dimA * dimB} amplitudes, "
-                             f"got {len(entries)}")
+            raise ValueError(f"state {idx} needs {reprlib.repr(dimA * dimB)}"
+                             f" amplitudes, got {len(entries)}")
         if not all(isinstance(pair, (list, tuple)) and len(pair) == 2
                    and all(map(_is_number, pair)) for pair in entries):
             raise ValueError(f"state {idx} amplitudes must be [re, im] pairs")

@@ -524,9 +524,9 @@ class TradeoffCurve:
         return self._ys
 
     def value(self, R: float) -> float | None:
-        """Curve value at rate R, or None where the rate is unachievable."""
-        if math.isnan(R):
-            raise ValueError(f"rate must be a number, got R={R}")
+        """Curve value at rate R, or None where the rate is unachievable,
+        left of the domain.  R must be a finite real number of any sign."""
+        _check_reals(R=R, least=-math.inf)
         if R < self.domain[0] - DOMAIN_TOL:
             return None
         return float(np.interp(R, self._xs, self._ys))

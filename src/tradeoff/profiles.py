@@ -12,11 +12,12 @@ its entropy, and any other dimB takes one batched eigvalsh of the posterior
 mixtures.  `entropic_profile` is its validated single-channel form.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .states import Ensemble, _entropy, _mixture_entropies, ensemble_stats
+from .states import (Ensemble, _check_integers, _check_reals, _entropy,
+                     _mixture_entropies, ensemble_stats)
 
 ROW_SUM_TOL = 1e-10
 # Channel outputs with probability mass below this are dropped from the
@@ -58,21 +59,17 @@ class ClassicalChannel:
         return self.matrix.shape[1]
 
     @classmethod
-    def identity(cls, m: int, k: int | None = None) -> "ClassicalChannel":
-        """Channel copying input i to output i, zero-padded to k >= m outputs."""
-        k = m + 1 if k is None else k
-        if k < m:
-            raise ValueError("identity channel needs at least m outputs")
-        mat = np.zeros((m, k))
-        mat[np.arange(m), np.arange(m)] = 1.0
-        return cls(mat)
+    def identity(cls, m: int) -> "ClassicalChannel":
+        """Channel copying input i to output i of m + 1, for m >= 1."""
+        _check_integers(m=(m, 1))
+        return cls(np.eye(m, m + 1))
 
     @classmethod
-    def constant(cls, m: int, k: int | None = None, output: int = 0) -> "ClassicalChannel":
-        """Channel sending every input to the same output."""
-        k = m + 1 if k is None else k
-        mat = np.zeros((m, k))
-        mat[:, output] = 1.0
+    def constant(cls, m: int) -> "ClassicalChannel":
+        """Channel sending each of m >= 1 inputs to output 0 of m + 1."""
+        _check_integers(m=(m, 1))
+        mat = np.zeros((m, m + 1))
+        mat[:, 0] = 1.0
         return cls(mat)
 
 
@@ -84,6 +81,7 @@ class EntropicProfile:
     SBgC: entropy of B conditioned on the channel output.
     SXBgC: mutual information between label and B given the channel output.
     SXBC: mutual information between the label and the pair (B, output).
+    Each is a finite real, and one down to -PROFILE_TOL is 0.
     """
 
     SXC: float
@@ -92,12 +90,9 @@ class EntropicProfile:
     SXBC: float
 
     def __post_init__(self):
-        for name in ("SXC", "SBgC", "SXBgC", "SXBC"):
-            v = getattr(self, name)
-            if not np.isfinite(v):
-                raise ValueError(f"{name} must be finite, got {v}")
-            if v < -PROFILE_TOL:
-                raise ValueError(f"{name} must be nonnegative, got {v}")
+        values = asdict(self)
+        _check_reals(least=-PROFILE_TOL, **values)
+        for name, v in values.items():
             object.__setattr__(self, name, max(float(v), 0.0))
         if abs(self.SXBC - (self.SXC + self.SXBgC)) > PROFILE_TOL:
             raise ValueError("profile violates the chain rule "

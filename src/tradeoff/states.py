@@ -5,7 +5,10 @@ the package.
 """
 
 import functools
+import math
 import numbers
+import reprlib
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,24 +35,36 @@ def _entropy(weights, dust: float = 0.0) -> np.ndarray:
 
 def _check_integers(**bounds) -> None:
     """Raise ValueError naming the first argument that is not an integer of
-    at least its bound; bounds maps each name to (value, bound)."""
+    at least its bound; bounds maps each name to (value, bound).  A bool is
+    not an integer, and the message abbreviates a value read from a file."""
     for name, (value, least) in bounds.items():
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+            raise ValueError(f"{name} must be an integer, "
+                             f"got {reprlib.repr(value)}")
         if value < least:
             rule = {0: "nonnegative", 1: "positive"}.get(least,
                                                          f"at least {least}")
-            raise ValueError(f"{name} must be {rule}, got {value}")
+            raise ValueError(f"{name} must be {rule}, "
+                             f"got {reprlib.repr(value)}")
 
 
-def _check_reals(**values) -> None:
-    """Raise ValueError naming the first argument that is not a finite,
-    nonnegative real number; a bool is not one."""
+def _is_number(value) -> bool:
+    # A bool, which Python counts as an integer and JSON true/false decode
+    # to, is not a number, and an integer beyond the float range has no
+    # float to become.
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and not (type(value) is int and abs(value) > sys.float_info.max))
+
+
+def _check_reals(*, least: float = 0.0, **values) -> None:
+    """Raise ValueError naming the first argument that is not a finite
+    number (by `_is_number`) of at least `least`: 0, minus the rounding dust
+    of a value the caller clamps to 0, or -inf for any sign."""
     for name, value in values.items():
-        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                or not (np.isfinite(value) and value >= 0.0)):
-            raise ValueError(f"{name} must be finite and nonnegative, "
-                             f"got {name}={value}")
+        if not (_is_number(value) and math.isfinite(value)
+                and value >= least):
+            rule = "finite" if least == -math.inf else "finite and nonnegative"
+            raise ValueError(f"{name} must be {rule}, got {name}={value}")
 
 
 def _check_probabilities(p: np.ndarray) -> None:
@@ -175,12 +190,7 @@ class BipartitePureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        for d in (self.dimA, self.dimB):
-            if not isinstance(d, numbers.Integral) or isinstance(d, bool):
-                raise ValueError(f"subsystem dimensions must be integers, "
-                                 f"got {d!r}")
-        if self.dimA < 1 or self.dimB < 1:
-            raise ValueError("subsystem dimensions must be positive")
+        _check_integers(dimA=(self.dimA, 1), dimB=(self.dimB, 1))
         v = np.array(self.amplitudes, dtype=complex).ravel()
         if not np.all(np.isfinite(v)):
             raise ValueError("amplitudes must be finite")

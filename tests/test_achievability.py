@@ -1,5 +1,7 @@
 import dataclasses
 import itertools
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from helpers import (
     random_density,
     sampled_primitive_points,
 )
+from tradeoff import achievability
 from tradeoff.achievability import (
     COVER_TOL,
     AchievableHull,
@@ -24,6 +27,12 @@ from tradeoff.ensembles import builtin_ensemble
 from tradeoff.export import write_verification_report
 from tradeoff.optimizer import compute_curves
 from tradeoff.surface import surface_grid
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_text() -> str:
+    return " ".join(README.read_text(encoding="utf-8").split())
 
 
 @pytest.fixture(scope="module")
@@ -46,6 +55,8 @@ def test_rate_triple_validation():
         RateTriple(1.0, -0.5, 0.0)
     with pytest.raises(ValueError):
         RateTriple(float("inf"), 0.0, 0.0)
+    with pytest.raises(ValueError, match="R=True"):
+        RateTriple(True, 0.0, 0.0)  # a bool is not a rate
     clamped = RateTriple(-1e-13, 0.2, 0.3)  # numerical dust only
     assert clamped.R == 0.0
 
@@ -311,6 +322,12 @@ def test_drifted_inverse_is_refreshed_once(zp_hull, monkeypatch):
 
 
 def test_grid_reuses_bases(bb84_grid, monkeypatch):
+    # The README counts the cells that a bb84 grid solves, at the fixture's
+    # settings; every other cell is answered by a basis already solved.
+    claim = re.search(r"\((\d+) of the (\d+) cells of a (\d+)x(\d+) bb84 "
+                      r"grid\)", _readme_text())
+    solved, cells, nR, nQ = map(int, claim.groups())
+    assert bb84_grid.E.shape == (nR, nQ) and cells == nR * nQ
     calls = []
     solve = AchievableHull.min_e
 
@@ -321,7 +338,44 @@ def test_grid_reuses_bases(bb84_grid, monkeypatch):
     monkeypatch.setattr(AchievableHull, "min_e", counted)
     report = verify_surface(bb84_grid, achievable_hull(bb84_grid.curves))
     assert report["violations"] == []
-    assert 0 < len(calls) <= 32
+    assert len(calls) == solved
+
+
+RESIDUAL_RUNS = {"zero-plus": (16, 16), "bb84": (8, 32),
+                 "uniform-qubit-24": (4, 20)}  # starts, grid side
+
+
+def test_readme_inverse_residual(monkeypatch):
+    # The README bounds how far A_B B^-1 ends from the identity on three
+    # verify runs at resolution 40 and seed 0; none may refresh B^-1, which
+    # would hide the product-form drift the bound is about.
+    claim = re.search(r"`A_B B\^-1` ends more than the cover tolerance (\S+) "
+                      r"from the identity; on the ([^.]*) verify runs "
+                      r"measured, it ended within (\S+)\.", _readme_text())
+    assert float(claim.group(1)) == COVER_TOL
+    names = re.split(r", | and ", claim.group(2))
+    assert sorted(names) == sorted(RESIDUAL_RUNS)
+    bound = float(claim.group(3))
+    simplex, inv = _simplex, np.linalg.inv
+    residuals, inverses = [], []
+
+    def recorded(A, b, c, basis, B_inv):
+        B_inv, x_B = simplex(A, b, c, basis, B_inv)
+        residuals.append(np.abs(A[:, basis] @ B_inv - np.eye(len(b))).max())
+        return B_inv, x_B
+
+    for name, (multistarts, side) in RESIDUAL_RUNS.items():
+        ensemble = builtin_ensemble(name)
+        curves = compute_curves(ensemble, 40, multistarts=multistarts, seed=0)
+        grid = surface_grid(ensemble, side, side, curves=curves)
+        with monkeypatch.context() as patch:
+            patch.setattr(achievability, "_simplex", recorded)
+            patch.setattr(np.linalg, "inv",
+                          lambda M: inverses.append(M) or inv(M))
+            verify_surface(grid, achievable_hull(curves))
+        assert residuals and max(residuals) <= bound, name
+        assert not inverses, name
+        residuals.clear()
 
 
 def test_used_hull_verifies_like_a_fresh_one(zp_fast_grid):

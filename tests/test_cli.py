@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import re
 import shlex
@@ -16,6 +17,7 @@ from tradeoff.ensembles import (BUILTIN_NAMES, builtin_ensemble,
 
 FAST = ["--resolution", "10", "--multistarts", "4", "--workers", "1"]
 README = Path(__file__).resolve().parent.parent / "README.md"
+WORKFLOW = README.parent / ".github" / "workflows" / "tier1.yml"
 
 
 def test_stats_builtin(capsys):
@@ -118,12 +120,14 @@ def test_wrong_json_types_exit_1(fields, tmp_path, capsys):
      "states": [[[1.0, 0.0], [0.0, 0.0]]] * 20000},
     {"probs": [10 ** 400, 0.5]},
     {"dimA": [1] * 20000},
+    {"dimA": 10 ** 400},
 ], ids=["bool-probs", "string-probs", "bool-amplitude", "bool-imaginary",
-        "long-probs", "huge-integer", "long-dim"])
+        "long-probs", "huge-integer", "long-dim", "huge-dim"])
 def test_non_numbers_exit_1(fields, tmp_path, capsys):
     # JSON true/false must not load as 1/0, nor "0.5" as a probability.  The
     # one error line names the first bad entry, abbreviated, instead of
-    # echoing the whole value: a 20 000-entry list printed 100 KB on stderr.
+    # echoing the whole value: a 20 000-entry list printed 100 KB on stderr,
+    # and a 401-digit dimA a 441-character amplitude count.
     payload = ensemble_to_dict(builtin_ensemble("zero-plus"))
     payload.update(fields)
     path = tmp_path / "types.json"
@@ -289,6 +293,19 @@ def test_readme_commands_parse():
                 README.read_text(encoding="utf-8").splitlines()
                 if line.startswith("tradeoff ")]
     assert len(commands) == 6
+    for argv in commands:
+        build_parser().parse_args(argv[1:])
+
+
+def test_workflow_commands_parse():
+    # Parses each console-script line of the CI workflow up to its first
+    # shell operator, such as the stats run's 2> and ||; runs none of them.
+    operators = {"2>", ">", "||", "&&", "|", ";"}
+    commands = [list(itertools.takewhile(lambda word: word not in operators,
+                                         shlex.split(line)))
+                for line in WORKFLOW.read_text(encoding="utf-8").splitlines()
+                if line.lstrip().startswith("tradeoff ")]
+    assert len(commands) == 11
     for argv in commands:
         build_parser().parse_args(argv[1:])
 

@@ -118,8 +118,9 @@ NAN = float("nan")
     ({"probs": [float("inf"), 0.5]}, "finite"),
     ({"states": [[[NAN, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]},
      "finite"),
-    ({"dimA": 1.7}, "integers"),
-    ({"dimB": "2"}, "integers"),
+    ({"dimA": 1.7}, "integer"),
+    ({"dimB": "2"}, "integer"),
+    ({"dimA": 0}, "positive"),  # not an amplitude-count error
 ])
 def test_non_finite_and_non_integer_input_rejected(patch, match):
     payload = {"dimA": 1, "dimB": 2, "probs": [0.5, 0.5],

@@ -130,6 +130,8 @@ def test_value_outside_domain(zp_curves):
     assert zp_curves.rsp.value(0.0) is None
     assert zp_curves.rsp.value(stats.chi - 1.0) is None
     assert zp_curves.qct.value(stats.H + 5.0) == pytest.approx(stats.Sbar)
+    # An integer beyond numpy's int64 is still a rate.
+    assert zp_curves.qct.value(2 ** 64) == pytest.approx(stats.Sbar)
     assert zp_curves.qct.value(-1.0) is None
 
 

@@ -6,7 +6,8 @@ from helpers import (entropic_profile_dense, omega_dense, random_channel,
 from tradeoff.achievability import achievable_hull, verify_surface
 from tradeoff.ensembles import builtin_ensemble
 from tradeoff.optimizer import compute_curves
-from tradeoff.profiles import ClassicalChannel, entropic_profile, stack_entropies
+from tradeoff.profiles import (ClassicalChannel, EntropicProfile,
+                               entropic_profile, stack_entropies)
 from tradeoff.states import ensemble_stats
 from tradeoff.surface import surface_grid
 
@@ -44,10 +45,23 @@ def test_identity_and_constant_constructors():
     ident = ClassicalChannel.identity(3)
     assert ident.k == 4
     np.testing.assert_allclose(ident.matrix[:, :3], np.eye(3))
-    const = ClassicalChannel.constant(3, output=1)
-    assert const.matrix[:, 1].sum() == pytest.approx(3.0)
-    with pytest.raises(ValueError):
-        ClassicalChannel.identity(3, k=2)
+    const = ClassicalChannel.constant(3)
+    assert const.k == 4 and const.matrix[:, 0].sum() == 3.0
+    # Unchecked, both would fail with a TypeError from inside numpy.
+    for build, m in ((ClassicalChannel.identity, True),
+                     (ClassicalChannel.constant, 2.5)):
+        with pytest.raises(ValueError, match="m must be an integer"):
+            build(m)
+
+
+def test_profile_fields_are_finite_reals():
+    # A bool is not a bit count; dust down to -PROFILE_TOL reads as 0.
+    with pytest.raises(ValueError, match="SXC=True"):
+        EntropicProfile(SXC=True, SBgC=0.5, SXBgC=0.0, SXBC=1.0)
+    with pytest.raises(ValueError, match="SBgC=-1e-06"):
+        EntropicProfile(SXC=1.0, SBgC=-1e-6, SXBgC=0.0, SXBC=1.0)
+    dust = EntropicProfile(SXC=1.0, SBgC=-1e-10, SXBgC=0.0, SXBC=1.0)
+    assert dust.SBgC == 0.0
 
 
 def test_identity_channel_profile(zero_plus):

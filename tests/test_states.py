@@ -80,7 +80,7 @@ def test_pure_state_validation():
 def test_pure_state_dimensions_must_be_integers(dimA, dimB):
     # Each pair matches its amplitude count, so only the type check fails.
     count = int(dimA * dimB)
-    with pytest.raises(ValueError, match="integers"):
+    with pytest.raises(ValueError, match="integer"):
         BipartitePureState(dimA, dimB, np.ones(count) / math.sqrt(count))
 
 

@@ -50,13 +50,20 @@ NAN, INF = float("nan"), float("inf")
     (lambda curves, hull: e_star(True, 0.5, curves), "R=True"),
     (lambda curves, hull: classify_region(True, 0.5, curves), "R=True"),
     (lambda curves, hull: hull.min_e(True, 0.5), "R=True"),
+    (lambda curves, hull: curves.qct.value(True), "R=True"),
+    (lambda curves, hull: curves.qct.value(INF), "R=inf"),
+    (lambda curves, hull: curves.rsp.value(-INF), "R=-inf"),
+    (lambda curves, hull: hull.min_e(10 ** 400, 0.5), "R=1000"),
 ], ids=["qct.value", "rsp.value", "e_star-R", "e_star-Q", "classify_region",
         "min_e-R", "min_e-Q", "min_e-inf", "min_e-neg-inf", "e_star-inf",
         "classify_region-inf", "e_star-bool", "classify_region-bool",
-        "min_e-bool"])
+        "min_e-bool", "qct.value-bool", "qct.value-inf", "rsp.value-neg-inf",
+        "min_e-huge"])
 def test_non_finite_rates_rejected(query, named, zp_curves, zp_hull):
     # A NaN rate must not read as unachievable, nor reach the oracle's LP,
-    # and a bool is not a rate.
+    # and a bool is not a rate.  Unchecked, value(True) and value(inf)
+    # would read the curve at R = 1 and on its flat tail; a finite negative
+    # rate reads None (test_value_outside_domain).
     with pytest.raises(ValueError, match=named):
         query(zp_curves, zp_hull)
 
