@@ -38,9 +38,10 @@ not depend on the right-hand side b, so a basis that is optimal for one cell
 is optimal for every cell where B^-1 b >= 0, and a phase-one basis that
 proves one cell uncovered proves it for every such cell whose phase-one
 objective stays positive (parametric right-hand-side analysis; Bertsimas &
-Tsitsiklis, Introduction to Linear Optimization, sections 5.1-5.2).  Each
-solve leaves its terminal basis, and verify_surface answers every cell it
-can from the bases solved for its grid, solving only where none applies.
+Tsitsiklis, Introduction to Linear Optimization, sections 5.1-5.2).  So
+verify_surface solves the first unanswered cell of its grid, answers every
+other cell that the new basis covers, and repeats until no cell is left:
+each cell is answered by the first basis solved for the grid that covers it.
 """
 
 from dataclasses import dataclass
@@ -206,9 +207,9 @@ class AchievableHull:
         total is nonnegative.  Phase one starts from the two cover slacks,
         the E surplus and an artificial weight column and drives the
         artificial out; if it cannot, nothing covers the cell and None is
-        returned.  Phase two minimizes the E total from there.  The terminal
-        basis of either outcome is kept until the next solve, for the grid
-        answers of verify_surface.
+        returned.  Otherwise phase two minimizes the E total from there.
+        The terminal basis, priced by the costs of its phase, is kept until
+        the next solve, for the grid answers of verify_surface.
         """
         _check_reals(R=R, Q=Q)
         A, cost = self._lp
@@ -219,51 +220,43 @@ class AchievableHull:
         phase_one[-1] = 1.0
         # The slack basis diag(1, 1, -1, 1) is its own inverse.
         B_inv, x_B = _simplex(A, b, phase_one, basis, A[:, basis])
-        if phase_one[basis] @ x_B > SIMPLEX_EPS:
-            self._record(basis, B_inv, phase_one, optimum=False)
-            return None
-        artificial = np.flatnonzero(basis == m)
-        if artificial.size:
-            # Basic at level zero: pivot it out on the largest entry of its
-            # row, which is nonzero because the other columns have rank 4.
-            r = artificial[0]
-            basis[r] = j = np.abs(B_inv[r] @ A[:, :m]).argmax()
-            B_inv = _pivot(B_inv, B_inv @ A[:, j], r)
-        B_inv, x_B = _simplex(A[:, :m], b, cost, basis, B_inv)
-        self._record(basis, B_inv, cost, optimum=True)
-        return float(cost[basis] @ x_B)
-
-    def _record(self, basis, B_inv, cost, *, optimum: bool) -> None:
-        object.__setattr__(self, "_last",
-                           _Basis(basis.copy(), B_inv, cost[basis], optimum))
+        optimum = bool(phase_one[basis] @ x_B <= SIMPLEX_EPS)
+        if optimum:
+            artificial = np.flatnonzero(basis == m)
+            if artificial.size:
+                # Basic at level zero: pivot it out on its row's largest
+                # entry, nonzero because the other columns have rank 4.
+                r = artificial[0]
+                basis[r] = j = np.abs(B_inv[r] @ A[:, :m]).argmax()
+                B_inv = _pivot(B_inv, B_inv @ A[:, j], r)
+            B_inv, x_B = _simplex(A[:, :m], b, cost, basis, B_inv)
+        costs = (cost if optimum else phase_one)[basis]
+        object.__setattr__(self, "_last", _Basis(basis, B_inv, costs, optimum))
+        return float(costs @ x_B) if optimum else None
 
     def _grid_min_e(self, R: np.ndarray, Q: np.ndarray
                     ) -> tuple[np.ndarray, np.ndarray, list]:
         """min_e of each cell of the flat R and Q arrays, NaN where uncovered,
         the index of the basis that answered it and the bases solved here.
 
-        Each solved basis, in order, answers every unanswered cell where it
-        is primal feasible: an optimum with its cost there, a phase-one
-        proof with "uncovered" while its objective stays positive.  When no
-        solved basis answers a remaining cell, min_e solves the first of
-        them and adds one more.  Only the bases solved in this call are read,
-        so the answers depend on the cells alone.
+        Each iteration solves the first unanswered cell by min_e, and its
+        basis answers every other unanswered cell where it is primal
+        feasible: an optimum with its cost there, a phase-one proof with
+        "uncovered" while its objective stays positive.  So a cell is
+        answered by the first basis solved that covers it.  Only the bases
+        solved in this call are read, so the answers depend on the cells
+        alone.
         """
         b = _rhs(R, Q)
         values = np.full(R.size, np.nan)
         source = np.full(R.size, -1)
         unanswered = np.arange(R.size)
         bases = []
-        k = 0
         while unanswered.size:
-            if k == len(bases):
-                first, unanswered = unanswered[0], unanswered[1:]
-                e = self.min_e(float(R[first]), float(Q[first]))
-                values[first] = np.nan if e is None else e
-                source[first] = k
-                bases.append(self._last)
-                continue
-            basis = bases[k]
+            first, unanswered = unanswered[0], unanswered[1:]
+            e = self.min_e(float(R[first]), float(Q[first]))
+            values[first] = np.nan if e is None else e
+            basis = self._last
             x = basis.inverse @ b[:, unanswered]
             objective = basis.costs @ np.where(x > SIMPLEX_EPS, x, 0.0)
             answered = (x >= -SIMPLEX_EPS).all(axis=0)
@@ -271,9 +264,9 @@ class AchievableHull:
                 values[unanswered[answered]] = objective[answered]
             else:
                 answered &= objective > SIMPLEX_EPS
-            source[unanswered[answered]] = k
+            source[first] = source[unanswered[answered]] = len(bases)
+            bases.append(basis)
             unanswered = unanswered[~answered]
-            k += 1
         return values, source, bases
 
     def _describe(self, basis: _Basis, R: float, Q: float) -> str:

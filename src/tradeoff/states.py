@@ -59,12 +59,14 @@ def _is_number(value) -> bool:
 def _check_reals(*, least: float = 0.0, **values) -> None:
     """Raise ValueError naming the first argument that is not a finite
     number (by `_is_number`) of at least `least`: 0, minus the rounding dust
-    of a value the caller clamps to 0, or -inf for any sign."""
+    of a value the caller clamps to 0, or -inf for any sign.  The message
+    abbreviates an integer, which may have hundreds of digits."""
     for name, value in values.items():
         if not (_is_number(value) and math.isfinite(value)
                 and value >= least):
             rule = "finite" if least == -math.inf else "finite and nonnegative"
-            raise ValueError(f"{name} must be {rule}, got {name}={value}")
+            shown = reprlib.repr(value) if isinstance(value, int) else value
+            raise ValueError(f"{name} must be {rule}, got {name}={shown}")
 
 
 def _check_probabilities(p: np.ndarray) -> None:

@@ -14,6 +14,7 @@ from helpers import (
 from tradeoff import achievability
 from tradeoff.achievability import (
     COVER_TOL,
+    SIMPLEX_EPS,
     AchievableHull,
     RateTriple,
     _Basis,
@@ -48,6 +49,12 @@ def zp_fast_grid(zero_plus):
     # The CLI tests' fast solver settings.
     curves = compute_curves(zero_plus, 10, multistarts=4, seed=0)
     return surface_grid(zero_plus, 16, 16, curves=curves)
+
+
+@pytest.fixture(scope="module")
+def zp_grid(zero_plus, zp_curves):
+    # The zp-cli benchmark workload's settings.
+    return surface_grid(zero_plus, 16, 16, curves=zp_curves)
 
 
 def test_rate_triple_validation():
@@ -278,6 +285,29 @@ def test_grid_answers_match_per_cell_min_e(name, request):
         assert (expected is None) == np.isnan(value), (r, q)
         if expected is not None:
             assert value == pytest.approx(expected, abs=1e-12), (r, q)
+
+
+def _covers(basis: _Basis, b: np.ndarray) -> np.ndarray:
+    """Whether basis answers each column of b: primal feasible there and, for
+    a phase-one proof, with a positive phase-one objective."""
+    x = basis.inverse @ b
+    feasible = (x >= -SIMPLEX_EPS).all(axis=0)
+    if basis.optimum:
+        return feasible
+    return feasible & (basis.costs @ np.where(x > SIMPLEX_EPS, x, 0.0)
+                       > SIMPLEX_EPS)
+
+
+@pytest.mark.parametrize("name", ["bb84_grid", "zp_grid"])
+def test_each_cell_answered_by_first_covering_basis(name, request):
+    # Bases are numbered in the order solved; a violation names the basis
+    # that answered its cell, which must be the first that covers it.
+    grid = request.getfixturevalue(name)
+    R, Q = np.array(_cells(grid)).T
+    _, source, bases = achievable_hull(grid.curves)._grid_min_e(R, Q)
+    covers = np.array([_covers(basis, _rhs(R, Q)) for basis in bases])
+    assert covers.any(axis=0).all()
+    assert np.array_equal(source, covers.argmax(axis=0))
 
 
 def test_uncovered_proof_stops_at_the_cover_boundary():

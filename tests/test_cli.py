@@ -5,6 +5,7 @@ import re
 import shlex
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +75,19 @@ def test_huge_amplitude_exits_1(tmp_path, capsys):
                                 "states": [[[1e308, 0.0], [0.0, 0.0]]]}))
     assert main(["stats", "--ensemble", str(path)]) == 1
     assert "state 0 has an amplitude part" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("probs, states, message", [
+    ([1.0], [[[0.5, 0.0], [0.5, 0.0]]], "state 0 has norm 0.707106781"),
+    ([], [], "at least one state"),
+], ids=["short-norm", "no-states"])
+def test_invalid_ensemble_exits_1(probs, states, message, tmp_path, capsys):
+    # Every amplitude part is at most 1, so the norm itself is checked.
+    path = tmp_path / "invalid.json"
+    path.write_text(json.dumps({"dimA": 1, "dimB": 2, "probs": probs,
+                                "states": states}))
+    assert main(["stats", "--ensemble", str(path)]) == 1
+    assert message in capsys.readouterr().err
 
 
 def test_dim_b_one_end_to_end(tmp_path, capsys):
@@ -308,6 +322,40 @@ def test_workflow_commands_parse():
     assert len(commands) == 11
     for argv in commands:
         build_parser().parse_args(argv[1:])
+
+
+def _workflow_run_blocks() -> list:
+    """The shell of each run: step of the CI workflow, cut out by
+    indentation, since a block scalar holds every following line indented
+    deeper than its key."""
+    lines = WORKFLOW.read_text(encoding="utf-8").splitlines()
+    blocks = []
+    for i, line in enumerate(lines):
+        key = line.lstrip(" -")
+        if not key.startswith("run:"):
+            continue
+        value = key[len("run:"):].strip()
+        if value != "|":
+            blocks.append(value)
+            continue
+        indent = len(line) - len(key)
+        body = itertools.takewhile(
+            lambda text: not text.strip()
+            or len(text) - len(text.lstrip()) > indent, lines[i + 1:])
+        blocks.append(textwrap.dedent("\n".join(body)))
+    return blocks
+
+
+def test_workflow_shell_parses():
+    # bash -n reads each run: block whole, so the heredocs, loops and
+    # `|| status=$?` around the console-script lines are checked too; it
+    # runs nothing.
+    blocks = _workflow_run_blocks()
+    assert len(blocks) == 4
+    for block in blocks:
+        result = subprocess.run(["bash", "-n"], input=block, text=True,
+                                capture_output=True)
+        assert result.returncode == 0, (block, result.stderr)
 
 
 def test_surface_bytes_independent_of_workers(tmp_path):

@@ -201,6 +201,14 @@ def test_critical_rate_rejects_bad_entropy(zp_curves, S):
         critical_rate(zp_curves.qct, S)
 
 
+def test_critical_rate_without_plateau():
+    # No vertex lies on the line R + Q = S, so there is no plateau to end.
+    curve = TradeoffCurve(kind="QCT", samples=((0.0, 0.9), (1.0, 0.0)),
+                          domain=(0.0, 1.0), channels=(None, None))
+    critical = critical_rate(curve, S=2.0)
+    assert critical.Hc == 0.0 and not critical.found
+
+
 def test_critical_rate_matches_oracle_departure(zp_curves, zp_oracle):
     # Cross-check against the brute-force grid: Hc must sit within 5e-2 of
     # the rate where the oracle curve departs the slope -1 line Q = S - R.

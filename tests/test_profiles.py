@@ -64,6 +64,11 @@ def test_profile_fields_are_finite_reals():
     assert dust.SBgC == 0.0
 
 
+def test_profile_obeys_chain_rule():
+    with pytest.raises(ValueError, match="chain rule"):
+        EntropicProfile(SXC=0.5, SBgC=0.5, SXBgC=0.25, SXBC=1.0)
+
+
 def test_identity_channel_profile(zero_plus):
     stats = ensemble_stats(zero_plus)
     prof = entropic_profile(zero_plus, ClassicalChannel.identity(2))

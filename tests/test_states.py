@@ -60,6 +60,8 @@ def test_density_operator_validation():
             DensityOperator(np.array([[bad, 0.0], [0.0, 1.0]]))
         with pytest.raises(ValueError, match="finite"):
             von_neumann_entropy(np.array([[bad, 0.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="square"):
+        DensityOperator(np.ones((2, 3)) / 2)
     rho = DensityOperator(np.eye(3) / 3)
     assert rho.dim == 3
     with pytest.raises(ValueError):
@@ -88,6 +90,8 @@ def test_partial_trace_product_state():
     psi = BipartitePureState(2, 2, np.array([1.0, 0.0, 0.0, 0.0]))
     rho_b = partial_trace(psi, keep="B")
     np.testing.assert_allclose(rho_b.matrix, np.diag([1.0, 0.0]), atol=1e-12)
+    with pytest.raises(ValueError, match="keep must be 'A' or 'B'"):
+        partial_trace(psi, keep="C")
 
 
 def test_partial_trace_maximally_entangled():
@@ -157,6 +161,13 @@ def test_ensemble_stats_single_entangled():
     assert stats.Sbar == pytest.approx(1.0)
     assert stats.chi == pytest.approx(0.0, abs=1e-12)
     assert stats.H == pytest.approx(0.0, abs=1e-12)
+
+
+def test_ensemble_needs_one_probability_per_state():
+    zero = BipartitePureState(1, 2, np.array([1.0, 0.0]))
+    one = BipartitePureState(1, 2, np.array([0.0, 1.0]))
+    with pytest.raises(ValueError, match="one probability per state"):
+        Ensemble(states=(zero, one), probs=np.array([1.0]))
 
 
 def test_holevo_between_zero_and_label_entropy():

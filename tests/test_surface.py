@@ -63,9 +63,11 @@ def test_non_finite_rates_rejected(query, named, zp_curves, zp_hull):
     # A NaN rate must not read as unachievable, nor reach the oracle's LP,
     # and a bool is not a rate.  Unchecked, value(True) and value(inf)
     # would read the curve at R = 1 and on its flat tail; a finite negative
-    # rate reads None (test_value_outside_domain).
-    with pytest.raises(ValueError, match=named):
+    # rate reads None (test_value_outside_domain).  The message stays short
+    # even for an integer of 401 digits.
+    with pytest.raises(ValueError, match=named) as raised:
         query(zp_curves, zp_hull)
+    assert len(str(raised.value)) < 120
 
 
 def test_orthonormal_has_no_high_entanglement_region(ortho_curves):
