@@ -59,6 +59,13 @@ DEFAULT_TOLERANCE = 2e-2
 # Reduced costs, pivot entries and step lengths below this count as zero in
 # the simplex; a phase-one residual above it means nothing covers the cell.
 SIMPLEX_EPS = 1e-12
+# Most pivots of one simplex phase.  The measured solves take at most 9; a
+# solve that reaches the cap raises PivotCapReached instead of looping.
+MAX_PIVOTS = 100
+
+
+class PivotCapReached(ArithmeticError):
+    """A simplex phase made MAX_PIVOTS pivots without reaching an optimum."""
 
 
 @dataclass(frozen=True)
@@ -112,9 +119,11 @@ def _simplex(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: np.ndarray,
     negative reduced cost, or the lowest index (Bland's rule) right after a
     degenerate pivot, so the loop cannot cycle.  The objectives here are
     bounded below on the feasible set, so some basic value always limits an
-    improving step.
+    improving step.  Rounding can still revisit a basis, so the pivots are
+    capped at MAX_PIVOTS, past which PivotCapReached is raised.
     """
     bland = fresh = False
+    pivots = 0
     while True:
         x_B = B_inv @ b
         x_B[x_B <= SIMPLEX_EPS] = 0.0
@@ -130,6 +139,9 @@ def _simplex(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: np.ndarray,
                 return B_inv, x_B
             B_inv, fresh = np.linalg.inv(A[:, basis]), True
             continue
+        if pivots == MAX_PIVOTS:
+            raise PivotCapReached(f"no optimum within {MAX_PIVOTS} pivots")
+        pivots += 1
         j = entering[0] if bland else entering[reduced[entering].argmin()]
         u = B_inv @ A[:, j]
         rows = np.flatnonzero(u > SIMPLEX_EPS)
@@ -186,7 +198,10 @@ class AchievableHull:
         # sum(lam) = 1: the primitive weights, the conversion flows, the R
         # and Q cover slacks, the E surplus, then the phase-one artificial.
         A = np.hstack([arr.T, flows.T, np.diag([1.0, 1.0, -1.0, 1.0])])
-        cost = np.concatenate([arr[:, 2], flows[:, 2], np.zeros(3)])
+        # The E row reads E total - surplus = 0, so on every cover the E
+        # total is the surplus: phase two minimizes that one column.
+        cost = np.zeros(A.shape[1] - 1)
+        cost[-1] = 1.0
         A.flags.writeable = cost.flags.writeable = False
         object.__setattr__(self, "_lp", (A, cost))
         names = (p.provenance or f"point {i}"
@@ -207,9 +222,18 @@ class AchievableHull:
         total is nonnegative.  Phase one starts from the two cover slacks,
         the E surplus and an artificial weight column and drives the
         artificial out; if it cannot, nothing covers the cell and None is
-        returned.  Otherwise phase two minimizes the E total from there.
-        The terminal basis, priced by the costs of its phase, is kept until
-        the next solve, for the grid answers of verify_surface.
+        returned.  Otherwise phase two minimizes the E total from there,
+        priced as the E surplus, which equals it on every cover because the
+        E row reads E total - surplus = 0.  A basis without the surplus then
+        has basic costs of exactly zero and prices out exactly.  Costs of E
+        per column price the same in exact arithmetic, but leave the reduced
+        costs of the optimal face E = 0, all zero, to rounding of
+        cond(B) * eps; nearly collinear vertices (zero-plus has pairs 3e-6
+        apart) make those bases ill-conditioned, and a solve priced so can
+        pivot among them for ever.  A phase that reaches MAX_PIVOTS raises
+        PivotCapReached.  The terminal basis, priced by the costs of its
+        phase, is kept until the next solve, for the grid answers of
+        verify_surface.
         """
         _check_reals(R=R, Q=Q)
         A, cost = self._lp
@@ -243,9 +267,10 @@ class AchievableHull:
         basis answers every other unanswered cell where it is primal
         feasible: an optimum with its cost there, a phase-one proof with
         "uncovered" while its objective stays positive.  So a cell is
-        answered by the first basis solved that covers it.  Only the bases
-        solved in this call are read, so the answers depend on the cells
-        alone.
+        answered by the first basis solved that covers it.  A cell whose
+        solve reaches the pivot cap is left NaN with index -1.  Only the
+        bases solved in this call are read, so the answers depend on the
+        cells alone.
         """
         b = _rhs(R, Q)
         values = np.full(R.size, np.nan)
@@ -254,7 +279,10 @@ class AchievableHull:
         bases = []
         while unanswered.size:
             first, unanswered = unanswered[0], unanswered[1:]
-            e = self.min_e(float(R[first]), float(Q[first]))
+            try:
+                e = self.min_e(float(R[first]), float(Q[first]))
+            except PivotCapReached:
+                continue
             values[first] = np.nan if e is None else e
             basis = self._last
             x = basis.inverse @ b[:, unanswered]
@@ -293,9 +321,11 @@ def verify_surface(grid, hull: AchievableHull, *,
     required in both directions (the cloud must achieve the formula and must
     not beat it).  Forbidden cells must stay uncovered except exactly on the
     causality boundary.  Violations are reported, not raised, each with the
-    basis that answered its cell.  The report depends on the grid, the
-    hull's points and the tolerance alone, not on earlier queries of the
-    hull.  A tolerance that is not a finite, nonnegative number is raised.
+    basis that answered its cell; a cell whose solve reached the simplex's
+    pivot cap is an "unsolved" violation, with no basis.  The report
+    depends on the grid, the hull's points and the tolerance alone, not on
+    earlier queries of the hull.  A tolerance that is not a finite,
+    nonnegative number is raised.
     """
     _check_reals(tolerance=tolerance)
     chi = grid.curves.stats.chi
@@ -321,23 +351,25 @@ def verify_surface(grid, hull: AchievableHull, *,
 
     # Covering a strictly forbidden cell violates causality.
     kinds = np.select(
-        [forbidden & covered & (chi - (R + 2.0 * Q) > 1e-6),
+        [source < 0, forbidden & covered & (chi - (R + 2.0 * Q) > 1e-6),
          ~forbidden & ~covered, scored & (gap < -tolerance),
          scored & (gap > tolerance)],
-        ["forbidden_covered", "uncovered", "optimality", "achievability"],
+        ["unsolved", "forbidden_covered", "uncovered", "optimality",
+         "achievability"],
         default="")
-    detail = {"forbidden_covered": ("min_e", oracle),
+    detail = {"unsolved": ("pivots", np.full(R.size, MAX_PIVOTS)),
+              "forbidden_covered": ("min_e", oracle),
               "uncovered": ("formula", E),
               "optimality": ("gap", gap), "achievability": ("gap", gap)}
     violations = []
     for i in np.flatnonzero(kinds != ""):
         kind = str(kinds[i])
         key, values = detail[kind]
+        basis = (hull._describe(bases[source[i]], R[i], Q[i])
+                 if source[i] >= 0 else None)
         violations.append({"R": float(R[i]), "Q": float(Q[i]),
                            "region": labels[i].value, "kind": kind,
-                           key: float(values[i]),
-                           "basis": hull._describe(bases[source[i]], R[i],
-                                                   Q[i])})
+                           key: values[i].item(), "basis": basis})
     return {
         "tolerance": tolerance,
         "cloud_points": hull.size,

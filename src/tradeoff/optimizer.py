@@ -41,7 +41,11 @@ segment from (0, S) to (H, Sbar), whose chord is the same line on both
 curves.  Requests are numbered across the solve, request j draws its random
 starts from the seed key (seed, 0, j), and the solve stops when every gap
 is within the target or `resolution` requests are spent; only then does a
-segment still above the target add a diagnostic note.
+segment still above the target add a diagnostic note.  A random start is
+the row softmax of N(0, 2^2) logits from Python's `random` stream seeded by
+the key's text, whose sequence Python keeps for a given seed, so the
+starts do not depend on the numpy version or the hash seed, and no run
+imports numpy.random.
 
 Two of each request's starts continue from the channels at the ends of its
 segment, mixed 0.98/0.02 with the uniform channel so that every output stays
@@ -132,6 +136,7 @@ and any other dimB's comes from eigenvalues.
 """
 
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -338,9 +343,35 @@ def _fixed_point(reduced_b: np.ndarray, probs: np.ndarray, ratio,
     return result, converged
 
 
+def _stream(seed_key) -> random.Random:
+    """Python's Mersenne Twister seeded by the text of the key's integers,
+    which Python turns into a seed without hash(), so no hash seed moves it."""
+    return random.Random(",".join(str(int(part)) for part in seed_key))
+
+
+def _uniforms(rng: random.Random, count: int) -> np.ndarray:
+    """The next count values of rng.random(), bit for bit, from one draw of
+    32-bit words: random() joins the top 27 bits of one word and the top 26
+    of the next into ((a >> 5) * 2^26 + (b >> 6)) / 2^53."""
+    words = np.frombuffer(rng.randbytes(8 * count), dtype="<u4")
+    a, b = words.astype(np.uint64).reshape(count, 2).T
+    return ((a >> 5 << 26) | (b >> 6)) * 2.0 ** -53
+
+
 def _start_points(m: int, k: int, count: int, seed_key) -> np.ndarray:
-    rng = np.random.default_rng(np.random.SeedSequence(seed_key))
-    points = rng.normal(0.0, 2.0, size=(count, m, k))
+    """count random channels of shape (m, k): the base-2 softmax of each row
+    of N(0, 2^2) logits from the key's stream.  The logits are those of
+    successive random.gauss(0, 2) calls, formed at once: each pair of
+    uniforms (u, v) gives the Box-Muller pair
+    2 sqrt(-2 ln(1 - v)) (cos 2 pi u, sin 2 pi u), and 1 - v in (0, 1]
+    takes no log(0)."""
+    size = count * m * k
+    pairs = _uniforms(_stream(seed_key), size + size % 2).reshape(-1, 2)
+    angle = pairs[:, 0] * (2.0 * math.pi)
+    radius = 2.0 * np.sqrt(-2.0 * np.log(1.0 - pairs[:, 1]))
+    points = np.stack([np.cos(angle), np.sin(angle)], axis=1)
+    points *= radius[:, None]
+    points = points.reshape(-1)[:size].reshape(count, m, k)
     _softmax_rows(points)
     return points
 

@@ -5,6 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from tradeoff.achievability import RateTriple
+from tradeoff.optimizer import _softmax_rows
 from tradeoff.profiles import ClassicalChannel, EntropicProfile
 from tradeoff.states import (
     EIGENVALUE_CLAMP,
@@ -30,6 +31,16 @@ def random_ensemble(rng: np.random.Generator, m: int, dimA: int,
 
 def random_channel(rng: np.random.Generator, m: int, k: int) -> ClassicalChannel:
     return ClassicalChannel(rng.dirichlet(np.ones(k), size=m))
+
+
+def seeded_channels(m: int, k: int, count: int, seed_key) -> np.ndarray:
+    """count channels of shape (m, k), the row softmax of N(0, 2^2) logits
+    drawn by numpy from the seed key: fixed inputs for the kernel and solver
+    checks, which do not test the solve's own start generator."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed_key))
+    points = rng.normal(0.0, 2.0, size=(count, m, k))
+    _softmax_rows(points)
+    return points
 
 
 def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:

@@ -218,6 +218,64 @@ def test_min_e_is_exact_convex_closure(seed):
                 assert got == pytest.approx(expected, abs=1e-9), (arr, R, Q)
 
 
+# The coherent points of zero-plus at resolution 40, 16 starts and solver
+# seed 6, when starts were drawn by numpy.  Points 1 and 2 lie 3.3e-6 apart
+# in R, and 4e-9 under the chords of their neighbours.
+NEAR_TWIN_POINTS = (
+    (0.0, 0.3004380183464281, 0.3004380183464281),
+    (0.16042722339262028, 0.25062839770016165, 0.25062839770016165),
+    (0.16043053432488863, 0.25062737366213483, 0.25062737366213483),
+    (0.3124514139512444, 0.20379993153947407, 0.20379993153947407),
+    (0.42260594205586033, 0.1702039937881749, 0.1702039937881749),
+    (0.5894679670648961, 0.11964650557680453, 0.11964650557680453),
+    (0.715252228050149, 0.08209770791083121, 0.08209770791083121),
+    (0.8286085109185994, 0.048762124205286, 0.048762124205286),
+    (0.9281449225913196, 0.02006418627936884, 0.02006418627936884),
+    (1.0, 0.0, 0.0),
+)
+
+
+def test_near_twin_vertices_solve_exactly():
+    # Pricing the E total per column, phase two reached the optimal face
+    # E = 0 through bases holding points 1, 2 and 3 (condition number 5e8),
+    # whose reduced costs, exactly zero there, rounded to +-1e-9; it then
+    # pivoted among four of them for more than 120 s on the first query, an
+    # RSP curve point of that solve.  Pricing the E surplus, it stops at
+    # the optimum of each query, to the basis enumeration's value.
+    arr = np.array(NEAR_TWIN_POINTS)
+    hull = AchievableHull(points=tuple(RateTriple(*p) for p in arr))
+    queries = [(0.2516325146557455, 0.4450683146985394)]
+    queries += [(R, 2.0 * q) for R, q, _ in NEAR_TWIN_POINTS]
+    queries += [(R, 0.0) for R, _, _ in NEAR_TWIN_POINTS]
+    for R, Q in queries:
+        expected = _min_e_over_all_bases(arr, R, Q)
+        got = hull.min_e(R, Q)
+        assert (got is None) == (expected is None), (R, Q)
+        if got is not None:
+            assert got == pytest.approx(expected, abs=1e-12), (R, Q)
+
+
+def test_pivot_cap_is_an_unsolved_violation(ortho, ortho_curves, tmp_path,
+                                            monkeypatch):
+    # A phase that reaches MAX_PIVOTS, the README's count, raises instead of
+    # looping; verify reports each cell whose solve did so, with no basis,
+    # and goes on.
+    claim = re.search(r"a phase that reaches (\d+) pivots stops, and its "
+                      r"cell is reported as an `unsolved` violation",
+                      _readme_text())
+    assert int(claim.group(1)) == achievability.MAX_PIVOTS
+    grid = surface_grid(ortho, 4, 4, curves=ortho_curves)
+    monkeypatch.setattr(achievability, "MAX_PIVOTS", 1)
+    hull = achievable_hull(ortho_curves)
+    with pytest.raises(achievability.PivotCapReached, match="1 pivots"):
+        hull.min_e(1.0, 0.5)
+    report = verify_surface(grid, hull)
+    unsolved = [v for v in report["violations"] if v["kind"] == "unsolved"]
+    assert unsolved and all(v["pivots"] == 1 and v["basis"] is None
+                            for v in unsolved)
+    write_verification_report(report, tmp_path / "report.json")
+
+
 @pytest.mark.parametrize("name", ["zp", "ortho"])
 def test_vertex_primitives_match_sampled_closure(name, request):
     # Every sampled curve point is a time-share of two vertices, so the

@@ -378,6 +378,21 @@ def test_cli_import_loads_no_scipy():
     assert result.stdout.strip() == "[]"
 
 
+def test_verify_run_loads_no_numpy_random(tmp_path):
+    # The random starts come from Python's random stream, so a run that
+    # solves, builds the oracle and writes its report never imports
+    # numpy.random, which loads ten extension modules.
+    out = tmp_path / "report.json"
+    args = ["verify", "--builtin", "bb84", "--out", str(out)] + FAST
+    code = ("import sys; from tradeoff import cli; "
+            f"assert cli.main({args!r}) == 0; "
+            "assert 'numpy.random' not in sys.modules")
+    result = subprocess.run([sys.executable, "-c", code],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert out.exists()
+
+
 def test_cli_import_loads_no_process_pool():
     # The optimizer serves ProcessPoolExecutor only on demand, so no run
     # imports the pool machinery.

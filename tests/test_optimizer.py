@@ -1,5 +1,8 @@
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -7,7 +10,7 @@ import numpy as np
 import pytest
 
 from helpers import (blahut_arimoto_map, blahut_arimoto_step,
-                     fixed_point_one_start, random_ensemble)
+                     fixed_point_one_start, random_ensemble, seeded_channels)
 from tradeoff import optimizer
 from tradeoff.achievability import primitive_points
 from tradeoff.ensembles import builtin_ensemble
@@ -71,7 +74,8 @@ def test_minimize_profile_validation(zero_plus):
 
 
 def test_negative_seed_names_seed(zero_plus):
-    # numpy's own message for a negative seed does not say which input.
+    # The start stream would take a negative seed's text without complaint,
+    # so only this check rejects it, by name.
     with pytest.raises(ValueError, match="seed"):
         minimize_profile(zero_plus, 1.0, multistarts=2, seed=-1)
     with pytest.raises(ValueError, match="seed"):
@@ -369,7 +373,7 @@ def test_fixed_point_rows_independent(name, ratio, monkeypatch):
     ensemble = (random_ensemble(np.random.default_rng(7), 3, 1, 3)
                 if name == "qutrit-3" else builtin_ensemble(name))
     b, p = ensemble.reduced_b, ensemble.probs
-    starts = _start_points(ensemble.m, ensemble.m + 1, 6, [0, 0, 0])
+    starts = seeded_channels(ensemble.m, ensemble.m + 1, 6, [0, 0, 0])
     starts[2] = ClassicalChannel.constant(ensemble.m).matrix
     mixed = np.resize([ratio, 2.0 * ratio, ratio / 3.0], len(starts))
     amplified = set()
@@ -433,8 +437,8 @@ def test_extrapolation_keeps_to_the_interior():
     ensemble = builtin_ensemble("zero-plus")
     b, p = ensemble.reduced_b, ensemble.probs
     ratio = np.repeat([2.0, 5.0], 8)
-    x0 = np.concatenate([_start_points(ensemble.m, ensemble.m + 1, 8,
-                                       [0, 0, 0])] * 2)
+    x0 = np.concatenate([seeded_channels(ensemble.m, ensemble.m + 1, 8,
+                                         [0, 0, 0])] * 2)
     x1, _ = _fixed_point(b, p, ratio, x0, 1)
     x2, _ = _fixed_point(b, p, ratio, x1, 1)
     point = optimizer._extrapolate(x0, x1.copy(), x2)
@@ -480,11 +484,11 @@ def test_fixed_point_peak_memory():
     # difference leaves out allocations of fixed size, such as numpy's
     # broadcasting buffer (about 0.5 of this stack, whatever the rows).
     ensemble = builtin_ensemble("uniform-qubit-24")
-    starts = _start_points(24, 25, 28, [0, 0, 0])
+    starts = seeded_channels(24, 25, 28, [0, 0, 0])
     single = _fixed_point_peak(ensemble, starts)
     double = _fixed_point_peak(ensemble, np.concatenate([starts, starts]))
     assert double - single < 8 * starts.nbytes
-    assert np.array_equal(starts, _start_points(24, 25, 28, [0, 0, 0]))
+    assert np.array_equal(starts, seeded_channels(24, 25, 28, [0, 0, 0]))
 
 
 def test_fixed_point_converges_at_critical_slope(zero_plus):
@@ -492,8 +496,8 @@ def test_fixed_point_converges_at_critical_slope(zero_plus):
     # converged within 500 map evaluations before extrapolation.  Now all
     # do, to the objective that 8000 plain updates reach.
     mu, multistarts = 0.62, 16
-    channels = _start_points(zero_plus.m, zero_plus.m + 1, multistarts,
-                             [0, 0, 0])
+    channels = seeded_channels(zero_plus.m, zero_plus.m + 1, multistarts,
+                               [0, 0, 0])
     SXC, SBgC, _, converged = _sweep(zero_plus, [mu], [channels], 500)
     assert converged.all()
     best = (SBgC + mu * SXC).min()
@@ -534,7 +538,7 @@ def test_free_value_brackets_objective(name):
                 if name == "qutrit-3" else builtin_ensemble(name))
     b, p = ensemble.reduced_b, ensemble.probs
     for mu in (0.05, 0.3, 0.62, 0.9):
-        channels = _start_points(ensemble.m, ensemble.m + 1, 4, [0, 0, 0])
+        channels = seeded_channels(ensemble.m, ensemble.m + 1, 4, [0, 0, 0])
         SXC, SBgC = stack_entropies(ensemble, channels)
         objective = SBgC + mu * SXC
         for _ in range(30):
@@ -718,8 +722,9 @@ def _check_sweep_stacks(monkeypatch, extra, cap_rows, mixing, holding):
     mus = np.geomspace(0.05, 20.0, 7).tolist()
     multistarts, first_index, max_iter = 3, 11, 80
     m, k = ensemble.m, ensemble.m + 1
-    starts = [_start_points(m, k, multistarts + extra * (i == 4),
-                            [0, 0, first_index + i]) for i in range(len(mus))]
+    starts = [seeded_channels(m, k, multistarts + extra * (i == 4),
+                              [0, 0, first_index + i])
+              for i in range(len(mus))]
     singles = [_sweep(ensemble, [mu], [start], max_iter)
                for mu, start in zip(mus, starts)]
     cap = cap_rows * multistarts * m * k + 1
@@ -816,6 +821,41 @@ def test_request_seed_keys(zero_plus, monkeypatch):
     requests = sum(len(mus) for mus, _ in calls)
     assert requests > 1
     assert keys == [[5, 0, j] for j in range(requests)]
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 80 + 7])
+def test_start_uniforms_are_random_calls(seed):
+    # The starts' uniforms are what successive random() calls of the key's
+    # stream return, bit for bit, and their logits are those of
+    # random.gauss(0, 2) calls, to the last bits of cos, sin and log; an odd
+    # count of entries takes the first of a Box-Muller pair, as gauss does.
+    key = [seed, 0, 3]
+    stream = optimizer._stream(key)
+    expected = [stream.random() for _ in range(1001)]
+    uniforms = optimizer._uniforms(optimizer._stream(key), 1001)
+    assert uniforms.tolist() == expected
+    for m, k, count in ((3, 4, 5), (3, 3, 1)):
+        stream = optimizer._stream(key)
+        logits = np.array([stream.gauss(0.0, 2.0)
+                           for _ in range(m * k * count)])
+        logits = logits.reshape(count, m, k)
+        _softmax_rows(logits)
+        np.testing.assert_allclose(_start_points(m, k, count, key), logits,
+                                   rtol=1e-13, atol=0)
+
+
+def test_starts_ignore_the_hash_seed():
+    # The stream is seeded by the key's text, which Python turns into a
+    # seed without hash(), so processes with other hash seeds draw the
+    # same starts.
+    code = ("from tradeoff.optimizer import _start_points; "
+            "print(_start_points(3, 4, 5, [7, 0, 2]).tobytes().hex())")
+    drawn = {subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, check=True,
+                            env={**os.environ, "PYTHONHASHSEED": hash_seed}
+                            ).stdout.strip()
+             for hash_seed in ("0", "4242")}
+    assert drawn == {_start_points(3, 4, 5, [7, 0, 2]).tobytes().hex()}
 
 
 def test_beaten_solve_is_re_solved(zero_plus, monkeypatch):
@@ -931,7 +971,7 @@ def test_qubit_kernel_matches_dense(case, monkeypatch):
     ensemble = (random_ensemble(np.random.default_rng(3), 4, 2, 2)
                 if name is None else builtin_ensemble(name))
     if start == "random":
-        starts = _start_points(ensemble.m, ensemble.m + 1, 4, [0, 0, 0])
+        starts = seeded_channels(ensemble.m, ensemble.m + 1, 4, [0, 0, 0])
     elif start == "identity":
         starts = ClassicalChannel.identity(ensemble.m).matrix[None]
     else:
@@ -975,7 +1015,7 @@ def test_gell_mann_kernel(d):
                                           [[1, 0], [0, -1]]])
     ensemble = random_ensemble(np.random.default_rng(d), 5, 2, d)
     b, p = ensemble.reduced_b, ensemble.probs
-    starts = _start_points(ensemble.m, ensemble.m + 1, 4, [0, 0, 0])
+    starts = seeded_channels(ensemble.m, ensemble.m + 1, 4, [0, 0, 0])
     starts[1] = ClassicalChannel.identity(ensemble.m).matrix
     starts[2] = ClassicalChannel.constant(ensemble.m).matrix
     ratios = np.array([0.5, 1.0 / 0.62, 2.0, 5.0])
@@ -1026,7 +1066,9 @@ def test_readme_certificate_sentence(monkeypatch):
 
 def test_readme_cap_sentence(monkeypatch):
     # The README counts the starts that hit the iteration cap at the CLI
-    # defaults; each named run must run that many starts and cap none.
+    # defaults; each named run must run that many starts and cap none.  It
+    # names the one beaten multiplier, which makes uniform-qubit-24 exit 2,
+    # and zero-plus must report nothing.
     text = " ".join(README.read_text(encoding="utf-8").split())
     claim = re.search(r"At the CLI defaults \(resolution 40, 32 starts, seed "
                       r"0\) no start hits it on ([^.]*), so", text)
@@ -1034,9 +1076,21 @@ def test_readme_cap_sentence(monkeypatch):
     runs = re.findall(r"([\w-]+) \(0/(\d+)\)", claim.group(1))
     assert sorted(name for name, _ in runs) == ["uniform-qubit-24",
                                                  "zero-plus"]
+    beaten = re.search(r"The uniform-qubit-24 `surface` exits 2: the starts "
+                       r"of one multiplier, mu = (\S+), lose to another "
+                       r"solved point by (\S+),", text)
+    notes = {"zero-plus": (),
+             "uniform-qubit-24": (f"1 multipliers lost to another point's "
+                                  f"channel, by up to "
+                                  f"{float(beaten.group(2)):.2g}, and were "
+                                  f"re-solved once from it where the budget "
+                                  f"allowed: mu = {beaten.group(1)}",)}
     for name, starts in runs:
         with monkeypatch.context() as patch:
             flags = _record_flags(patch)
-            compute_curves(builtin_ensemble(name), optimizer.DEFAULT_RESOLUTION,
-                           multistarts=optimizer.DEFAULT_MULTISTARTS, seed=0)
+            curves = compute_curves(builtin_ensemble(name),
+                                    optimizer.DEFAULT_RESOLUTION,
+                                    multistarts=optimizer.DEFAULT_MULTISTARTS,
+                                    seed=0)
         assert len(flags) == int(starts) and all(flags)
+        assert curves.diagnostics == notes[name]
