@@ -64,8 +64,9 @@ SIMPLEX_EPS = 1e-12
 MAX_PIVOTS = 100
 
 
-class PivotCapReached(ArithmeticError):
-    """A simplex phase made MAX_PIVOTS pivots without reaching an optimum."""
+class PivotCapReached(ValueError):
+    """A simplex phase made MAX_PIVOTS pivots without reaching an optimum;
+    the CLI reports it as an error, with exit code 1."""
 
 
 @dataclass(frozen=True)
@@ -267,10 +268,9 @@ class AchievableHull:
         basis answers every other unanswered cell where it is primal
         feasible: an optimum with its cost there, a phase-one proof with
         "uncovered" while its objective stays positive.  So a cell is
-        answered by the first basis solved that covers it.  A cell whose
-        solve reaches the pivot cap is left NaN with index -1.  Only the
-        bases solved in this call are read, so the answers depend on the
-        cells alone.
+        answered by the first basis solved that covers it.  Only the bases
+        solved in this call are read, so the answers depend on the cells
+        alone.
         """
         b = _rhs(R, Q)
         values = np.full(R.size, np.nan)
@@ -279,10 +279,7 @@ class AchievableHull:
         bases = []
         while unanswered.size:
             first, unanswered = unanswered[0], unanswered[1:]
-            try:
-                e = self.min_e(float(R[first]), float(Q[first]))
-            except PivotCapReached:
-                continue
+            e = self.min_e(float(R[first]), float(Q[first]))
             values[first] = np.nan if e is None else e
             basis = self._last
             x = basis.inverse @ b[:, unanswered]
@@ -321,11 +318,9 @@ def verify_surface(grid, hull: AchievableHull, *,
     required in both directions (the cloud must achieve the formula and must
     not beat it).  Forbidden cells must stay uncovered except exactly on the
     causality boundary.  Violations are reported, not raised, each with the
-    basis that answered its cell; a cell whose solve reached the simplex's
-    pivot cap is an "unsolved" violation, with no basis.  The report
-    depends on the grid, the hull's points and the tolerance alone, not on
-    earlier queries of the hull.  A tolerance that is not a finite,
-    nonnegative number is raised.
+    basis that answered its cell.  The report depends on the grid, the
+    hull's points and the tolerance alone, not on earlier queries of the
+    hull.  A tolerance that is not a finite, nonnegative number is raised.
     """
     _check_reals(tolerance=tolerance)
     chi = grid.curves.stats.chi
@@ -351,25 +346,23 @@ def verify_surface(grid, hull: AchievableHull, *,
 
     # Covering a strictly forbidden cell violates causality.
     kinds = np.select(
-        [source < 0, forbidden & covered & (chi - (R + 2.0 * Q) > 1e-6),
+        [forbidden & covered & (chi - (R + 2.0 * Q) > 1e-6),
          ~forbidden & ~covered, scored & (gap < -tolerance),
          scored & (gap > tolerance)],
-        ["unsolved", "forbidden_covered", "uncovered", "optimality",
-         "achievability"],
+        ["forbidden_covered", "uncovered", "optimality", "achievability"],
         default="")
-    detail = {"unsolved": ("pivots", np.full(R.size, MAX_PIVOTS)),
-              "forbidden_covered": ("min_e", oracle),
+    detail = {"forbidden_covered": ("min_e", oracle),
               "uncovered": ("formula", E),
               "optimality": ("gap", gap), "achievability": ("gap", gap)}
     violations = []
     for i in np.flatnonzero(kinds != ""):
         kind = str(kinds[i])
         key, values = detail[kind]
-        basis = (hull._describe(bases[source[i]], R[i], Q[i])
-                 if source[i] >= 0 else None)
         violations.append({"R": float(R[i]), "Q": float(Q[i]),
                            "region": labels[i].value, "kind": kind,
-                           key: values[i].item(), "basis": basis})
+                           key: float(values[i]),
+                           "basis": hull._describe(bases[source[i]], R[i],
+                                                   Q[i])})
     return {
         "tolerance": tolerance,
         "cloud_points": hull.size,

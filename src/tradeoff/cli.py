@@ -16,8 +16,9 @@ compute_curves call and reads all it writes from that CurveSet: qct and
 rsp write one of its two curves, and the surface and the oracle are built
 from it.  Its diagnostic notes are printed once, whatever the command.
 
-Exit codes: 0 success; 1 bad input; 2 optimizer diagnostics raised;
-3 verification gaps above tolerance.
+Exit codes: 0 success; 1 bad input, or an oracle solve that reached the
+simplex's pivot cap; 2 optimizer diagnostics raised; 3 verification gaps
+above tolerance.
 """
 
 import argparse

@@ -43,9 +43,11 @@ starts from the seed key (seed, 0, j), and the solve stops when every gap
 is within the target or `resolution` requests are spent; only then does a
 segment still above the target add a diagnostic note.  A random start is
 the row softmax of N(0, 2^2) logits from Python's `random` stream seeded by
-the key's text, whose sequence Python keeps for a given seed, so the
-starts do not depend on the numpy version or the hash seed, and no run
-imports numpy.random.
+the key's text, so no run imports numpy.random and no hash seed moves the
+starts.  Their uniforms are the random() sequence bit for bit, which Python
+keeps for a given seed; their normals are those of random.gauss to the last
+bits of numpy's log, cos and sin, which numpy does not promise to keep
+across versions or CPUs.
 
 Two of each request's starts continue from the channels at the ends of its
 segment, mixed 0.98/0.02 with the uniform channel so that every output stays

@@ -24,6 +24,7 @@ from tradeoff.achievability import (
     primitive_points,
     verify_surface,
 )
+from tradeoff.cli import main
 from tradeoff.ensembles import builtin_ensemble
 from tradeoff.export import write_verification_report
 from tradeoff.optimizer import compute_curves
@@ -255,25 +256,24 @@ def test_near_twin_vertices_solve_exactly():
             assert got == pytest.approx(expected, abs=1e-12), (R, Q)
 
 
-def test_pivot_cap_is_an_unsolved_violation(ortho, ortho_curves, tmp_path,
-                                            monkeypatch):
+def test_pivot_cap_stops_the_solve(ortho_curves, tmp_path, capsys,
+                                   monkeypatch):
     # A phase that reaches MAX_PIVOTS, the README's count, raises instead of
-    # looping; verify reports each cell whose solve did so, with no basis,
-    # and goes on.
-    claim = re.search(r"a phase that reaches (\d+) pivots stops, and its "
-                      r"cell is reported as an `unsolved` violation",
-                      _readme_text())
+    # looping, and a verify run whose solve does so stops with exit code 1.
+    claim = re.search(r"A phase that reaches (\d+) pivots raises "
+                      r"`PivotCapReached`, a `ValueError`, so the command "
+                      r"stops with exit code 1\.", _readme_text())
     assert int(claim.group(1)) == achievability.MAX_PIVOTS
-    grid = surface_grid(ortho, 4, 4, curves=ortho_curves)
     monkeypatch.setattr(achievability, "MAX_PIVOTS", 1)
-    hull = achievable_hull(ortho_curves)
     with pytest.raises(achievability.PivotCapReached, match="1 pivots"):
-        hull.min_e(1.0, 0.5)
-    report = verify_surface(grid, hull)
-    unsolved = [v for v in report["violations"] if v["kind"] == "unsolved"]
-    assert unsolved and all(v["pivots"] == 1 and v["basis"] is None
-                            for v in unsolved)
-    write_verification_report(report, tmp_path / "report.json")
+        achievable_hull(ortho_curves).min_e(1.0, 0.5)
+    out = tmp_path / "report.json"
+    code = main(["verify", "--builtin", "orthonormal-pair", "--grid", "4x4",
+                 "--resolution", "10", "--multistarts", "4", "--out",
+                 str(out)])
+    assert code == 1
+    assert "error: no optimum within 1 pivots" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("name", ["zp", "ortho"])
