@@ -103,18 +103,21 @@ norm along a nearly flat orbit, as on a near-symmetric ensemble.  MAX_ITER
 caps the map evaluations of every start, three per cycle, and only a start
 that meets neither rule within it is capped.
 
-The starts of one pass are iterated together as a few arrays, each row at
-its own weight, with its own step length and halvings and lowest L, and each
-frozen once it converges.  Rows never interact, so the pass's starts are cut
-into consecutive arrays of at most STACK_ELEMENTS channel entries, and at
-least one row, whatever weight each row belongs to: small stacks cost numpy
-call overhead per iteration, so batching them saves time, while past the cap
-the cost is array work and a larger stack only adds memory.  A cycle holds
-as few stack-sized arrays as its values allow: x1 is dead once the jump is
-formed, so its buffer takes r; every row tries its full step on the whole
-stack, and only the rows that leave the interior are gathered to halve it;
-and a jump point is dead once mapped, so its buffer takes the change of that
-evaluation.  x0 may be the caller's starts and is never written.
+The starts of one pass are one array.  Rows never interact, so it is cut
+into consecutive stacks of at most STACK_ELEMENTS channel entries, and at
+least one row, whatever weight each row belongs to.  The rows of a stack
+are iterated together, each at its own weight, with its own step length
+and halvings and lowest L, and each frozen once it converges; the stack is
+then copied back into the array and scored before the next is solved, so a
+pass holds its one array and one stack's buffers.  Small stacks cost numpy
+call overhead per iteration, so batching them saves time, while past the
+cap the cost is array work and a larger stack only adds memory.  A cycle
+holds as few stack-sized arrays as its values allow: x1 is dead once the
+jump is formed, so its buffer takes r; every row tries its full step on the
+whole stack, and only the rows that leave the interior are gathered to
+halve it; and a jump point is dead once mapped, so its buffer takes the
+change of that evaluation.  x0 may be the caller's starts and is never
+written.
 
 The distortion is read through generalized Bloch vectors (Bertlmann &
 Krammer 2008): with the d^2 - 1 Gell-Mann matrices G_a of dimB = d
@@ -131,8 +134,8 @@ alpha_j = (f+ + f-)/2 and gamma_j = (f+ - f-)/(2n).  Any other dimB
 eigendecomposes the posteriors rebuilt from the basis and projects log2 rho_j
 back onto it.  Both floor eigenvalues at states.EIGENVALUE_CLAMP, the dust
 rule of every entropy here, so a pure posterior scores the same in both.
-One call of profiles.stack_entropies then scores every row of the pass,
-from the same rows [r_i, 1]: a qubit posterior's entropy is that of the
+One call of profiles.stack_entropies then scores each solved stack, from
+the same rows [r_i, 1]: a qubit posterior's entropy is that of the
 spectrum ((1 - n)/2, (1 + n)/2), the one the closed log step takes logs of,
 and any other dimB's comes from eigenvalues.
 """
@@ -165,8 +168,9 @@ LINE_TOL = 1e-9
 # Fraction of starts allowed to hit the cap of MAX_ITER map evaluations before
 # a sweep is reported as diagnostically suspect.
 NONCONVERGED_DIAGNOSTIC = 0.5
-# Most channel entries (starts * m * k) in one lockstep solve, unless it is
-# of one start (see the module docstring).
+# Most channel entries (starts * m * k) in one lockstep stack, unless it is
+# of one start; a pass is solved and scored in place stack by stack, so this
+# bounds its buffers (see the module docstring).
 STACK_ELEMENTS = 1 << 16
 # critical_rate's window on the excess R + Q*(R) - S.
 CRITICAL_TOL = 5e-3
@@ -378,25 +382,28 @@ def _start_points(m: int, k: int, count: int, seed_key) -> np.ndarray:
     return points
 
 
-def _sweep(ensemble: Ensemble, mus, starts, max_iter: int) -> tuple:
-    """Minimize S(B|C) + mu * S(X:C) from the starts of every mu, in stacks.
+def _sweep(ensemble: Ensemble, mus: np.ndarray, points: np.ndarray,
+           max_iter: int) -> tuple:
+    """Minimize S(B|C) + mu * S(X:C) from the starts of a pass, in place.
 
-    starts[i] is the (count, m, k) array of the starts of mus[i].  All
-    starts are cut into consecutive stacks of at most STACK_ELEMENTS channel
-    entries, or one start, whatever their mu, and one stack_entropies call
-    scores them.  Returns four arrays with one row per start, in the order
-    of starts: S(X:C), S(B|C), the channel matrices and the converged flags.
+    points is the (rows, m, k) array of the pass's starts and mus holds one
+    multiplier per row.  The rows are cut into consecutive stacks of at most
+    STACK_ELEMENTS channel entries, or one start, whatever their mu; each
+    stack is solved, copied back into points and scored by stack_entropies
+    before the next is solved, so the pass holds no second array of its
+    size.  Returns three arrays with one entry per row of points, which
+    then holds the solved channels: S(X:C), S(B|C) and the converged flags.
     """
-    points = np.concatenate(starts)
-    ratios = np.repeat(1.0 / np.asarray(mus, dtype=float),
-                       [len(s) for s in starts])
+    SXC, SBgC = np.empty(len(points)), np.empty(len(points))
+    converged = np.empty(len(points), dtype=bool)
     rows = max(STACK_ELEMENTS // points[0].size, 1)
-    solved = [_fixed_point(ensemble.reduced_b, ensemble.probs,
-                           ratios[lo:lo + rows], points[lo:lo + rows],
-                           max_iter)
-              for lo in range(0, len(points), rows)]
-    channels, converged = (np.concatenate(parts) for parts in zip(*solved))
-    return (*stack_entropies(ensemble, channels), channels, converged)
+    for lo in range(0, len(points), rows):
+        stack = slice(lo, lo + rows)
+        points[stack], converged[stack] = _fixed_point(
+            ensemble.reduced_b, ensemble.probs, 1.0 / mus[stack],
+            points[stack], max_iter)
+        SXC[stack], SBgC[stack] = stack_entropies(ensemble, points[stack])
+    return SXC, SBgC, converged
 
 
 def minimize_profile(ensemble: Ensemble, mu: float, kind: str = "XC", *,
@@ -420,8 +427,9 @@ def minimize_profile(ensemble: Ensemble, mu: float, kind: str = "XC", *,
     weight = float(mu) if kind == "XC" else mu / (1.0 + mu)
     starts = _start_points(ensemble.m, ensemble.m + 1, multistarts,
                            [seed, 0, 0])
-    SXC, SBgC, channels, _ = _sweep(ensemble, [weight], [starts], MAX_ITER)
-    channel = ClassicalChannel(channels[np.argmin(SBgC + weight * SXC)])
+    SXC, SBgC, _ = _sweep(ensemble, np.full(multistarts, weight), starts,
+                          MAX_ITER)
+    channel = ClassicalChannel(starts[np.argmin(SBgC + weight * SXC)])
     return channel, entropic_profile(ensemble, channel)
 
 
@@ -600,6 +608,7 @@ def compute_curves(ensemble: Ensemble, resolution: int = DEFAULT_RESOLUTION, *,
                     seed=(seed, 0))
     stats = ensemble_stats(ensemble)
     m, k = ensemble.m, ensemble.m + 1
+    draws = max(multistarts - 2, 0)  # random starts per request
 
     # The points as parallel arrays of S(X:C), S(B|C) and channel, starting
     # from the exact analytic endpoints: the constant channel reveals
@@ -630,14 +639,19 @@ def compute_curves(ensemble: Ensemble, resolution: int = DEFAULT_RESOLUTION, *,
         batch = (retries + fresh)[:resolution - requests]
         if not batch:
             break
-        starts = [np.concatenate([
-            0.98 * channels[ends] + 0.02 / k,
-            _start_points(m, k, max(multistarts - 2, 0),
-                          [seed, 0, requests + j])])
-            for j, (_, ends) in enumerate(batch)]
+        # One array of the pass's starts, request by request, which _sweep
+        # solves in place: rebinding it frees the last pass's array before
+        # this one is solved.
+        starts = np.concatenate([
+            start for j, (_, ends) in enumerate(batch)
+            for start in (0.98 * channels[ends] + 0.02 / k,
+                          _start_points(m, k, draws, [seed, 0, requests + j]))
+        ])
         batch_mus = np.array([mu for mu, _ in batch])
-        SXC, SBgC, solved, converged = _sweep(ensemble, batch_mus, starts,
-                                              MAX_ITER)
+        owner = np.repeat(np.arange(len(batch)),
+                          [len(ends) + draws for _, ends in batch])
+        SXC, SBgC, converged = _sweep(ensemble, batch_mus[owner], starts,
+                                      MAX_ITER)
         requests += len(batch)
         total += converged.size
         nonconverged += np.count_nonzero(~converged)
@@ -645,11 +659,10 @@ def compute_curves(ensemble: Ensemble, resolution: int = DEFAULT_RESOLUTION, *,
         keep = (SXC > SNAP) & (SXC < stats.H - SNAP)
         xs = np.append(xs, SXC[keep])
         ys = np.append(ys, SBgC[keep])
-        channels = np.concatenate([channels, solved[keep]])
+        channels = np.concatenate([channels, starts[keep]])
         mus = np.append(mus, batch_mus[len(retries):])
         # A request whose own starts lose to another point keeps its line
         # through that point and is re-solved once with it as a start.
-        owner = np.repeat(np.arange(len(batch)), [len(s) for s in starts])
         own = np.full(len(batch), np.inf)
         np.minimum.at(own, owner, SBgC + batch_mus[owner] * SXC)
         values = ys[:, None] + np.multiply.outer(xs, batch_mus)

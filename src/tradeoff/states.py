@@ -30,7 +30,8 @@ def _entropy(weights, dust: float = 0.0) -> np.ndarray:
     w = np.minimum(np.asarray(weights, dtype=float), 1.0)
     logs = np.log2(w, out=np.zeros_like(w),
                    where=(w > 0.0) & (w >= dust) & (w <= 1.0 - dust))
-    return 0.0 - (w * logs).sum(axis=-1)  # +0.0, not -0.0, when pure
+    logs *= w
+    return 0.0 - logs.sum(axis=-1)  # +0.0, not -0.0, when pure
 
 
 def _check_integers(**bounds) -> None:

@@ -1,5 +1,6 @@
 """Shared test utilities: seeded random instances and brute-force oracles."""
 
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,17 @@ def seeded_channels(m: int, k: int, count: int, seed_key) -> np.ndarray:
     points = rng.normal(0.0, 2.0, size=(count, m, k))
     _softmax_rows(points)
     return points
+
+
+def traced_peak(call, *args) -> int:
+    """The peak of the memory that tracemalloc traces while call(*args) runs,
+    in bytes: what the call allocates, above its inputs."""
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:

@@ -3,14 +3,14 @@ import os
 import re
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from helpers import (blahut_arimoto_map, blahut_arimoto_step,
-                     fixed_point_one_start, random_ensemble, seeded_channels)
+                     fixed_point_one_start, random_ensemble, seeded_channels,
+                     traced_peak)
 from tradeoff import optimizer
 from tradeoff.achievability import primitive_points
 from tradeoff.ensembles import builtin_ensemble
@@ -464,15 +464,6 @@ def test_extrapolation_keeps_to_the_interior():
     assert not (live2 & ~live3).any()
 
 
-def _fixed_point_peak(ensemble, starts):
-    tracemalloc.start()
-    try:
-        _fixed_point(ensemble.reduced_b, ensemble.probs, 2.0, starts, 60)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_fixed_point_peak_memory():
     # The part of a lockstep solve's peak that grows with its rows stays
     # under 8 stack sizes, 7.03 here (numpy 2.4.6): the result, the cycle's
@@ -485,10 +476,31 @@ def test_fixed_point_peak_memory():
     # broadcasting buffer (about 0.5 of this stack, whatever the rows).
     ensemble = builtin_ensemble("uniform-qubit-24")
     starts = seeded_channels(24, 25, 28, [0, 0, 0])
-    single = _fixed_point_peak(ensemble, starts)
-    double = _fixed_point_peak(ensemble, np.concatenate([starts, starts]))
+    args = ensemble.reduced_b, ensemble.probs, 2.0
+    single = traced_peak(_fixed_point, *args, starts, 60)
+    double = traced_peak(_fixed_point, *args, np.concatenate([starts, starts]),
+                         60)
     assert double - single < 8 * starts.nbytes
     assert np.array_equal(starts, seeded_channels(24, 25, 28, [0, 0, 0]))
+
+
+def test_sweep_peak_memory_is_one_stack(monkeypatch):
+    # A pass is one array, solved, copied back and scored stack by stack, so
+    # what a sweep allocates above its starts is one stack's working set,
+    # however many stacks the pass has: passes of 2 and 4 stacks of 28
+    # uniform-qubit-24 starts peak within one stack size of each other (both
+    # at 7.6 stack sizes, numpy 2.4.6).  When a pass was concatenated,
+    # solved into a list of stack results, concatenated again and scored
+    # whole, they peaked at 14.1 and 28.2.
+    ensemble = builtin_ensemble("uniform-qubit-24")
+    stack = seeded_channels(24, 25, 28, [0, 0, 0])
+    monkeypatch.setattr(optimizer, "STACK_ELEMENTS", stack.size)
+    peaks = []
+    for stacks in (2, 4):
+        points = np.concatenate([stack] * stacks)
+        peaks.append(traced_peak(_sweep, ensemble, np.full(len(points), 0.5),
+                                 points, 60))
+    assert abs(peaks[1] - peaks[0]) < stack.nbytes
 
 
 def test_fixed_point_converges_at_critical_slope(zero_plus):
@@ -498,7 +510,8 @@ def test_fixed_point_converges_at_critical_slope(zero_plus):
     mu, multistarts = 0.62, 16
     channels = seeded_channels(zero_plus.m, zero_plus.m + 1, multistarts,
                                [0, 0, 0])
-    SXC, SBgC, _, converged = _sweep(zero_plus, [mu], [channels], 500)
+    SXC, SBgC, converged = _sweep(zero_plus, np.full(multistarts, mu),
+                                  channels.copy(), 500)
     assert converged.all()
     best = (SBgC + mu * SXC).min()
     for _ in range(8000):
@@ -582,7 +595,11 @@ def test_halved_jumps_save_map_evaluations(name, multistarts, budget,
                                            monkeypatch):
     # At resolution 40, seed 0, these solves took 611 and 798 map
     # evaluations while a jump that left the simplex dropped to x2; halving
-    # its step toward 1 keeps most of the acceleration.
+    # its step toward 1 keeps most of the acceleration.  The random starts
+    # are pinned to seeded_channels, so that the bound checks the halving
+    # and not the draw: these take 108 and 330 (105 and 345 from the
+    # solve's own starts).
+    monkeypatch.setattr(optimizer, "_start_points", seeded_channels)
     count = _count_map_evaluations(monkeypatch)
     compute_curves(builtin_ensemble(name), 40, multistarts=multistarts,
                    seed=0)
@@ -694,9 +711,9 @@ def test_pure_ensembles_end_exactly():
 
 def test_sweep_stacks_match_one_mu_sweeps(monkeypatch):
     # A sweep cuts the starts of all its multipliers into consecutive stacks
-    # of at most STACK_ELEMENTS entries and scores them with one
-    # stack_entropies call; a stack that mixes multipliers, one of them
-    # with an extra start, changes no outcome.
+    # of at most STACK_ELEMENTS entries and scores each with one
+    # stack_entropies call as soon as it is solved; a stack that mixes
+    # multipliers, one of them with an extra start, changes no outcome.
     _check_sweep_stacks(monkeypatch, extra=1, cap_rows=2, mixing=2,
                         holding=1)
 
@@ -717,7 +734,8 @@ def _check_sweep_stacks(monkeypatch, extra, cap_rows, mixing, holding):
     cap of cap_rows * 3 starts (one entry where cap_rows is 0).  Every stack
     holds at most the cap or one start, at most `mixing` multipliers share a
     stack, the fifth's starts run in `holding` stacks, one stack_entropies
-    call scores the sweep, and every output equals the one-mu sweeps'."""
+    call scores each stack right after its solve, and every output equals
+    the one-mu sweeps'."""
     ensemble = builtin_ensemble("uniform-qubit-5")
     mus = np.geomspace(0.05, 20.0, 7).tolist()
     multistarts, first_index, max_iter = 3, 11, 80
@@ -725,26 +743,35 @@ def _check_sweep_stacks(monkeypatch, extra, cap_rows, mixing, holding):
     starts = [seeded_channels(m, k, multistarts + extra * (i == 4),
                               [0, 0, first_index + i])
               for i in range(len(mus))]
-    singles = [_sweep(ensemble, [mu], [start], max_iter)
-               for mu, start in zip(mus, starts)]
+    singles = []
+    for mu, start in zip(mus, starts):
+        solved = start.copy()
+        SXC, SBgC, converged = _sweep(ensemble, np.full(len(start), mu),
+                                      solved, max_iter)
+        singles.append((SXC, SBgC, solved, converged))
     cap = cap_rows * multistarts * m * k + 1
     monkeypatch.setattr(optimizer, "STACK_ELEMENTS", cap)
 
-    stacks, scorings = [], []
+    stacks, events = [], []
 
     def recording(reduced_b, probs, ratio, channels, max_iter):
         stacks.append((channels.shape, np.asarray(ratio).tolist()))
+        events.append(("solve", len(channels)))
         return _fixed_point(reduced_b, probs, ratio, channels, max_iter)
 
     def scoring(ensemble, channels):
-        scorings.append(len(channels))
+        events.append(("score", len(channels)))
         return stack_entropies(ensemble, channels)
 
     monkeypatch.setattr(optimizer, "_fixed_point", recording)
     monkeypatch.setattr(optimizer, "stack_entropies", scoring)
-    stacked = _sweep(ensemble, mus, starts, max_iter)
-    total = sum(map(len, starts))
-    assert scorings == [total]
+    points = np.concatenate(starts)
+    SXC, SBgC, converged = _sweep(ensemble,
+                                  np.repeat(mus, list(map(len, starts))),
+                                  points, max_iter)
+    total = len(points)
+    assert events == [(event, shape[0]) for shape, _ in stacks
+                      for event in ("solve", "score")]
     assert sum(shape[0] for shape, _ in stacks) == total
     for (rows, m, k), _ in stacks:
         assert rows == 1 or rows * m * k <= cap
@@ -752,22 +779,26 @@ def _check_sweep_stacks(monkeypatch, extra, cap_rows, mixing, holding):
                            else -(-total // (cap_rows * multistarts)))
     assert max(len(set(ratios)) for _, ratios in stacks) == mixing
     assert sum(1.0 / mus[4] in ratios for _, ratios in stacks) == holding
-    # Each output array (S(X:C), S(B|C), channels, converged flags) holds
-    # the starts of every mu in order, as the one-mu sweeps do.
-    assert len(stacked) == 4 and len(singles) == len(mus)
-    for grouped, alone in zip(stacked, zip(*singles)):
+    # Each output array (S(X:C), S(B|C), the solved channels and the
+    # converged flags) holds the starts of every mu in order, as the one-mu
+    # sweeps do.
+    for grouped, alone in zip((SXC, SBgC, points, converged), zip(*singles)):
         assert len(grouped) == total
         assert [len(part) for part in alone] == list(map(len, starts))
         assert np.array_equal(grouped, np.concatenate(alone))
 
 
 def _record_sweeps(monkeypatch) -> list:
-    """Record the multipliers and starts of every _sweep call."""
+    """Record every _sweep call as the multipliers of its requests and the
+    starts of each: a request's rows are consecutive and share a multiplier
+    that no other request of the pass has."""
     calls = []
 
-    def recording(ensemble, mus, starts, max_iter):
-        calls.append((list(mus), starts))
-        return _sweep(ensemble, mus, starts, max_iter)
+    def recording(ensemble, mus, points, max_iter):
+        cuts = np.flatnonzero(np.diff(mus)) + 1
+        calls.append((mus[np.r_[0, cuts]].tolist(),
+                      np.split(points.copy(), cuts)))
+        return _sweep(ensemble, mus, points, max_iter)
 
     monkeypatch.setattr(optimizer, "_sweep", recording)
     return calls
@@ -1094,3 +1125,60 @@ def test_readme_cap_sentence(monkeypatch):
                                     seed=0)
         assert len(flags) == int(starts) and all(flags)
         assert curves.diagnostics == notes[name]
+
+
+def test_readme_beaten_sentence(monkeypatch):
+    # The README blames the beaten multiplier of the CLI-default
+    # uniform-qubit-24 solve on the stop rule, not on a missed basin: all of
+    # that request's own starts stop, counted as converged, above the point
+    # that beats them, and the named number of plain fixed-point steps from
+    # where they stop takes the best of them below it.
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    mu = float(re.search(r"the starts of one multiplier, mu = (\S+), lose",
+                         text).group(1))
+    claim = re.search(r"Here all (\d+) of them stop, counted as converged, "
+                      r"above the point that beats them, and (\d+) plain "
+                      r"fixed-point steps from where they stop take the best "
+                      r"of them below it\.", text)
+    assert claim
+    count, steps = map(int, claim.groups())
+    sweep, sides = optimizer._sweep, optimizer._sides
+    sweeps, points = [], []
+
+    def recording(ensemble, mus, starts, max_iter):
+        SXC, SBgC, converged = sweep(ensemble, mus, starts, max_iter)
+        sweeps.append((mus, starts, converged))
+        return SXC, SBgC, converged
+
+    def recording_sides(xs, ys, mus, stats):
+        points.append((xs, ys))
+        return sides(xs, ys, mus, stats)
+
+    monkeypatch.setattr(optimizer, "_sweep", recording)
+    monkeypatch.setattr(optimizer, "_sides", recording_sides)
+    ensemble = builtin_ensemble("uniform-qubit-24")
+    compute_curves(ensemble, optimizer.DEFAULT_RESOLUTION,
+                   multistarts=optimizer.DEFAULT_MULTISTARTS, seed=0)
+    # The first pass that solves mu, and the points collected after it.
+    i, (mus, solved, converged) = next(
+        (i, call) for i, call in enumerate(sweeps)
+        if (abs(call[0] - mu) < 5e-7).any())
+    own = abs(mus - mu) < 5e-7
+    xs, ys = points[i + 1]
+    mu = mus[own][0]
+    winner = (ys + mu * xs).min()
+
+    def objective(channels):
+        SXC, SBgC = stack_entropies(ensemble, channels)
+        return SBgC + mu * SXC
+
+    channels = solved[own]
+    assert len(channels) == count == optimizer.DEFAULT_MULTISTARTS
+    assert converged[own].all()
+    assert objective(channels).min() > winner + optimizer.LINE_TOL
+    logits = optimizer._logits(ensemble.reduced_b, ensemble.probs)
+    ratios = np.full(count, 1.0 / mu)
+    for _ in range(steps):
+        channels = logits(channels, ratios)
+        _softmax_rows(channels)
+    assert objective(channels).min() < winner

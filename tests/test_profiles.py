@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from helpers import (entropic_profile_dense, omega_dense, random_channel,
-                     random_ensemble)
+                     random_ensemble, seeded_channels, traced_peak)
 from tradeoff.achievability import achievable_hull, verify_surface
 from tradeoff.ensembles import builtin_ensemble
-from tradeoff.optimizer import compute_curves
+from tradeoff.optimizer import STACK_ELEMENTS, compute_curves
 from tradeoff.profiles import (ClassicalChannel, EntropicProfile,
                                entropic_profile, stack_entropies)
 from tradeoff.states import ensemble_stats
@@ -138,6 +138,17 @@ def test_stack_entropies_match_dense():
             dense = entropic_profile_dense(e, ClassicalChannel(row))
             assert abs(sxc - dense.SXC) <= 1e-9
             assert abs(sbgc - dense.SBgC) <= 1e-9
+
+
+def test_stack_entropies_peak_memory():
+    # Scoring one full uniform-qubit-24 stack of the solve allocates under
+    # 3.5 copies of it (3.42, numpy 2.4.6): the joint law, the clipped
+    # weights and their logs, which take the products in place, and the
+    # boolean masks of the logs.  A separate array of the products made it
+    # 4.05.
+    ensemble = builtin_ensemble("uniform-qubit-24")
+    stack = seeded_channels(24, 25, STACK_ELEMENTS // (24 * 25), [0, 0, 0])
+    assert traced_peak(stack_entropies, ensemble, stack) < 3.5 * stack.nbytes
 
 
 def test_qubit_runs_need_no_eigensolver(monkeypatch):
