@@ -97,11 +97,13 @@ is the least value of the alternating objective over channels with the
 output law and posteriors of x held fixed, so J(F(x)) <= L(x) <= J(x) for
 J = S(B|C) + mu * S(X:C).  L costs no entropy, and along plain updates it
 never rises, so a fallback x' = x2 stops a start only where a whole cycle
-left L unchanged.  A jump that does not lower L has stopped lowering the
-objective: such a start is stuck, even if its channel still drifts in sup
-norm along a nearly flat orbit, as on a near-symmetric ensemble.  MAX_ITER
-caps the map evaluations of every start, three per cycle, and only a start
-that meets neither rule within it is capped.
+left L unchanged.  A jump that does not lower L shows that the jump
+overshot, not that the start is stationary: at the CLI defaults, 200 plain
+steps take the best start of uniform-qubit-24's beaten request from 1.25e-5
+above the winning point to 1.8e-6 below it.  ROADMAP item 7 replaces the
+rule with a stationarity test.  MAX_ITER caps the map evaluations of every
+start, three per cycle, and only a start that meets neither rule within it
+is capped.
 
 The starts of one pass are one array.  Rows never interact, so it is cut
 into consecutive stacks of at most STACK_ELEMENTS channel entries, and at

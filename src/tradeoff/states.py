@@ -24,10 +24,10 @@ EIGENVALUE_CLAMP = 1e-12
 
 
 def _entropy(weights, dust: float = 0.0) -> np.ndarray:
-    """Entropy in bits along the last axis, with 0 log 0 = 0; weights are
-    clipped to at most 1, those below dust count as 0 and those within dust
-    of 1 count as 1, so that a pure spectrum has entropy exactly 0."""
-    w = np.minimum(np.asarray(weights, dtype=float), 1.0)
+    """Entropy in bits along the last axis, with 0 log 0 = 0; weights below
+    dust count as 0 and those above 1 - dust as 1, so that a pure spectrum
+    has entropy exactly 0.  Neither adds a term, so no weight is clipped."""
+    w = np.asarray(weights, dtype=float)
     logs = np.log2(w, out=np.zeros_like(w),
                    where=(w > 0.0) & (w >= dust) & (w <= 1.0 - dust))
     logs *= w

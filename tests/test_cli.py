@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import os
 import re
 import shlex
 import subprocess
@@ -301,25 +302,114 @@ def test_parser_defaults():
     assert args.workers is None
 
 
-def test_readme_commands_parse():
-    # Parses each example command; runs none of them.
-    commands = [shlex.split(line) for line in
-                README.read_text(encoding="utf-8").splitlines()
-                if line.startswith("tradeoff ")]
-    assert len(commands) == 6
-    for argv in commands:
-        build_parser().parse_args(argv[1:])
+# Ensemble files in the JSON schema of ensemble_to_dict.  The qutrit and the
+# ququart run the eigendecomposition log step at two dimensions; the
+# two-qubit ensemble (dimA = 2) has reduced states that are Hermitian only
+# once symmetrized.  Their stats runs take both branches of ensemble_stats:
+# Bloch vector lengths at dimB = 2, eigvalsh otherwise.
+ENSEMBLE_FILES = {
+    "qutrit": {
+        "dimA": 1, "dimB": 3, "probs": [0.5, 0.3, 0.2],
+        "states": [
+            [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+            [[0.7071067811865476, 0.0], [0.7071067811865476, 0.0],
+             [0.0, 0.0]],
+            [[0.5773502691896258, 0.0], [0.0, 0.5773502691896258],
+             [0.5773502691896258, 0.0]]]},
+    "ququart": {
+        "dimA": 1, "dimB": 4, "probs": [0.4, 0.3, 0.2, 0.1],
+        "states": [
+            [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+            [[0.7071067811865476, 0.0], [0.0, 0.7071067811865476],
+             [0.0, 0.0], [0.0, 0.0]],
+            [[0.0, 0.0], [0.5773502691896258, 0.0],
+             [0.5773502691896258, 0.0], [0.0, -0.5773502691896258]],
+            [[0.5, 0.0], [0.0, 0.0], [0.5, 0.0], [0.7071067811865476, 0.0]]]},
+    "two-qubit": {
+        "dimA": 2, "dimB": 2, "probs": [0.5, 0.3, 0.2],
+        "states": [
+            [[0.2996257016633534, 0.39950093555113786],
+             [0.19975046777556893, -0.4993761694389223],
+             [0.09987523388778446, 0.2996257016633534],
+             [-0.39950093555113786, 0.4494385524950301]],
+            [[0.6092076990801715, -0.10153461651336192],
+             [0.20306923302672383, 0.30460384954008574],
+             [-0.30460384954008574, 0.20306923302672383],
+             [0.5076730825668095, 0.30460384954008574]],
+            [[0.09950371902099893, 0.6965260331469925],
+             [-0.3980148760839957, 0.19900743804199786],
+             [0.29851115706299675, -0.29851115706299675],
+             [0.19900743804199786, 0.29851115706299675]]]},
+}
+
+UQ24_SURFACE = ("tradeoff surface --builtin uniform-qubit-24 --grid 33x33 "
+                "--out surface.csv")
+QUTRIT_QCT = "tradeoff qct --ensemble qutrit.json --out qutrit.csv"
+
+# The runs that exit 2 at seed 0, each naming the re-solve of one beaten
+# multiplier (README, exit codes); every other run exits 0.
+EXIT_2 = {UQ24_SURFACE, QUTRIT_QCT}
+
+# Runs repeated as console processes under two hash seeds, whose files must
+# match byte for byte: a qubit verify, a qubit surface and the qutrit qct.
+BYTE_COMPARED = [
+    "tradeoff verify --builtin zero-plus --grid 8x8 --out report.json",
+    UQ24_SURFACE, QUTRIT_QCT]
+
+
+def _write_ensemble_files(directory: Path) -> None:
+    for name, payload in ENSEMBLE_FILES.items():
+        (directory / f"{name}.json").write_text(json.dumps(payload))
+
+
+def test_console_commands_exit_as_stated(tmp_path, monkeypatch):
+    # Every `tradeoff` line of the README, then qct and stats on each
+    # ensemble file, in order, so that plot reads the surface written before
+    # it.  A command the parser rejects raises SystemExit here.
+    monkeypatch.chdir(tmp_path)
+    _write_ensemble_files(tmp_path)
+    lines = [line for line in README.read_text(encoding="utf-8").splitlines()
+             if line.startswith("tradeoff ")]
+    assert len(lines) == 6
+    for name in ENSEMBLE_FILES:
+        lines += [f"tradeoff qct --ensemble {name}.json --out {name}.csv",
+                  f"tradeoff stats --ensemble {name}.json"]
+    statuses = {line: main(shlex.split(line)[1:]) for line in lines}
+    assert statuses == {line: 2 if line in EXIT_2 else 0 for line in lines}
+    # The console entry point, under the RuntimeWarning filter that tier-1's
+    # does not reach, as two processes per run whose hash seeds differ.
+    # Each process runs in its own directory, where a relative PYTHONPATH
+    # such as tier-1's src would not find the package.
+    src = str(Path(optimizer.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    runs = {hash_seed: tmp_path / f"hash-{hash_seed}"
+            for hash_seed in ("0", "4242")}
+    for directory in runs.values():
+        directory.mkdir()
+        _write_ensemble_files(directory)
+    for line in BYTE_COMPARED:
+        processes = [subprocess.Popen(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m",
+             "tradeoff.cli"] + shlex.split(line)[1:],
+            cwd=directory, env={**env, "PYTHONHASHSEED": hash_seed},
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+            for hash_seed, directory in runs.items()]
+        for process in processes:
+            err = process.communicate()[1]
+            assert process.returncode == statuses[line], (line, err)
+    files = [sorted((path.name, path.read_bytes())
+                    for path in directory.iterdir())
+             for directory in runs.values()]
+    assert files[0] == files[1]
 
 
 def test_workflow_commands_parse():
-    # Parses each console-script line of the CI workflow up to its first
-    # shell operator, such as the stats run's 2> and ||; runs none of them.
-    operators = {"2>", ">", "||", "&&", "|", ";"}
-    commands = [list(itertools.takewhile(lambda word: word not in operators,
-                                         shlex.split(line)))
+    # Parses each console-script line of the CI workflow; runs none of them.
+    commands = [shlex.split(line)
                 for line in WORKFLOW.read_text(encoding="utf-8").splitlines()
                 if line.lstrip().startswith("tradeoff ")]
-    assert len(commands) == 11
+    assert len(commands) == 1
     for argv in commands:
         build_parser().parse_args(argv[1:])
 
@@ -347,9 +437,8 @@ def _workflow_run_blocks() -> list:
 
 
 def test_workflow_shell_parses():
-    # bash -n reads each run: block whole, so the heredocs, loops and
-    # `|| status=$?` around the console-script lines are checked too; it
-    # runs nothing.
+    # bash -n reads each run: block whole, quoting included; it runs
+    # nothing.
     blocks = _workflow_run_blocks()
     assert len(blocks) == 4
     for block in blocks:
