@@ -37,15 +37,17 @@ DEFAULT_GRID = (16, 16)
 
 
 def _dispatch(args: argparse.Namespace) -> int:
+    # Bad options fail here, not after the curves are solved.
+    if args.command != "stats" and not Path(args.out).parent.is_dir():
+        raise ValueError(f"--out {args.out}: no directory to write it in")
+    if args.command == "verify":
+        _check_reals(tolerance=args.tolerance)
     if args.command == "plot":
         rows = export.read_surface_csv(args.surface)
         script = export.gnuplot_surface_script(rows)
         Path(args.out).write_text(script, encoding="utf-8")
         print(f"wrote {args.out}")
         return 0
-    if args.command == "verify":
-        # Bad oracle options fail here, not after the curves are solved.
-        _check_reals(tolerance=args.tolerance)
 
     ensemble = (load_ensemble(args.ensemble) if args.ensemble is not None
                 else builtin_ensemble(args.builtin))

@@ -13,7 +13,6 @@ Amplitude vectors are normalized on load when their norm is within 1e-6 of
 are kept bit-exact so that save/load round trips preserve the ensemble hash.
 """
 
-import hashlib
 import json
 import math
 import re
@@ -153,6 +152,7 @@ def ensemble_to_dict(ensemble: Ensemble) -> dict:
 
 def ensemble_hash(ensemble: Ensemble) -> str:
     """SHA-256 of the canonical JSON serialization of the ensemble."""
+    import hashlib  # here, so that only runs that write a hash load OpenSSL
     canonical = json.dumps(ensemble_to_dict(ensemble), sort_keys=True,
                            separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()

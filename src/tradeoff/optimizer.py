@@ -108,18 +108,17 @@ is capped.
 The starts of one pass are one array.  Rows never interact, so it is cut
 into consecutive stacks of at most STACK_ELEMENTS channel entries, and at
 least one row, whatever weight each row belongs to.  The rows of a stack
-are iterated together, each at its own weight, with its own step length
-and halvings and lowest L, and each frozen once it converges; the stack is
-then copied back into the array and scored before the next is solved, so a
-pass holds its one array and one stack's buffers.  Small stacks cost numpy
-call overhead per iteration, so batching them saves time, while past the
-cap the cost is array work and a larger stack only adds memory.  A cycle
-holds as few stack-sized arrays as its values allow: x1 is dead once the
-jump is formed, so its buffer takes r; every row tries its full step on the
-whole stack, and only the rows that leave the interior are gathered to
-halve it; and a jump point is dead once mapped, so its buffer takes the
-change of that evaluation.  x0 may be the caller's starts and is never
-written.
+are iterated together, each at its own weight, with its own step length and
+halvings and lowest L, and each frozen once it converges.  The solve writes
+each start's final channel over its row, so each stack is solved and scored
+in place before the next, and a pass holds its one array and one stack's
+buffers.  Small stacks cost numpy call overhead per iteration, so batching
+them saves time, while past the cap the cost is array work and a larger
+stack only adds memory.  A cycle holds as few stack-sized arrays as its
+values allow: x1 is dead once the jump is formed, so its buffer takes r;
+every row tries its full step on the whole stack, and only the rows that
+leave the interior are gathered to halve it; and a jump point is dead once
+mapped, so its buffer takes the change of that evaluation.
 
 The distortion is read through generalized Bloch vectors (Bertlmann &
 Krammer 2008): with the d^2 - 1 Gell-Mann matrices G_a of dimB = d
@@ -297,8 +296,7 @@ def _extrapolate(x0: np.ndarray, x1: np.ndarray,
 
 
 def _fixed_point(reduced_b: np.ndarray, probs: np.ndarray, ratio,
-                 channels: np.ndarray, max_iter: int
-                 ) -> tuple[np.ndarray, np.ndarray]:
+                 channels: np.ndarray, max_iter: int) -> np.ndarray:
     """Run the extrapolated fixed-point update from a stack of channels.
 
     channels has shape (starts, m, k).  ratio is alpha/beta, the weight of
@@ -308,11 +306,10 @@ def _fixed_point(reduced_b: np.ndarray, probs: np.ndarray, ratio,
     active set at its first map evaluation whose sup-norm change is below
     CONVERGENCE_TOL, or whose extrapolated point has a free value not below
     that of every earlier one (module docstring), with that evaluation's
-    image.  max_iter counts map evaluations.  Returns the final channels and
-    a per-start flag saying whether the start converged before the cap.
+    image.  max_iter counts map evaluations.  Writes each start's last
+    channel over its row; returns whether each start converged before the cap.
     """
     logits = _logits(reduced_b, probs)
-    result = np.empty_like(channels)
     converged = np.zeros(len(channels), dtype=bool)
     active = np.arange(len(channels))
     weight = np.broadcast_to(np.asarray(ratio, dtype=float), (len(channels),))
@@ -340,15 +337,15 @@ def _fixed_point(reduced_b: np.ndarray, probs: np.ndarray, ratio,
             done |= value >= lowest
             lowest = value  # every row that goes on has lowered it
         if done.any():
-            result[active[done]] = image[done]
+            channels[active[done]] = image[done]
             converged[active[done]] = True
             keep = ~done
             active, weight, image = active[keep], weight[keep], image[keep]
             lowest = lowest[keep]
             cycle = [x[keep] for x in cycle]
         cycle.append(image)
-    result[active] = cycle[-1]
-    return result, converged
+    channels[active] = cycle[-1]
+    return converged
 
 
 def _stream(seed_key) -> random.Random:
@@ -391,7 +388,7 @@ def _sweep(ensemble: Ensemble, mus: np.ndarray, points: np.ndarray,
     points is the (rows, m, k) array of the pass's starts and mus holds one
     multiplier per row.  The rows are cut into consecutive stacks of at most
     STACK_ELEMENTS channel entries, or one start, whatever their mu; each
-    stack is solved, copied back into points and scored by stack_entropies
+    stack is solved where it lies in points and scored by stack_entropies
     before the next is solved, so the pass holds no second array of its
     size.  Returns three arrays with one entry per row of points, which
     then holds the solved channels: S(X:C), S(B|C) and the converged flags.
@@ -401,7 +398,7 @@ def _sweep(ensemble: Ensemble, mus: np.ndarray, points: np.ndarray,
     rows = max(STACK_ELEMENTS // points[0].size, 1)
     for lo in range(0, len(points), rows):
         stack = slice(lo, lo + rows)
-        points[stack], converged[stack] = _fixed_point(
+        converged[stack] = _fixed_point(
             ensemble.reduced_b, ensemble.probs, 1.0 / mus[stack],
             points[stack], max_iter)
         SXC[stack], SBgC[stack] = stack_entropies(ensemble, points[stack])

@@ -247,6 +247,26 @@ def test_verify_rejects_bad_options_before_solving(option, tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["qct", "--builtin", "zero-plus"] + FAST,
+    ["rsp", "--builtin", "zero-plus"] + FAST,
+    ["surface", "--builtin", "zero-plus", "--grid", "4x4"] + FAST,
+    ["verify", "--builtin", "zero-plus", "--grid", "4x4"] + FAST,
+    ["plot", "--surface", "surface.csv"],
+], ids=["qct", "rsp", "surface", "verify", "plot"])
+def test_missing_out_directory_exits_1_before_solving(argv, tmp_path, capsys,
+                                                      monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the curves were solved before the --out check")
+
+    monkeypatch.setattr("tradeoff.cli.compute_curves", no_solve)
+    out = tmp_path / "missing" / "a.csv"
+    assert main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: --out {out}: no directory to write it in\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_solver_diagnostics_exit_2(zp_curves, tmp_path, capsys, monkeypatch):
     fake = dataclasses.replace(zp_curves,
                                diagnostics=("synthetic: solver stalled",))
@@ -273,8 +293,7 @@ def test_cap_diagnostic_printed_once(tmp_path, capsys, monkeypatch):
     fixed_point = optimizer._fixed_point
 
     def never_converges(*args):
-        channels, converged = fixed_point(*args)
-        return channels, np.zeros_like(converged)
+        return np.zeros_like(fixed_point(*args))
 
     monkeypatch.setattr(optimizer, "_fixed_point", never_converges)
     out = tmp_path / "surface.csv"
@@ -470,12 +489,14 @@ def test_cli_import_loads_no_scipy():
 def test_verify_run_loads_no_numpy_random(tmp_path):
     # The random starts come from Python's random stream, so a run that
     # solves, builds the oracle and writes its report never imports
-    # numpy.random, which loads ten extension modules.
+    # numpy.random, which loads ten extension modules.  Only a surface
+    # writes an ensemble hash, so no other run loads OpenSSL's _hashlib.
     out = tmp_path / "report.json"
     args = ["verify", "--builtin", "bb84", "--out", str(out)] + FAST
     code = ("import sys; from tradeoff import cli; "
             f"assert cli.main({args!r}) == 0; "
-            "assert 'numpy.random' not in sys.modules")
+            "assert 'numpy.random' not in sys.modules; "
+            "assert '_hashlib' not in sys.modules")
     result = subprocess.run([sys.executable, "-c", code],
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
@@ -484,9 +505,10 @@ def test_verify_run_loads_no_numpy_random(tmp_path):
 
 def test_cli_import_loads_no_process_pool():
     # The optimizer serves ProcessPoolExecutor only on demand, so no run
-    # imports the pool machinery.
-    code = ("import sys, tradeoff.cli; "
-            "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') "
+    # imports the pool machinery; ensemble_hash imports hashlib when called,
+    # so importing the CLI loads no _hashlib either.
+    code = ("import sys, tradeoff.cli; print(sorted(m for m in "
+            "('concurrent.futures', 'multiprocessing', '_hashlib') "
             "if m in sys.modules))")
     result = subprocess.run([sys.executable, "-c", code],
                             capture_output=True, text=True, check=True)

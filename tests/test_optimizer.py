@@ -379,13 +379,13 @@ def test_fixed_point_rows_independent(name, ratio, monkeypatch):
     amplified = set()
     for max_iter in (0, 1, 10, 60):
         for ratios in (ratio, mixed):
-            channels, converged = _fixed_point(b, p, ratios, starts, max_iter)
+            channels, converged = _solve(b, p, ratios, starts, max_iter)
             dense, dense_flags = _dense_fixed_point(monkeypatch, b, p, ratios,
                                                     starts, max_iter)
             row_ratios = np.broadcast_to(ratios, len(starts)).tolist()
             for row, (start, row_ratio) in enumerate(zip(starts, row_ratios)):
-                alone, alone_flag = _fixed_point(b, p, row_ratio, start[None],
-                                                 max_iter)
+                alone, alone_flag = _solve(b, p, row_ratio, start[None],
+                                           max_iter)
                 loop, loop_flag = fixed_point_one_start(b, p, row_ratio, start,
                                                         max_iter)
                 assert np.array_equal(channels[row], alone[0])
@@ -439,8 +439,8 @@ def test_extrapolation_keeps_to_the_interior():
     ratio = np.repeat([2.0, 5.0], 8)
     x0 = np.concatenate([seeded_channels(ensemble.m, ensemble.m + 1, 8,
                                          [0, 0, 0])] * 2)
-    x1, _ = _fixed_point(b, p, ratio, x0, 1)
-    x2, _ = _fixed_point(b, p, ratio, x1, 1)
+    x1, _ = _solve(b, p, ratio, x0, 1)
+    x2, _ = _solve(b, p, ratio, x1, 1)
     point = optimizer._extrapolate(x0, x1.copy(), x2)
     kinds = set()
     for row, (t, halvings) in enumerate(_accepted_steps(x0, x1, x2)):
@@ -457,8 +457,9 @@ def test_extrapolation_keeps_to_the_interior():
     assert kinds == {"full", "halved", "x2"}
     # The solve's third map evaluation is the image of that point, and no
     # output that is live in x2 is dead in it.
-    x3, _ = _fixed_point(b, p, ratio, x0, 3)
-    assert np.array_equal(x3, _fixed_point(b, p, ratio, point, 1)[0])
+    x3, _ = _solve(b, p, ratio, x0, 3)
+    _fixed_point(b, p, ratio, point, 1)
+    assert np.array_equal(x3, point)
     live2, live3 = ((p[:, None] * x).sum(axis=1) > ZERO_OUTPUT
                     for x in (x2, x3))
     assert not (live2 & ~live3).any()
@@ -466,30 +467,33 @@ def test_extrapolation_keeps_to_the_interior():
 
 def test_fixed_point_peak_memory():
     # The part of a lockstep solve's peak that grows with its rows stays
-    # under 8 stack sizes, 7.03 here (numpy 2.4.6): the result, the cycle's
-    # three iterates, v, the jump point and one product.  The jump reuses x1's
-    # buffer for r, tries every row's full step before gathering the rows
-    # that leave, and the change of a mapped jump point goes into its
-    # buffer; without these reuses it holds 11.03.  Doubling the stack with a
-    # copy of each row doubles only what scales with the rows, so the
-    # difference leaves out allocations of fixed size, such as numpy's
-    # broadcasting buffer (about 0.5 of this stack, whatever the rows).
+    # under 7 stack sizes, 6.03 here (numpy 2.4.6): the cycle's three
+    # iterates, v, the jump point and one product.  The solve writes each
+    # start's final channel over its row, the jump reuses x1's buffer for r,
+    # tries every row's full step before gathering the rows that leave, and
+    # the change of a mapped jump point goes into its buffer; without these
+    # reuses it holds 11.03.  Doubling the stack with a copy of each row
+    # doubles only what scales with the rows, so the difference leaves out
+    # allocations of fixed size, such as numpy's broadcasting buffer (about
+    # 0.5 of this stack, whatever the rows).
     ensemble = builtin_ensemble("uniform-qubit-24")
     starts = seeded_channels(24, 25, 28, [0, 0, 0])
     args = ensemble.reduced_b, ensemble.probs, 2.0
-    single = traced_peak(_fixed_point, *args, starts, 60)
-    double = traced_peak(_fixed_point, *args, np.concatenate([starts, starts]),
-                         60)
-    assert double - single < 8 * starts.nbytes
-    assert np.array_equal(starts, seeded_channels(24, 25, 28, [0, 0, 0]))
+    single, double = starts.copy(), np.concatenate([starts, starts])
+    single_peak = traced_peak(_fixed_point, *args, single, 60)
+    double_peak = traced_peak(_fixed_point, *args, double, 60)
+    assert double_peak - single_peak < 7 * starts.nbytes
+    # Both solves wrote over their starts, row by row alike.
+    assert not np.array_equal(single, starts)
+    assert np.array_equal(double, np.concatenate([single, single]))
 
 
 def test_sweep_peak_memory_is_one_stack(monkeypatch):
-    # A pass is one array, solved, copied back and scored stack by stack, so
+    # A pass is one array, solved and scored in place stack by stack, so
     # what a sweep allocates above its starts is one stack's working set,
     # however many stacks the pass has: passes of 2 and 4 stacks of 28
     # uniform-qubit-24 starts peak within one stack size of each other (both
-    # at 7.6 stack sizes, numpy 2.4.6).  When a pass was concatenated,
+    # at 6.6 stack sizes, numpy 2.4.6).  When a pass was concatenated,
     # solved into a list of stack results, concatenated again and scored
     # whole, they peaked at 14.1 and 28.2.
     ensemble = builtin_ensemble("uniform-qubit-24")
@@ -526,9 +530,9 @@ def _record_flags(monkeypatch) -> list:
     flags = []
 
     def recording(*args):
-        channels, converged = _fixed_point(*args)
+        converged = _fixed_point(*args)
         flags.extend(converged.tolist())
-        return channels, converged
+        return converged
 
     monkeypatch.setattr(optimizer, "_fixed_point", recording)
     return flags
@@ -908,11 +912,18 @@ def test_beaten_solve_is_re_solved(zero_plus, monkeypatch):
         assert f"{mu:.6g}" in notes[0]
 
 
+def _solve(reduced_b, probs, ratio, starts, max_iter) -> tuple:
+    """`_fixed_point` on a copy of starts, which is left as it was: the
+    solved copy and the converged flags."""
+    channels = starts.copy()
+    return channels, _fixed_point(reduced_b, probs, ratio, channels, max_iter)
+
+
 def _dense_fixed_point(monkeypatch, *args):
-    """`_fixed_point` with the eigh log step for every dimB."""
+    """`_solve` with the eigh log step for every dimB."""
     with monkeypatch.context() as patch:
         patch.setattr(optimizer, "_bloch_log", optimizer._eigh_log)
-        return _fixed_point(*args)
+        return _solve(*args)
 
 
 def _recorded_fixed_point(monkeypatch, args, ratio, starts, max_iter):
@@ -1011,7 +1022,7 @@ def test_qubit_kernel_matches_dense(case, monkeypatch):
     amplified = []
     for max_iter in (1, 60):
         for ratio in ratios:
-            qubit, qubit_flags = _fixed_point(*args, ratio, starts, max_iter)
+            qubit, qubit_flags = _solve(*args, ratio, starts, max_iter)
             dense, dense_flags, points, t = _recorded_fixed_point(
                 monkeypatch, args, ratio, starts, max_iter)
             assert np.array_equal(qubit_flags, dense_flags)
