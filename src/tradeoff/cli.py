@@ -38,14 +38,20 @@ DEFAULT_GRID = (16, 16)
 
 def _dispatch(args: argparse.Namespace) -> int:
     # Bad options fail here, not after the curves are solved.
-    if args.command != "stats" and not Path(args.out).parent.is_dir():
-        raise ValueError(f"--out {args.out}: no directory to write it in")
+    if args.command != "stats":
+        out = Path(args.out)
+        if not out.parent.is_dir():
+            raise ValueError(f"--out {args.out}: no directory to write it in")
+        if out.is_dir():
+            raise ValueError(f"--out {args.out}: is a directory")
     if args.command == "verify":
         _check_reals(tolerance=args.tolerance)
     if args.command == "plot":
+        if out.resolve() == Path(args.surface).resolve():
+            raise ValueError(f"--out {args.out}: is the --surface file")
         rows = export.read_surface_csv(args.surface)
         script = export.gnuplot_surface_script(rows)
-        Path(args.out).write_text(script, encoding="utf-8")
+        out.write_text(script, encoding="utf-8")
         print(f"wrote {args.out}")
         return 0
 
@@ -151,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     grid_help = f"grid size (default {'x'.join(map(str, DEFAULT_GRID))})"
 
-    p_stats = sub.add_parser("stats", parents=[], help="print S, Sbar, chi, H")
+    p_stats = sub.add_parser("stats", help="print S, Sbar, chi, H")
     _add_ensemble_args(p_stats)
 
     for name, blurb in (("qct", "classical-channel curve Q*(R)"),

@@ -173,8 +173,6 @@ NONCONVERGED_DIAGNOSTIC = 0.5
 # of one start; a pass is solved and scored in place stack by stack, so this
 # bounds its buffers (see the module docstring).
 STACK_ELEMENTS = 1 << 16
-# critical_rate's window on the excess R + Q*(R) - S.
-CRITICAL_TOL = 5e-3
 
 
 def __getattr__(name: str):
@@ -577,7 +575,6 @@ class CriticalRate:
     """Largest rate at which the qubit curve still has unit trade-off slope."""
 
     Hc: float
-    found: bool
 
 
 @dataclass(frozen=True)
@@ -683,7 +680,7 @@ def compute_curves(ensemble: Ensemble, resolution: int = DEFAULT_RESOLUTION, *,
         for kind, lo, (x, hull, _, _) in zip(("QCT", "RSP"),
                                              (0.0, min(stats.chi, stats.H)),
                                              sides))
-    critical = critical_rate(qct, stats.S)
+    critical = critical_rate(qct)
     diagnostics = []
     if nonconverged > NONCONVERGED_DIAGNOSTIC * max(total, 1):
         diagnostics.append(f"{nonconverged}/{total} starts hit the cap of "
@@ -716,28 +713,19 @@ def rsp_curve(ensemble: Ensemble, *args, **kwargs) -> TradeoffCurve:
     return compute_curves(ensemble, *args, **kwargs).rsp
 
 
-def critical_rate(curve: TradeoffCurve, S: float) -> CriticalRate:
-    """Largest rate R with R + Q*(R) = S, located on the qubit curve.
+def critical_rate(curve: TradeoffCurve) -> CriticalRate:
+    """Largest rate R at which Q*(R) is on the line R + Q = S, read off the
+    qubit curve.
 
-    Scans the curve vertices for the largest R whose excess R + Q*(R) - S
-    stays within CRITICAL_TOL.  The excess is linear on the segment that
-    follows, so its crossing of CRITICAL_TOL there is solved in closed form,
-    clamped to the segment's right end.  A missing plateau (no qualifying
-    vertex) is flagged via found = False.  S must be finite and nonnegative.
+    The curve starts at (0, S).  Hc is the rate of the last vertex within
+    REFINE_TARGET of the line, the gap the solve works to, so Hc is 0
+    wherever Q* leaves the line at R = 0.  It is a lower bound: the curve
+    lies on or above Q* and the line on or below it, so Q* is within
+    REFINE_TARGET of the line at that vertex and, by convexity, on all of
+    [0, Hc].
     """
     if curve.kind != "QCT":
         raise ValueError("the critical rate is defined on the QCT curve")
-    _check_reals(S=S)
-    qualifying = [i for i, (r, q) in enumerate(curve.samples)
-                  if abs(r + q - S) <= CRITICAL_TOL]
-    if not qualifying:
-        return CriticalRate(Hc=0.0, found=False)
-    i = qualifying[-1]
-    if i + 1 == len(curve.samples):
-        return CriticalRate(Hc=curve.samples[i][0], found=True)
-    (r0, q0), (r1, q1) = curve.samples[i], curve.samples[i + 1]
-    growth = 1.0 + (q1 - q0) / (r1 - r0)  # d(excess)/dR on the segment
-    Hc = r1 if growth <= 0.0 else min(
-        r0 + (CRITICAL_TOL - (r0 + q0 - S)) / growth, r1)
-    return CriticalRate(Hc=Hc, found=True)
-
+    S = curve.samples[0][1]
+    return CriticalRate(Hc=max(r for r, q in curve.samples
+                               if abs(r + q - S) <= REFINE_TARGET))

@@ -15,7 +15,8 @@ import pytest
 from tradeoff import optimizer
 from tradeoff.cli import _grid_type, build_parser, main
 from tradeoff.ensembles import (BUILTIN_NAMES, builtin_ensemble,
-                                ensemble_to_dict)
+                                ensemble_to_dict, load_ensemble)
+from tradeoff.optimizer import compute_curves
 
 FAST = ["--resolution", "10", "--multistarts", "4", "--workers", "1"]
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -247,13 +248,17 @@ def test_verify_rejects_bad_options_before_solving(option, tmp_path, capsys,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv", [
+# Every command that writes --out, short of its --out.
+WRITING_COMMANDS = pytest.mark.parametrize("argv", [
     ["qct", "--builtin", "zero-plus"] + FAST,
     ["rsp", "--builtin", "zero-plus"] + FAST,
     ["surface", "--builtin", "zero-plus", "--grid", "4x4"] + FAST,
     ["verify", "--builtin", "zero-plus", "--grid", "4x4"] + FAST,
     ["plot", "--surface", "surface.csv"],
 ], ids=["qct", "rsp", "surface", "verify", "plot"])
+
+
+@WRITING_COMMANDS
 def test_missing_out_directory_exits_1_before_solving(argv, tmp_path, capsys,
                                                       monkeypatch):
     def no_solve(*args, **kwargs):
@@ -265,6 +270,33 @@ def test_missing_out_directory_exits_1_before_solving(argv, tmp_path, capsys,
     assert capsys.readouterr().err == (
         f"error: --out {out}: no directory to write it in\n")
     assert list(tmp_path.iterdir()) == []
+
+
+@WRITING_COMMANDS
+def test_out_directory_exits_1_before_solving(argv, tmp_path, capsys,
+                                              monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the curves were solved before the --out check")
+
+    monkeypatch.setattr("tradeoff.cli.compute_curves", no_solve)
+    out = tmp_path / "taken"
+    out.mkdir()
+    assert main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: --out {out}: is a directory\n"
+    assert list(tmp_path.iterdir()) == [out]
+    assert list(out.iterdir()) == []
+
+
+def test_plot_onto_its_surface_exits_1(tmp_path, capsys, monkeypatch):
+    # The same file, named once relative and once absolute.
+    monkeypatch.chdir(tmp_path)
+    surface = tmp_path / "surface.csv"
+    surface.write_text("R,Q\n1,2\n")
+    code = main(["plot", "--surface", "surface.csv", "--out", str(surface)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: --out {surface}: is the --surface file\n")
+    assert surface.read_text() == "R,Q\n1,2\n"
 
 
 def test_solver_diagnostics_exit_2(zp_curves, tmp_path, capsys, monkeypatch):
@@ -379,6 +411,13 @@ BYTE_COMPARED = [
 def _write_ensemble_files(directory: Path) -> None:
     for name, payload in ENSEMBLE_FILES.items():
         (directory / f"{name}.json").write_text(json.dumps(payload))
+
+
+def test_critical_rate_of_ensemble_files(tmp_path):
+    # At the CLI defaults Q* leaves the line R + Q = S at R = 0.
+    _write_ensemble_files(tmp_path)
+    curves = compute_curves(load_ensemble(tmp_path / "qutrit.json"))
+    assert curves.critical.Hc == 0.0
 
 
 def test_console_commands_exit_as_stated(tmp_path, monkeypatch):

@@ -38,7 +38,7 @@ FROZEN_OBJECTIVE_XBC = {1.0: 0.9999999999987366}
 FROZEN_QCT = {0.25: 0.4460719628466642, 0.5: 0.2938365879293,
               0.75: 0.1439357476715407}
 FROZEN_RSP = {0.7: 0.4397629726817988, 0.85: 0.2078234995704327}
-FROZEN_HC = 0.013174026769327716
+FROZEN_HC = 0.0
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -111,14 +111,12 @@ def test_curve_endpoints(zp_curves):
 def test_analytic_endpoints_are_exact(zp_curves, ortho_curves):
     # Solver points within SNAP of an endpoint are dropped, so the exact
     # endpoints (0, S) and (H, Sbar) are the first and last QCT vertices and
-    # no rounding twin sits next to either end of either curve.  So vertex 0
-    # always qualifies for the critical rate, which is always found.
+    # no rounding twin sits next to either end of either curve.
     bb84_curves = compute_curves(builtin_ensemble("bb84"), 40, multistarts=8,
                                  seed=0)
     for curves in (zp_curves, ortho_curves, bb84_curves):
         stats = curves.stats
         assert curves.qct.samples[0] == (0.0, stats.S)
-        assert curves.critical.found
         assert curves.qct.samples[-1] == (stats.H, stats.Sbar)
         last_r, last_e = curves.rsp.samples[-1]
         assert abs(last_r - stats.H) <= 1e-15
@@ -184,33 +182,46 @@ def test_ebit_rate_reachable_on_qubit_curve(mirror_inputs):
 
 
 def test_critical_rate_orthonormal(ortho_curves):
-    assert ortho_curves.critical.found
-    assert ortho_curves.critical.Hc == pytest.approx(1.0, abs=1e-2)
+    # Q* runs down the line R + Q = S all the way to (H, Sbar) = (1, 0).
+    assert ortho_curves.critical.Hc == 1.0
 
 
 def test_critical_rate_zero_plus(zp_curves):
-    assert zp_curves.critical.found
-    assert zp_curves.critical.Hc == pytest.approx(FROZEN_HC, abs=2e-3)
+    assert zp_curves.critical.Hc == FROZEN_HC
+
+
+@pytest.mark.parametrize("name, multistarts", [("bb84", 8),
+                                               ("uniform-qubit-24", 4)])
+def test_critical_rate_is_zero_off_the_line(name, multistarts):
+    # Q* leaves the line R + Q = S at R = 0: the second QCT vertex lies far
+    # more than REFINE_TARGET above it.
+    curves = compute_curves(builtin_ensemble(name), 40,
+                            multistarts=multistarts, seed=0)
+    (r, q), S = curves.qct.samples[1], curves.stats.S
+    assert r + q - S > 10 * optimizer.REFINE_TARGET
+    assert curves.critical.Hc == 0.0
 
 
 def test_critical_rate_requires_qct(zp_curves):
     with pytest.raises(ValueError):
-        critical_rate(zp_curves.rsp, zp_curves.stats.S)
-
-
-@pytest.mark.parametrize("S", [math.nan, math.inf, -0.5, True])
-def test_critical_rate_rejects_bad_entropy(zp_curves, S):
-    # A NaN S used to match no vertex and read as a missing plateau.
-    with pytest.raises(ValueError, match="S="):
-        critical_rate(zp_curves.qct, S)
+        critical_rate(zp_curves.rsp)
 
 
 def test_critical_rate_without_plateau():
-    # No vertex lies on the line R + Q = S, so there is no plateau to end.
+    # No vertex past R = 0 lies on the line R + Q = S through the first.
     curve = TradeoffCurve(kind="QCT", samples=((0.0, 0.9), (1.0, 0.0)),
                           domain=(0.0, 1.0), channels=(None, None))
-    critical = critical_rate(curve, S=2.0)
-    assert critical.Hc == 0.0 and not critical.found
+    assert critical_rate(curve).Hc == 0.0
+
+
+def test_critical_rate_is_last_vertex_on_line():
+    # S is the value at R = 0.  The vertex at 0.3 is on the line and the one
+    # at 0.6 is 0.05 above it, so Hc is 0.3: the chord between them is not
+    # searched for a crossing.
+    curve = TradeoffCurve(kind="QCT", samples=((0.0, 1.0), (0.3, 0.7),
+                                               (0.6, 0.45), (1.0, 0.3)),
+                          domain=(0.0, 1.0), channels=(None,) * 4)
+    assert critical_rate(curve).Hc == 0.3
 
 
 def test_critical_rate_matches_oracle_departure(zp_curves, zp_oracle):
