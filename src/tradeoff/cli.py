@@ -36,22 +36,35 @@ from .surface import surface_grid
 DEFAULT_GRID = (16, 16)
 
 
+def _written(args: argparse.Namespace):
+    """Each file the command writes, --out and then its sidecar, with the
+    name an error gives it."""
+    out = Path(args.out)
+    yield f"--out {args.out}:", out
+    if args.command in export.SIDECARS:
+        sidecar = out.with_suffix(export.SIDECARS[args.command])
+        yield f"--out {args.out}: sidecar {sidecar}", sidecar
+
+
 def _dispatch(args: argparse.Namespace) -> int:
     # Bad options fail here, not after the curves are solved.
     if args.command != "stats":
-        out = Path(args.out)
-        if not out.parent.is_dir():
-            raise ValueError(f"--out {args.out}: no directory to write it in")
-        if out.is_dir():
-            raise ValueError(f"--out {args.out}: is a directory")
+        inputs = {flag: Path(path).resolve() for flag in ("ensemble", "surface")
+                  if (path := getattr(args, flag, None)) is not None}
+        for name, path in _written(args):
+            if not path.parent.is_dir():
+                raise ValueError(f"{name} no directory to write it in")
+            if path.is_dir():
+                raise ValueError(f"{name} is a directory")
+            for flag, source in inputs.items():
+                if path.resolve() == source:
+                    raise ValueError(f"{name} is the --{flag} file")
     if args.command == "verify":
         _check_reals(tolerance=args.tolerance)
     if args.command == "plot":
-        if out.resolve() == Path(args.surface).resolve():
-            raise ValueError(f"--out {args.out}: is the --surface file")
         rows = export.read_surface_csv(args.surface)
         script = export.gnuplot_surface_script(rows)
-        out.write_text(script, encoding="utf-8")
+        Path(args.out).write_text(script, encoding="utf-8")
         print(f"wrote {args.out}")
         return 0
 

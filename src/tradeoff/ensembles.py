@@ -33,6 +33,9 @@ _KETS = {
     "+": (_SQ2, _SQ2),
     "-": (_SQ2, -_SQ2),
 }
+# Each qubit built-in, an equal mixture of the kets its string names.
+_QUBIT_BUILTINS = {"orthonormal-pair": "01", "bb84": "01+-", "zero-plus": "0+"}
+BUILTIN_NAMES = (*_QUBIT_BUILTINS, "single-entangled", "uniform-qubit-N")
 
 
 def _qubit_ensemble(kets) -> Ensemble:
@@ -58,17 +61,11 @@ def fibonacci_qubit_states(n: int) -> list:
 
 
 def builtin_ensemble(name: str) -> Ensemble:
-    """Look up a named built-in ensemble.
-
-    Available: orthonormal-pair, bb84, zero-plus, single-entangled, and
+    """Look up a named built-in ensemble: one of BUILTIN_NAMES, with
     uniform-qubit-N for any positive integer N (Fibonacci-sphere states).
     """
-    if name == "orthonormal-pair":
-        return _qubit_ensemble("01")
-    if name == "bb84":
-        return _qubit_ensemble("01+-")
-    if name == "zero-plus":
-        return _qubit_ensemble("0+")
+    if name in _QUBIT_BUILTINS:
+        return _qubit_ensemble(_QUBIT_BUILTINS[name])
     if name == "single-entangled":
         amp = np.array([_SQ2, 0.0, 0.0, _SQ2], dtype=complex)
         return Ensemble(states=(BipartitePureState(2, 2, amp),),
@@ -79,10 +76,6 @@ def builtin_ensemble(name: str) -> Ensemble:
         states = fibonacci_qubit_states(n)
         return Ensemble(states=tuple(states), probs=np.full(n, 1.0 / n))
     raise ValueError(f"unknown built-in ensemble {name!r}")
-
-
-BUILTIN_NAMES = ("orthonormal-pair", "bb84", "zero-plus", "single-entangled",
-                 "uniform-qubit-N")
 
 
 def parse_ensemble(payload: dict) -> Ensemble:

@@ -18,6 +18,9 @@ from .surface import RegionLabel, SurfaceGrid
 SURFACE_HEADER = "R,Q,E,region"
 CURVE_HEADER = "R,value,channel_id"
 _REGION_NAMES = {label.value for label in RegionLabel}
+# The file that each computing command writes next to its --out file.
+SIDECARS = {"qct": ".channels.json", "rsp": ".channels.json",
+            "surface": ".meta.json"}
 
 
 def _fmt(x: float) -> str:
@@ -42,7 +45,7 @@ def write_curve_csv(curve, path) -> Path:
             "matrix": [[float(x) for x in row] for row in channel.matrix],
         }
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    sidecar = path.with_suffix(".channels.json")
+    sidecar = path.with_suffix(SIDECARS[prefix])
     sidecar.write_text(json.dumps(channels, indent=2, sort_keys=True) + "\n",
                        encoding="utf-8")
     return sidecar
@@ -73,7 +76,7 @@ def write_surface_csv(grid: SurfaceGrid, ensemble, path) -> Path:
         "Hc": grid.curves.critical.Hc,
         "diagnostics": list(grid.curves.diagnostics),
     }
-    meta_path = path.with_suffix(".meta.json")
+    meta_path = path.with_suffix(SIDECARS["surface"])
     meta_path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n",
                          encoding="utf-8")
     return meta_path
@@ -119,9 +122,9 @@ def read_surface_csv(path) -> list:
 
 
 _PLOT_STYLE = {
-    "QCT": ("#4477aa", "no entanglement needed"),
-    "LowEntanglement": ("#ee6677", "E = Q*(R) - Q"),
-    "HighEntanglement": ("#228833", "E = E*(R+2Q) - Q"),
+    RegionLabel.QCT: ("#4477aa", "no entanglement needed"),
+    RegionLabel.LOW_ENTANGLEMENT: ("#ee6677", "E = Q*(R) - Q"),
+    RegionLabel.HIGH_ENTANGLEMENT: ("#228833", "E = E*(R+2Q) - Q"),
 }
 
 
@@ -133,7 +136,8 @@ def gnuplot_surface_script(rows) -> str:
     """
     blocks = []
     plots = []
-    for region, (color, note) in _PLOT_STYLE.items():
+    for label, (color, note) in _PLOT_STYLE.items():
+        region = label.value
         data = [(r, q, e) for r, q, e, reg in rows
                 if reg == region and np.isfinite(e)]
         if not data:

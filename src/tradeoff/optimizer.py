@@ -196,8 +196,8 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
     return (top + np.log2(total))[..., 0]
 
 
-def _bloch_log(moments: np.ndarray, live: np.ndarray, weight: np.ndarray,
-               basis: np.ndarray) -> np.ndarray:
+def _bloch_log(moments: np.ndarray, live: np.ndarray,
+               weight: np.ndarray) -> np.ndarray:
     """The closed-form posterior log step of a qubit, which needs no basis:
     turns rows 0-2 of moments into w gamma_j r_j and returns w alpha_j."""
     q, vec = moments[:, -1], moments[:, :-1]
@@ -215,14 +215,16 @@ def _bloch_log(moments: np.ndarray, live: np.ndarray, weight: np.ndarray,
     return (plus + minus) * half
 
 
-def _eigh_log(moments: np.ndarray, live: np.ndarray, weight: np.ndarray,
-              basis: np.ndarray) -> np.ndarray:
+def _eigh_log(moments: np.ndarray, live: np.ndarray,
+              weight: np.ndarray) -> np.ndarray:
     """The posterior log step of any dimB: turns the first d^2 - 1 rows of
     moments into w c_j/2 and returns w Tr[log2 rho_j]/d."""
     s, size, k = moments.shape
+    d = math.isqrt(size)
+    basis = _bloch_basis(d)
     # The rows [r_j, 1], and 0 at a dead output, whose floored log is finite.
     rows = moments / np.where(live, moments[:, -1], np.inf)[:, None]
-    rho = (rows.swapaxes(1, 2) @ basis).reshape(s, k, -1, math.isqrt(size))
+    rho = (rows.swapaxes(1, 2) @ basis).reshape(s, k, d, d)
     lam, vec = np.linalg.eigh(rho)
     np.log2(np.maximum(lam, EIGENVALUE_CLAMP, out=lam), out=lam)
     log_rho = (vec * lam[..., None, :]) @ vec.conj().swapaxes(2, 3)
@@ -234,18 +236,16 @@ def _eigh_log(moments: np.ndarray, live: np.ndarray, weight: np.ndarray,
 
 def _logits(reduced_b: np.ndarray, probs: np.ndarray):
     """The update's logits log2 q_j - w * d(i, j) at a stack of channels."""
-    d = reduced_b.shape[-1]
-    basis = _bloch_basis(d)
     augmented = _bloch_rows(reduced_b)
     moment_weights = (probs[:, None] * augmented).T
-    log_step = _bloch_log if d == 2 else _eigh_log
+    log_step = _bloch_log if reduced_b.shape[-1] == 2 else _eigh_log
 
     def logits(point, weight):
         # Rows q_j r_j and q_j; the last becomes log2 q_j + w Tr[log2 rho_j]/d.
         moments = moment_weights @ point
         q = moments[:, -1]
         live = q > ZERO_OUTPUT
-        trace = log_step(moments, live, weight, basis)
+        trace = log_step(moments, live, weight)
         np.log2(q, out=q, where=live)
         q[~live] = -np.inf
         q += trace
@@ -518,8 +518,9 @@ class TradeoffCurve:
 
     samples are the convex-envelope support vertices as finite (R, value)
     pairs in increasing R; channels[i] is a channel achieving samples[i],
-    one per sample.  The curve extends flat at its last value for R beyond
-    the last vertex.  Left of the domain, rates are unachievable: None.
+    one per sample, and rates and values are their read-only columns.  The
+    curve extends flat at its last value for R beyond the last vertex.  Left
+    of the domain, rates are unachievable: None.
     """
 
     kind: str
@@ -550,16 +551,8 @@ class TradeoffCurve:
                 raise ValueError("curve must be convex")
         xs.flags.writeable = False
         ys.flags.writeable = False
-        object.__setattr__(self, "_xs", xs)
-        object.__setattr__(self, "_ys", ys)
-
-    @property
-    def rates(self) -> np.ndarray:
-        return self._xs
-
-    @property
-    def values(self) -> np.ndarray:
-        return self._ys
+        object.__setattr__(self, "rates", xs)
+        object.__setattr__(self, "values", ys)
 
     def value(self, R: float) -> float | None:
         """Curve value at rate R, or None where the rate is unachievable,
@@ -567,7 +560,7 @@ class TradeoffCurve:
         _check_reals(R=R, least=-math.inf)
         if R < self.domain[0] - DOMAIN_TOL:
             return None
-        return float(np.interp(R, self._xs, self._ys))
+        return float(np.interp(R, self.rates, self.values))
 
 
 @dataclass(frozen=True)

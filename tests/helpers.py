@@ -279,9 +279,10 @@ def blahut_arimoto_map(reduced_b: np.ndarray, probs: np.ndarray, ratio,
 
 def fixed_point_one_start(reduced_b: np.ndarray, probs: np.ndarray,
                           ratio: float, channel: np.ndarray,
-                          max_iter: int) -> tuple[np.ndarray, bool]:
+                          max_iter: int) -> tuple[np.ndarray, bool, int]:
     """The extrapolated (SQUAREM) fixed-point cycle from one start, in a
-    plain loop.
+    plain loop: its last channel, whether it converged before the cap, and
+    how many map evaluations it took.
 
     Reference for the lockstep solver.  From x0 a cycle takes x1 = F(x0) and
     x2 = F(x1), with F the `blahut_arimoto_map`, extrapolates to
@@ -294,7 +295,7 @@ def fixed_point_one_start(reduced_b: np.ndarray, probs: np.ndarray,
     evaluation's image; max_iter counts map evaluations.
     """
     iterates, lowest = [channel], np.inf
-    for _ in range(max_iter):
+    for evaluation in range(1, max_iter + 1):
         jumped = len(iterates) == 3
         if jumped:
             x0, x1, x2 = iterates
@@ -315,8 +316,8 @@ def fixed_point_one_start(reduced_b: np.ndarray, probs: np.ndarray,
         updated, value = blahut_arimoto_step(reduced_b, probs, ratio, point)
         if np.abs(updated - point).max() < 1e-10 or (jumped
                                                     and value >= lowest):
-            return updated, True
+            return updated, True, evaluation
         if jumped:
             lowest = min(lowest, value)
         iterates.append(updated)
-    return iterates[-1], False
+    return iterates[-1], False, max_iter

@@ -256,15 +256,26 @@ WRITING_COMMANDS = pytest.mark.parametrize("argv", [
     ["verify", "--builtin", "zero-plus", "--grid", "4x4"] + FAST,
     ["plot", "--surface", "surface.csv"],
 ], ids=["qct", "rsp", "surface", "verify", "plot"])
+# Every command that solves the curves, short of its ensemble and --out.
+COMPUTING_COMMANDS = {
+    "qct": ["qct"] + FAST,
+    "rsp": ["rsp"] + FAST,
+    "surface": ["surface", "--grid", "4x4"] + FAST,
+    "verify": ["verify", "--grid", "4x4"] + FAST,
+}
+
+
+@pytest.fixture
+def no_solve(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("the curves were solved before the --out check")
+
+    monkeypatch.setattr("tradeoff.cli.compute_curves", fail)
 
 
 @WRITING_COMMANDS
 def test_missing_out_directory_exits_1_before_solving(argv, tmp_path, capsys,
-                                                      monkeypatch):
-    def no_solve(*args, **kwargs):
-        raise AssertionError("the curves were solved before the --out check")
-
-    monkeypatch.setattr("tradeoff.cli.compute_curves", no_solve)
+                                                      no_solve):
     out = tmp_path / "missing" / "a.csv"
     assert main(argv + ["--out", str(out)]) == 1
     assert capsys.readouterr().err == (
@@ -274,17 +285,64 @@ def test_missing_out_directory_exits_1_before_solving(argv, tmp_path, capsys,
 
 @WRITING_COMMANDS
 def test_out_directory_exits_1_before_solving(argv, tmp_path, capsys,
-                                              monkeypatch):
-    def no_solve(*args, **kwargs):
-        raise AssertionError("the curves were solved before the --out check")
-
-    monkeypatch.setattr("tradeoff.cli.compute_curves", no_solve)
+                                              no_solve):
     out = tmp_path / "taken"
     out.mkdir()
     assert main(argv + ["--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: --out {out}: is a directory\n"
     assert list(tmp_path.iterdir()) == [out]
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, suffix", [("qct", ".channels.json"),
+                                             ("rsp", ".channels.json"),
+                                             ("surface", ".meta.json")],
+                         ids=["qct", "rsp", "surface"])
+def test_sidecar_directory_exits_1_before_solving(command, suffix, tmp_path,
+                                                  capsys, no_solve):
+    # The sidecar is written after the CSV, so a directory in its place
+    # would leave a CSV without it.
+    out, sidecar = tmp_path / "a.csv", tmp_path / f"a{suffix}"
+    sidecar.mkdir()
+    argv = COMPUTING_COMMANDS[command] + ["--builtin", "zero-plus"]
+    assert main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: --out {out}: sidecar {sidecar} is a directory\n")
+    assert list(tmp_path.iterdir()) == [sidecar]
+    assert list(sidecar.iterdir()) == []
+
+
+@pytest.mark.parametrize("absolute", [False, True],
+                         ids=["relative", "absolute"])
+@pytest.mark.parametrize("command", list(COMPUTING_COMMANDS))
+def test_out_onto_its_ensemble_exits_1(command, absolute, tmp_path, capsys,
+                                       monkeypatch, no_solve):
+    monkeypatch.chdir(tmp_path)
+    _write_ensemble_files(tmp_path)
+    ensemble = tmp_path / "qutrit.json"
+    text = ensemble.read_bytes()
+    out = str(ensemble) if absolute else "qutrit.json"
+    argv = COMPUTING_COMMANDS[command] + ["--ensemble", "qutrit.json"]
+    assert main(argv + ["--out", out]) == 1
+    assert capsys.readouterr().err == (
+        f"error: --out {out}: is the --ensemble file\n")
+    assert ensemble.read_bytes() == text
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
+        f"{name}.json" for name in ENSEMBLE_FILES)
+
+
+def test_sidecar_onto_its_ensemble_exits_1(tmp_path, capsys, monkeypatch,
+                                           no_solve):
+    monkeypatch.chdir(tmp_path)
+    ensemble = tmp_path / "x.channels.json"
+    ensemble.write_text(json.dumps(ENSEMBLE_FILES["qutrit"]))
+    text = ensemble.read_bytes()
+    argv = COMPUTING_COMMANDS["qct"] + ["--ensemble", "x.channels.json"]
+    assert main(argv + ["--out", "x.csv"]) == 1
+    assert capsys.readouterr().err == (
+        "error: --out x.csv: sidecar x.channels.json is the --ensemble file\n")
+    assert ensemble.read_bytes() == text
+    assert list(tmp_path.iterdir()) == [ensemble]
 
 
 def test_plot_onto_its_surface_exits_1(tmp_path, capsys, monkeypatch):
@@ -498,7 +556,9 @@ def test_workflow_shell_parses():
     # bash -n reads each run: block whole, quoting included; it runs
     # nothing.
     blocks = _workflow_run_blocks()
-    assert len(blocks) == 4
+    assert len(blocks) == 5
+    assert blocks[-1] == ('git status --porcelain\n'
+                          'test -z "$(git status --porcelain)"')
     for block in blocks:
         result = subprocess.run(["bash", "-n"], input=block, text=True,
                                 capture_output=True)
@@ -562,3 +622,12 @@ def test_builtin_help_names_each_builtin_once(capsys):
     help_text = re.search(r"--builtin NAME (.*?) --resolution", text).group(1)
     for name in BUILTIN_NAMES:
         assert help_text.count(name) == 1
+
+
+def test_readme_lists_the_builtins():
+    # The "Command line" section names the built-ins of BUILTIN_NAMES, in
+    # order, and no other.
+    text = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    listed = re.search(r"`--builtin NAME` \(one of(.*?)\) or as", text,
+                       re.S).group(1)
+    assert tuple(re.findall(r"`([^`]+)`", listed)) == BUILTIN_NAMES

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import re
@@ -397,19 +398,20 @@ def test_fixed_point_rows_independent(name, ratio, monkeypatch):
             for row, (start, row_ratio) in enumerate(zip(starts, row_ratios)):
                 alone, alone_flag = _solve(b, p, row_ratio, start[None],
                                            max_iter)
-                loop, loop_flag = fixed_point_one_start(b, p, row_ratio, start,
-                                                        max_iter)
+                loop, loop_flag, loop_count = fixed_point_one_start(
+                    b, p, row_ratio, start, max_iter)
                 assert np.array_equal(channels[row], alone[0])
                 assert converged[row] == alone_flag[0] == loop_flag
                 assert dense_flags[row] == loop_flag
-                dense_alone, _, points, t = _recorded_fixed_point(
+                dense_alone, _, points, steps = _recorded_fixed_point(
                     monkeypatch, (b, p), row_ratio, start[None], max_iter)
                 assert np.array_equal(dense[row], dense_alone[0])
                 if not _assert_tracks(
                         points, lambda x: _map_image(monkeypatch, (b, p), x,
                                                      row_ratio, eigh=True),
                         lambda x: blahut_arimoto_map(b, p, row_ratio, x),
-                        t, dense[row], loop, 1e-12):
+                        steps, (dense[row], loop),
+                        (_counts(points), [1] * loop_count), 1e-12):
                     amplified.add((max_iter, row_ratio))
                 critical = (name == "zero-plus" and row_ratio == ratio
                             and max_iter >= 3)
@@ -937,11 +939,12 @@ def _dense_fixed_point(monkeypatch, *args):
         return _solve(*args)
 
 
-def _recorded_fixed_point(monkeypatch, args, ratio, starts, max_iter):
-    """`_dense_fixed_point` from starts, with the points it maps and the
-    largest step t its jumps accept."""
+def _recorded_fixed_point(monkeypatch, args, ratio, starts, max_iter,
+                          eigh=True):
+    """`_dense_fixed_point` from starts, or `_solve` unless eigh, with the
+    points it maps and the largest step t of each of its jumps."""
     kernel, extrapolate = optimizer._logits, optimizer._extrapolate
-    points, steps = [], [1.0]
+    points, steps = [], []
 
     def recording_kernel(*kernel_args):
         logits = kernel(*kernel_args)
@@ -952,15 +955,21 @@ def _recorded_fixed_point(monkeypatch, args, ratio, starts, max_iter):
         return recorded
 
     def recording_jump(x0, x1, x2):
-        steps.extend(t for t, _ in _accepted_steps(x0, x1, x2))
+        steps.append(max(t for t, _ in _accepted_steps(x0, x1, x2)))
         return extrapolate(x0, x1, x2)
 
     with monkeypatch.context() as patch:
         patch.setattr(optimizer, "_logits", recording_kernel)
         patch.setattr(optimizer, "_extrapolate", recording_jump)
-        channels, flags = _dense_fixed_point(monkeypatch, *args, ratio,
-                                             starts, max_iter)
-    return channels, flags, points, max(steps)
+        if eigh:
+            patch.setattr(optimizer, "_bloch_log", optimizer._eigh_log)
+        channels, flags = _solve(*args, ratio, starts, max_iter)
+    return channels, flags, points, steps
+
+
+def _counts(points) -> list:
+    """How many starts each map evaluation of a run took."""
+    return [len(point) for point in points]
 
 
 def _map_image(monkeypatch, args, point, ratio, eigh=False):
@@ -974,22 +983,30 @@ def _map_image(monkeypatch, args, point, ratio, eigh=False):
     return image
 
 
-def _assert_tracks(points, image, reference, t, end, reference_end,
+def _assert_tracks(points, image, reference, steps, ends, counts,
                    atol) -> bool:
     """Assert that one map evaluation agrees with the reference map to
-    1e-12 at every point of a run, and its end state with the reference
-    run's to atol unless the largest accepted step t, squared, times the
-    largest one-step difference exceeds atol: an accepted jump carries that
-    difference into the next x0 through t^2 v.  Returns whether the end
-    states were compared."""
+    1e-12 at every point of a run, and the run's end state with the
+    reference run's to atol unless their carried difference may exceed
+    atol.  Each accepted jump, of largest step t, carries up to t^2 times
+    the largest one-step difference into the next x0 through t^2 v, and the
+    carries of successive jumps add up, on top of the last evaluation's own
+    difference.  counts are each run's starts per map evaluation: where a
+    stop test holds in one run and not in the other, each evaluation of a
+    start that only one run makes adds up to CONVERGENCE_TOL, the change
+    below which a start stops.  Returns whether the end states were
+    compared."""
     step_gap = 0.0
     for point in points:
         ours, theirs = image(point), reference(point)
         np.testing.assert_allclose(ours, theirs, rtol=0, atol=1e-12)
         step_gap = max(step_gap, np.abs(ours - theirs).max())
-    if t ** 2 * step_gap > atol:
+    unmatched = sum(abs(a - b) for a, b in itertools.zip_longest(
+        *counts, fillvalue=0))
+    if ((1.0 + sum(t * t for t in steps)) * step_gap
+            + unmatched * optimizer.CONVERGENCE_TOL > atol):
         return False
-    np.testing.assert_allclose(end, reference_end, rtol=0, atol=atol)
+    np.testing.assert_allclose(*ends, rtol=0, atol=atol)
     return True
 
 
@@ -1033,15 +1050,17 @@ def test_qubit_kernel_matches_dense(case, monkeypatch):
     amplified = []
     for max_iter in (1, 60):
         for ratio in ratios:
-            qubit, qubit_flags = _solve(*args, ratio, starts, max_iter)
-            dense, dense_flags, points, t = _recorded_fixed_point(
+            qubit, qubit_flags, qubit_points, _ = _recorded_fixed_point(
+                monkeypatch, args, ratio, starts, max_iter, eigh=False)
+            dense, dense_flags, points, steps = _recorded_fixed_point(
                 monkeypatch, args, ratio, starts, max_iter)
             assert np.array_equal(qubit_flags, dense_flags)
             if not _assert_tracks(
                     points, lambda x: _map_image(monkeypatch, args, x, ratio),
                     lambda x: _map_image(monkeypatch, args, x, ratio,
                                          eigh=True),
-                    t, qubit, dense, atol):
+                    steps, (qubit, dense),
+                    (_counts(qubit_points), _counts(points)), atol):
                 amplified.append((max_iter, ratio))
     assert amplified == ([(60, 5.0)] if case == "uniform-qubit-24" else [])
 
