@@ -193,6 +193,8 @@ class AchievableHull:
     mix_count = 0
 
     def __post_init__(self):
+        if not self.points:
+            raise ValueError("hull needs at least one point")
         arr = np.array([(p.R, p.Q, p.E, 1.0) for p in self.points])
         flows = np.array([(*d, 0.0) for d in CONVERSIONS.values()])
         # Constraint columns, one row each for the R, Q and E totals and for

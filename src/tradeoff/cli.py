@@ -109,14 +109,6 @@ def _dispatch(args: argparse.Namespace) -> int:
     return status or (3 if report["violations"] else 0)
 
 
-def run(args: argparse.Namespace) -> int:
-    try:
-        return _dispatch(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-
 def _grid_type(text: str) -> tuple[int, int]:
     parts = text.lower().split("x")
     if len(parts) != 2:
@@ -215,7 +207,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    return run(build_parser().parse_args(argv))
+    args = build_parser().parse_args(argv)
+    try:
+        return _dispatch(args)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

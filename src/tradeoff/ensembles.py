@@ -38,10 +38,11 @@ _QUBIT_BUILTINS = {"orthonormal-pair": "01", "bb84": "01+-", "zero-plus": "0+"}
 BUILTIN_NAMES = (*_QUBIT_BUILTINS, "single-entangled", "uniform-qubit-N")
 
 
-def _qubit_ensemble(kets) -> Ensemble:
-    states = tuple(BipartitePureState(1, 2, np.array(_KETS[k], dtype=complex))
-                   for k in kets)
-    return Ensemble(states=states, probs=np.full(len(kets), 1.0 / len(kets)))
+def _equal_mixture(states) -> Ensemble:
+    """The ensemble of the given states, each at the same probability."""
+    states = tuple(states)
+    return Ensemble(states=states,
+                    probs=np.full(len(states), 1.0 / len(states)))
 
 
 def fibonacci_qubit_states(n: int) -> list:
@@ -65,16 +66,13 @@ def builtin_ensemble(name: str) -> Ensemble:
     uniform-qubit-N for any positive integer N (Fibonacci-sphere states).
     """
     if name in _QUBIT_BUILTINS:
-        return _qubit_ensemble(_QUBIT_BUILTINS[name])
+        return _equal_mixture(BipartitePureState(1, 2, _KETS[k])
+                              for k in _QUBIT_BUILTINS[name])
     if name == "single-entangled":
-        amp = np.array([_SQ2, 0.0, 0.0, _SQ2], dtype=complex)
-        return Ensemble(states=(BipartitePureState(2, 2, amp),),
-                        probs=np.array([1.0]))
+        return _equal_mixture([BipartitePureState(2, 2, [_SQ2, 0, 0, _SQ2])])
     match = _UNIFORM_QUBIT.match(name)
     if match:
-        n = int(match.group(1))
-        states = fibonacci_qubit_states(n)
-        return Ensemble(states=tuple(states), probs=np.full(n, 1.0 / n))
+        return _equal_mixture(fibonacci_qubit_states(int(match.group(1))))
     raise ValueError(f"unknown built-in ensemble {name!r}")
 
 

@@ -78,12 +78,14 @@ jumps to
     x' = x0 + 2 t r + t^2 v,    t = max(|r| / |v|, 1),
 
 whose image F(x') is the next cycle's x0 (SQUAREM's step length is
-alpha = -t, and t = 1 gives x' = x2; t is per row, from row norms).  x' is
-never clipped to the simplex: the update is multiplicative, so an output
-set to zero would never come back.  A row whose x' has any entry <= 0
-steps back toward the plain step instead, as Varadhan & Roland do: it
-halves t, t <- max(t/2, 1), until x' is interior, which takes at most
-ceil(log2 t) halvings, and takes x' = x2 once t reaches 1.
+alpha = -t; t is per row, from row norms).  t = 1 gives x2 in exact
+arithmetic, but a row whose own t is 1 takes x0 + 2 r + v as computed,
+which equals x2 only up to rounding.  x' is never clipped to the simplex:
+the update is multiplicative, so an output set to zero would never come
+back.  A row whose x' has any entry <= 0 steps back toward the plain step
+instead, as Varadhan & Roland do: it halves t, t <- max(t/2, 1), until x'
+is interior, which takes at most ceil(log2 t) halvings, and takes x2
+itself once t reaches 1.
 
 A start stops at its first map evaluation that moves it by less than
 CONVERGENCE_TOL in sup norm, or at its first cycle whose x' has a free value
@@ -257,9 +259,11 @@ def _logits(reduced_b: np.ndarray, probs: np.ndarray):
 def _extrapolate(x0: np.ndarray, x1: np.ndarray,
                  x2: np.ndarray) -> np.ndarray:
     """The SQUAREM point x0 + 2 t r + t^2 v of each row, with t halved toward
-    1 while that point leaves the interior of the simplex, and x2 at t = 1
-    (module docstring).  x1 is dead after the jump, so its buffer takes r and
-    its values are lost; x0 and x2 are only read."""
+    1 while that point leaves the interior of the simplex (module
+    docstring).  A row whose own t is 1 takes x0 + 2 r + v, which equals x2
+    only up to rounding; a row that steps back takes x2 itself once t
+    reaches 1.  x1 is dead after the jump, so its buffer takes r and its
+    values are lost; x0 and x2 are only read."""
     v = np.subtract(x2, x1)
     r = np.subtract(x1, x0, out=x1)
     v -= r
@@ -589,15 +593,15 @@ def compute_curves(ensemble: Ensemble, resolution: int = DEFAULT_RESOLUTION, *,
     requests, with the critical rate, the entropic summary and the solve's
     diagnostics.
 
-    Each request runs its two continuation starts and max(multistarts - 2,
-    0) random ones, each for at most MAX_ITER map evaluations.  workers is
-    accepted for old callers and has no effect.
+    Each request runs multistarts starts, at least 2: its two continuation
+    starts and multistarts - 2 random ones, each for at most MAX_ITER map
+    evaluations.  workers is accepted for old callers and has no effect.
     """
-    _check_integers(resolution=(resolution, 2), multistarts=(multistarts, 1),
+    _check_integers(resolution=(resolution, 2), multistarts=(multistarts, 2),
                     seed=(seed, 0))
     stats = ensemble_stats(ensemble)
     m, k = ensemble.m, ensemble.m + 1
-    draws = max(multistarts - 2, 0)  # random starts per request
+    draws = multistarts - 2  # random starts per request
 
     # The points as parallel arrays of S(X:C), S(B|C) and channel, starting
     # from the exact analytic endpoints: the constant channel reveals

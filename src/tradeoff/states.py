@@ -88,11 +88,6 @@ def shannon_entropy(probs) -> float:
     return float(_entropy(p))
 
 
-def _spectrum_entropy(eigenvalues) -> np.ndarray:
-    """Entropy of each eigenvalue row, clamping numerical dust to zero."""
-    return _entropy(eigenvalues, EIGENVALUE_CLAMP)
-
-
 @functools.cache
 def _bloch_basis(d: int) -> np.ndarray:
     """The rows G_a/2 and I/d, flattened, over the generalized Gell-Mann
@@ -138,7 +133,7 @@ def _mixture_entropies(reduced_b: np.ndarray, weights: np.ndarray,
         mixtures = np.einsum("...ij,iab->...jab", weights, reduced_b)
         mixtures /= np.asarray(mass)[..., None, None]
         spectra = np.linalg.eigvalsh(mixtures)
-    return _spectrum_entropy(spectra)
+    return _entropy(spectra, EIGENVALUE_CLAMP)
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,7 +172,7 @@ def von_neumann_entropy(rho) -> float:
     """
     if not isinstance(rho, DensityOperator):
         rho = DensityOperator(rho)
-    return float(_spectrum_entropy(np.linalg.eigvalsh(rho.matrix)))
+    return float(_entropy(np.linalg.eigvalsh(rho.matrix), EIGENVALUE_CLAMP))
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,7 +221,11 @@ def partial_trace(state: BipartitePureState, keep: str) -> DensityOperator:
 
 @dataclass(frozen=True, eq=False)
 class Ensemble:
-    """Finite ensemble of bipartite pure states with source probabilities."""
+    """Finite ensemble of bipartite pure states with source probabilities.
+
+    reduced_b is the read-only stack of the states' reduced states on B, of
+    shape (m, dimB, dimB).
+    """
 
     states: tuple
     probs: np.ndarray
@@ -249,7 +248,7 @@ class Ensemble:
         # Exactly Hermitian: M^T M* is so only to rounding when dimA > 1.
         reduced = (reduced + reduced.conj().swapaxes(1, 2)) / 2.0
         reduced.flags.writeable = False
-        object.__setattr__(self, "_reduced_b", reduced)
+        object.__setattr__(self, "reduced_b", reduced)
 
     @property
     def m(self) -> int:
@@ -262,11 +261,6 @@ class Ensemble:
     @property
     def dimB(self) -> int:
         return self.states[0].dimB
-
-    @property
-    def reduced_b(self) -> np.ndarray:
-        """Stacked reduced states on B, shape (m, dimB, dimB)."""
-        return self._reduced_b
 
 
 @dataclass(frozen=True)

@@ -43,13 +43,9 @@ class RegionLabel(enum.Enum):
     FORBIDDEN = "Forbidden"
 
 
-# The labels in classification order, indexed by the region index of _cells.
-_LABELS = np.array(list(RegionLabel), dtype=object)
-
-
 def _cells(R, Q, curves: CurveSet) -> tuple[np.ndarray, np.ndarray]:
-    """Region index into _LABELS, first match wins, and the optimal ebit rate
-    (inf where unachievable) of each cell of the broadcast R and Q."""
+    """The RegionLabel of each cell of the broadcast R and Q, first match
+    wins, and its optimal ebit rate (inf where unachievable)."""
     stats = curves.stats
     # The QCT envelope ends at the exact vertex (H, Sbar), and is flat beyond.
     q_curve = np.interp(R, curves.qct.rates, curves.qct.values)
@@ -59,7 +55,8 @@ def _cells(R, Q, curves: CurveSet) -> tuple[np.ndarray, np.ndarray]:
     tests = [Q >= q_curve - REGION_EPS,
              Q >= 0.5 * (q_curve - stats.Sbar) - REGION_EPS,
              Q >= 0.5 * (stats.chi - R) - REGION_EPS]
-    region = np.select(tests, [0, 1, 2], default=3)
+    *finite, forbidden = RegionLabel
+    region = np.select(tests, finite, default=forbidden)
     E = np.select(tests, [0.0, np.maximum(q_curve - Q, 0.0),
                           np.maximum(e_curve - Q, 0.0)], default=np.inf)
     return region, E
@@ -70,7 +67,7 @@ def _cell(R: float, Q: float,
     """Region of one (R, Q) and the optimal ebit rate there, or None."""
     _check_reals(R=R, Q=Q)
     region, E = _cells(R, Q, curves)
-    return _LABELS[region], (None if np.isinf(E) else float(E))
+    return region.item(), (None if np.isinf(E) else float(E))
 
 
 def classify_region(R: float, Q: float, curves: CurveSet) -> RegionLabel:
@@ -111,5 +108,4 @@ def surface_grid(ensemble: Ensemble, nR: int, nQ: int, *,
     Rs = np.linspace(0.0, curves.stats.H, nR)
     Qs = np.linspace(0.0, curves.stats.S, nQ)
     region, E = _cells(Rs[:, None], Qs[None, :], curves)
-    return SurfaceGrid(Rs=Rs, Qs=Qs, E=E, region=_LABELS[region],
-                       curves=curves)
+    return SurfaceGrid(Rs=Rs, Qs=Qs, E=E, region=region, curves=curves)

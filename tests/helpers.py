@@ -12,7 +12,7 @@ from tradeoff.states import (
     EIGENVALUE_CLAMP,
     BipartitePureState,
     Ensemble,
-    _spectrum_entropy,
+    _entropy,
     shannon_entropy,
     von_neumann_entropy,
 )
@@ -101,7 +101,7 @@ def omega_dense(ensemble: Ensemble, channel: ClassicalChannel) -> np.ndarray:
 
 
 def _dense_entropy(matrix: np.ndarray) -> float:
-    return _spectrum_entropy(np.linalg.eigvalsh(matrix))
+    return _entropy(np.linalg.eigvalsh(matrix), EIGENVALUE_CLAMP)
 
 
 def entropic_profile_dense(ensemble: Ensemble,

@@ -236,6 +236,12 @@ NEAR_TWIN_POINTS = (
 )
 
 
+def test_empty_hull_rejected():
+    # Without the check, numpy failed to stack the constraint columns.
+    with pytest.raises(ValueError, match="hull needs at least one point"):
+        AchievableHull(points=())
+
+
 def test_near_twin_vertices_solve_exactly():
     # Pricing the E total per column, phase two reached the optimal face
     # E = 0 through bases holding points 1, 2 and 3 (condition number 5e8),

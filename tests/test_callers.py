@@ -1,6 +1,8 @@
-"""The package as its callers outside it use it: the README's library example
-and the benchmark harness, each run as written."""
+"""The package as its callers use it: the README's library example and the
+benchmark harness, each run as written, and the package's own code, which
+must read every private name the package defines."""
 
+import ast
 import json
 import re
 import shutil
@@ -11,6 +13,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "tradeoff"
 
 
 def test_readme_library_block_runs():
@@ -43,3 +46,42 @@ def test_bench_trace_smoke_runs(workload, tmp_path):
     checks = json.loads(done.stdout.splitlines()[-1])["checks"]
     assert checks["attempted"] > 0
     assert checks["failures"] == []
+
+
+def _private_definitions(tree: ast.Module):
+    """The module-level functions, classes and assigned names of a module
+    whose name starts with exactly one underscore."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [
+                node.target]
+            names = [n.id for t in targets for n in ast.walk(t)
+                     if isinstance(n, ast.Name)]
+        else:
+            continue
+        yield from (name for name in names
+                    if name.startswith("_") and not name.startswith("__"))
+
+
+def test_no_dead_private_code():
+    # A private name that no code in the package reads is dead: only a load
+    # of the name, an attribute of that name or an import of it counts, not
+    # a mention in a docstring or comment.
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    defined = [(module, name) for module, tree in trees.items()
+               for name in _private_definitions(tree)]
+    assert defined
+    assert [f"{module}: {name}" for module, name in defined
+            if name not in used] == []

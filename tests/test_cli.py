@@ -194,6 +194,22 @@ def test_negative_seed_exits_1_naming_seed(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_one_multistart_exits_1_before_solving(tmp_path, capsys,
+                                               monkeypatch):
+    # Two of a request's starts are continuation starts, so --multistarts N
+    # runs N starts only from N = 2.
+    def fail(*args, **kwargs):
+        raise AssertionError("a pass was solved with one start")
+
+    monkeypatch.setattr(optimizer, "_sweep", fail)
+    code = main(["qct", "--builtin", "zero-plus", "--resolution", "5",
+                 "--multistarts", "1", "--out", str(tmp_path / "qct.csv")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: multistarts must be at least 2, got 1\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_plot_rejects_malformed_surface(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("R,Q\n1,2\n")
