@@ -523,22 +523,18 @@ class TradeoffCurve:
     samples are the convex-envelope support vertices as finite (R, value)
     pairs in increasing R; channels[i] is a channel achieving samples[i],
     one per sample, and rates and values are their read-only columns.  The
-    curve extends flat at its last value for R beyond the last vertex.  Left
-    of the domain, rates are unachievable: None.
+    domain runs from the first vertex's rate to the last's.  The curve
+    extends flat at its last value for R beyond the last vertex.  Left of
+    the domain, rates are unachievable: None.
     """
 
     kind: str
     samples: tuple
-    domain: tuple
     channels: tuple
 
     def __post_init__(self):
         xs = np.array([s[0] for s in self.samples], dtype=float)
         ys = np.array([s[1] for s in self.samples], dtype=float)
-        lo, hi = self.domain
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
-            raise ValueError(f"curve domain must be finite with lo <= hi, "
-                             f"got {self.domain}")
         if xs.size == 0:
             raise ValueError("curve needs at least one sample")
         if len(self.channels) != xs.size:
@@ -557,6 +553,7 @@ class TradeoffCurve:
         ys.flags.writeable = False
         object.__setattr__(self, "rates", xs)
         object.__setattr__(self, "values", ys)
+        object.__setattr__(self, "domain", (float(xs[0]), float(xs[-1])))
 
     def value(self, R: float) -> float | None:
         """Curve value at rate R, or None where the rate is unachievable,
@@ -671,12 +668,8 @@ def compute_curves(ensemble: Ensemble, resolution: int = DEFAULT_RESOLUTION, *,
     qct, rsp = (
         TradeoffCurve(kind=kind,
                       samples=tuple(zip(x[hull].tolist(), ys[hull].tolist())),
-                      domain=(lo, stats.H),
                       channels=tuple(map(ClassicalChannel, channels[hull])))
-        # chi exceeds H only by rounding, on an orthonormal ensemble.
-        for kind, lo, (x, hull, _, _) in zip(("QCT", "RSP"),
-                                             (0.0, min(stats.chi, stats.H)),
-                                             sides))
+        for kind, (x, hull, _, _) in zip(("QCT", "RSP"), sides))
     critical = critical_rate(qct)
     diagnostics = []
     if nonconverged > NONCONVERGED_DIAGNOSTIC * max(total, 1):

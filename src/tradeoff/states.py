@@ -61,13 +61,17 @@ def _check_reals(*, least: float = 0.0, **values) -> None:
     """Raise ValueError naming the first argument that is not a finite
     number (by `_is_number`) of at least `least`: 0, minus the rounding dust
     of a value the caller clamps to 0, or -inf for any sign.  The message
-    abbreviates an integer, which may have hundreds of digits."""
+    shows a non-number by its repr and abbreviates an integer, which may
+    have hundreds of digits; one past the float range is real, not finite."""
     for name, value in values.items():
-        if not (_is_number(value) and math.isfinite(value)
-                and value >= least):
+        if _is_number(value) and math.isfinite(value) and value >= least:
+            continue
+        if not (_is_number(value) or type(value) is int):
+            rule, shown = "a real number", reprlib.repr(value)
+        else:
             rule = "finite" if least == -math.inf else "finite and nonnegative"
             shown = reprlib.repr(value) if isinstance(value, int) else value
-            raise ValueError(f"{name} must be {rule}, got {name}={shown}")
+        raise ValueError(f"{name} must be {rule}, got {name}={shown}")
 
 
 def _check_probabilities(p: np.ndarray) -> None:
@@ -144,8 +148,9 @@ class DensityOperator:
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"density matrix must be square, got shape {m.shape}")
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+            raise ValueError(f"density matrix must be square with at least "
+                             f"one row, got shape {m.shape}")
         if not np.all(np.isfinite(m)):
             raise ValueError("density matrix entries must be finite")
         if np.abs(m - m.conj().T).max() > HERMITICITY_TOL:

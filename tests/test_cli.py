@@ -618,6 +618,33 @@ def test_verify_run_loads_no_numpy_random(tmp_path):
     assert out.exists()
 
 
+# The np.linalg routines that call LAPACK.  norm, which loading a file uses,
+# is plain arithmetic and is not among them.
+LAPACK = ("eig", "eigh", "eigvals", "eigvalsh", "inv", "solve", "svd", "det",
+          "slogdet", "lstsq", "qr", "cholesky", "pinv", "matrix_rank")
+
+
+def test_qubit_runs_call_no_lapack(tmp_path, monkeypatch):
+    # README: "a qubit run calls no LAPACK routine, verify included".
+    def refuse(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"a qubit run called np.linalg.{name}")
+        return call
+    for name in LAPACK:
+        monkeypatch.setattr(np.linalg, name, refuse(name))
+    path = tmp_path / "qubits.json"
+    path.write_text(json.dumps(ensemble_to_dict(
+        builtin_ensemble("uniform-qubit-5"))))
+    runs = [["verify", "--builtin", "zero-plus", "--grid", "8x8"] + FAST,
+            ["verify", "--builtin", "bb84", "--grid", "8x8"] + FAST,
+            ["surface", "--builtin", "single-entangled", "--grid", "5x5"]
+            + FAST,
+            ["qct", "--ensemble", str(path)] + FAST]
+    for i, argv in enumerate(runs):
+        assert main(argv + ["--out", str(tmp_path / f"run{i}.out")]) == 0
+    assert main(["stats", "--builtin", "uniform-qubit-24"]) == 0
+
+
 def test_cli_import_loads_no_process_pool():
     # The optimizer serves ProcessPoolExecutor only on demand, so no run
     # imports the pool machinery; ensemble_hash imports hashlib when called,

@@ -71,6 +71,9 @@ def test_minimize_profile_validation(zero_plus):
         minimize_profile(zero_plus, float("nan"))
     with pytest.raises(ValueError, match="mu=True"):
         minimize_profile(zero_plus, True)
+    with pytest.raises(ValueError,
+                       match="mu must be a real number, got mu='0.5'"):
+        minimize_profile(zero_plus, "0.5")
     with pytest.raises(ValueError):
         minimize_profile(zero_plus, 1.0, kind="XB")
     with pytest.raises(ValueError):
@@ -110,6 +113,24 @@ def test_curve_endpoints(zp_curves):
     assert zp_curves.rsp.domain[0] == pytest.approx(stats.chi)
     assert zp_curves.rsp.value(stats.chi) == pytest.approx(stats.S, abs=1e-6)
     assert zp_curves.rsp.value(stats.H) == pytest.approx(stats.Sbar, abs=1e-9)
+
+
+@pytest.mark.parametrize("name", ["orthonormal-pair", "bb84", "zero-plus",
+                                  "single-entangled", "uniform-qubit-24"])
+def test_domain_spans_the_vertices(name):
+    # At the bench workloads' settings (16, 8 and 4 starts, resolution 40,
+    # seed 0) each curve's domain is its vertices' span, and that span is
+    # exactly [0, H] for Q* and [chi, H] for E*: the shear clips the first
+    # RSP vertex to chi (to H where chi exceeds H by rounding) and maps
+    # (H, Sbar) to H itself.
+    ensemble = builtin_ensemble(name)
+    for multistarts in (16, 8, 4):
+        curves = compute_curves(ensemble, 40, multistarts=multistarts, seed=0)
+        stats = curves.stats
+        for curve in (curves.qct, curves.rsp):
+            assert curve.domain == (curve.rates[0], curve.rates[-1])
+        assert curves.qct.domain == (0.0, stats.H)
+        assert curves.rsp.domain == (min(stats.chi, stats.H), stats.H)
 
 
 def test_analytic_endpoints_are_exact(zp_curves, ortho_curves):
@@ -214,7 +235,7 @@ def test_critical_rate_requires_qct(zp_curves):
 def test_critical_rate_without_plateau():
     # No vertex past R = 0 lies on the line R + Q = S through the first.
     curve = TradeoffCurve(kind="QCT", samples=((0.0, 0.9), (1.0, 0.0)),
-                          domain=(0.0, 1.0), channels=(None, None))
+                          channels=(None, None))
     assert critical_rate(curve).Hc == 0.0
 
 
@@ -224,7 +245,7 @@ def test_critical_rate_is_last_vertex_on_line():
     # searched for a crossing.
     curve = TradeoffCurve(kind="QCT", samples=((0.0, 1.0), (0.3, 0.7),
                                                (0.6, 0.45), (1.0, 0.3)),
-                          domain=(0.0, 1.0), channels=(None,) * 4)
+                          channels=(None,) * 4)
     assert critical_rate(curve).Hc == 0.3
 
 
@@ -243,18 +264,16 @@ def test_critical_rate_matches_oracle_departure(zp_curves, zp_oracle):
 
 def test_curve_constructor_validation():
     with pytest.raises(ValueError):
-        TradeoffCurve(kind="QCT", samples=(), domain=(0.0, 1.0),
-                      channels=())
+        TradeoffCurve(kind="QCT", samples=(), channels=())
     with pytest.raises(ValueError):
         TradeoffCurve(kind="QCT", samples=((0.0, 1.0), (0.0, 0.5)),
-                      domain=(0.0, 1.0), channels=(None, None))
+                      channels=(None, None))
     with pytest.raises(ValueError):
         TradeoffCurve(kind="QCT", samples=((0.0, 0.2), (1.0, 0.8)),
-                      domain=(0.0, 1.0), channels=(None, None))
+                      channels=(None, None))
     with pytest.raises(ValueError):  # concave kink
         TradeoffCurve(kind="QCT",
                       samples=((0.0, 1.0), (0.5, 0.9), (1.0, 0.0)),
-                      domain=(0.0, 1.0),
                       channels=(None, None, None))
 
 
@@ -264,25 +283,29 @@ def test_curve_constructor_validation():
                                      ((-math.inf, 1.0), (1.0, 0.5))])
 def test_curve_rejects_non_finite_samples(samples):
     with pytest.raises(ValueError, match="finite"):
-        TradeoffCurve(kind="QCT", samples=samples, domain=(0.0, 1.0),
+        TradeoffCurve(kind="QCT", samples=samples,
                       channels=(None,) * len(samples))
 
 
 @pytest.mark.parametrize("domain", [(math.nan, 1.0), (0.0, math.inf),
                                     (2.0, 1.0)])
 def test_curve_rejects_bad_domain(domain):
-    # With a NaN lower bound every rate would lie inside the domain, and
-    # value(-5.0) would read 1.0 instead of None.
-    with pytest.raises(ValueError, match="domain"):
-        TradeoffCurve(kind="QCT", samples=((0.0, 1.0), (1.0, 0.5)),
-                      domain=domain, channels=(None, None))
+    # The domain is read off the first and last vertices, so a curve whose
+    # domain is not a finite interval fails the vertex checks.  With a NaN
+    # lower bound every rate would lie inside the domain, and value(-5.0)
+    # would read 1.0 instead of None.
+    lo, hi = domain
+    named = "strictly increasing" if np.isfinite(domain).all() else "finite"
+    with pytest.raises(ValueError, match=named):
+        TradeoffCurve(kind="QCT", samples=((lo, 1.0), (hi, 0.5)),
+                      channels=(None, None))
 
 
 @pytest.mark.parametrize("count", [0, 1, 3])
 def test_curve_needs_one_channel_per_sample(count):
     with pytest.raises(ValueError, match="one channel per sample"):
         TradeoffCurve(kind="QCT", samples=((0.0, 1.0), (1.0, 0.5)),
-                      domain=(0.0, 1.0), channels=(None,) * count)
+                      channels=(None,) * count)
 
 
 @pytest.mark.parametrize("x1, mu0, mu1, bound", [

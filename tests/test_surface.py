@@ -53,18 +53,24 @@ NAN, INF = float("nan"), float("inf")
     (lambda curves, hull: curves.qct.value(True), "R=True"),
     (lambda curves, hull: curves.qct.value(INF), "R=inf"),
     (lambda curves, hull: curves.rsp.value(-INF), "R=-inf"),
-    (lambda curves, hull: hull.min_e(10 ** 400, 0.5), "R=1000"),
+    (lambda curves, hull: hull.min_e(10 ** 400, 0.5),
+     "R must be finite and nonnegative, got R=1000"),
+    (lambda curves, hull: e_star("0.3", 0.0, curves),
+     "R must be a real number, got R='0.3'"),
+    (lambda curves, hull: curves.qct.value(np.array(0.3)),
+     r"R must be a real number, got R=array\(0\.3\)"),
 ], ids=["qct.value", "rsp.value", "e_star-R", "e_star-Q", "classify_region",
         "min_e-R", "min_e-Q", "min_e-inf", "min_e-neg-inf", "e_star-inf",
         "classify_region-inf", "e_star-bool", "classify_region-bool",
         "min_e-bool", "qct.value-bool", "qct.value-inf", "rsp.value-neg-inf",
-        "min_e-huge"])
+        "min_e-huge", "e_star-str", "qct.value-array"])
 def test_non_finite_rates_rejected(query, named, zp_curves, zp_hull):
     # A NaN rate must not read as unachievable, nor reach the oracle's LP,
     # and a bool is not a rate.  Unchecked, value(True) and value(inf)
     # would read the curve at R = 1 and on its flat tail; a finite negative
     # rate reads None (test_value_outside_domain).  The message stays short
-    # even for an integer of 401 digits.
+    # even for an integer of 401 digits, which is a real number past the
+    # float range, and names a string or an array as not a real number.
     with pytest.raises(ValueError, match=named) as raised:
         query(zp_curves, zp_hull)
     assert len(str(raised.value)) < 120
